@@ -26,9 +26,8 @@ from repro.perf.estimator import InferenceEstimator
 from repro.perf.parallelism import ParallelismPlan
 from repro.perf.phases import Deployment
 from repro.obs.telemetry import TelemetryHub
-from repro.obs.tracer import Tracer
 from repro.perf.quantization import QuantizationScheme
-from repro.runtime.engine import EngineResult, ServingEngine
+from repro.runtime.engine import ServingEngine
 from repro.runtime.memory_manager import OutOfMemoryError
 from repro.runtime.workload import fixed_batch_trace
 
@@ -152,62 +151,6 @@ class BenchmarkRunner:
             return InferenceMetrics.out_of_memory(
                 config.batch_size, config.input_tokens, config.output_tokens
             )
-
-    def run_traced(
-        self,
-        deployment: Deployment,
-        trace: list,
-        tracer: Tracer,
-        max_concurrency: int | None = None,
-        optimistic: bool = False,
-    ) -> EngineResult:
-        """Run a request trace on the event engine with tracing enabled.
-
-        The observability entry point behind ``llm-inference-bench trace``:
-        always uses the discrete-event engine (the estimator has no events
-        to record) and returns the full :class:`EngineResult`, whose
-        ``metrics`` snapshot carries the TTFT/ITL histograms.  Raises
-        :class:`OutOfMemoryError` — callers decide how to report OOM.
-        """
-        engine = ServingEngine(
-            deployment,
-            max_concurrency=max_concurrency
-            or self.max_concurrency
-            or len(trace),
-            optimistic=optimistic,
-            tracer=tracer,
-        )
-        return engine.run(trace)
-
-    def run_profiled(
-        self,
-        deployment: Deployment,
-        trace: list,
-        max_concurrency: int | None = None,
-        optimistic: bool = False,
-        tracer: Tracer | None = None,
-    ) -> EngineResult:
-        """Run a request trace with cost-attribution profiling enabled.
-
-        The entry point behind ``llm-inference-bench profile``: the
-        returned :class:`EngineResult` carries a
-        :class:`~repro.obs.profiler.ProfileReport` in ``profile``.  Pass
-        a recording ``tracer`` to also capture Perfetto counter tracks
-        (mfu, mbu, tokens/s, watts, joules/token) alongside the engine's
-        span events.  Raises :class:`OutOfMemoryError` like
-        :meth:`run_traced`.
-        """
-        kwargs = {} if tracer is None else {"tracer": tracer}
-        engine = ServingEngine(
-            deployment,
-            max_concurrency=max_concurrency
-            or self.max_concurrency
-            or len(trace),
-            optimistic=optimistic,
-            profile=True,
-            **kwargs,
-        )
-        return engine.run(trace)
 
     def run_sweep(
         self,

@@ -69,6 +69,32 @@ from repro.models.zoo import list_models
 __all__ = ["main", "build_parser"]
 
 
+def _add_engine_workload_args(parser: argparse.ArgumentParser) -> None:
+    """The deployment and workload flags ``trace`` and ``profile`` share."""
+    parser.add_argument("--model", required=True)
+    parser.add_argument("--hardware", required=True)
+    parser.add_argument("--framework", required=True)
+    parser.add_argument("--batch-size", type=int, default=8)
+    parser.add_argument("--input-tokens", type=int, default=1024)
+    parser.add_argument("--output-tokens", type=int, default=1024)
+    parser.add_argument(
+        "--rate",
+        type=float,
+        default=None,
+        help="Poisson arrival rate (req/s); omit for the paper's fixed batch",
+    )
+    parser.add_argument(
+        "--num-requests",
+        type=int,
+        default=None,
+        help="request count for --rate workloads (default 4x batch size)",
+    )
+    parser.add_argument("--seed", type=int, default=0,
+                        help="RNG seed for --rate arrival draws")
+    parser.add_argument("--optimistic", action="store_true",
+                        help="vLLM optimistic admission (preempt+recompute)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="llm-inference-bench",
@@ -142,28 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace_p = sub.add_parser(
         "trace", help="run a workload with tracing; write Chrome trace JSON"
     )
-    trace_p.add_argument("--model", required=True)
-    trace_p.add_argument("--hardware", required=True)
-    trace_p.add_argument("--framework", required=True)
-    trace_p.add_argument("--batch-size", type=int, default=8)
-    trace_p.add_argument("--input-tokens", type=int, default=1024)
-    trace_p.add_argument("--output-tokens", type=int, default=1024)
-    trace_p.add_argument(
-        "--rate",
-        type=float,
-        default=None,
-        help="Poisson arrival rate (req/s); omit for the paper's fixed batch",
-    )
-    trace_p.add_argument(
-        "--num-requests",
-        type=int,
-        default=None,
-        help="request count for --rate workloads (default 4x batch size)",
-    )
-    trace_p.add_argument("--seed", type=int, default=0,
-                         help="RNG seed for --rate arrival draws")
-    trace_p.add_argument("--optimistic", action="store_true",
-                         help="vLLM optimistic admission (preempt+recompute)")
+    _add_engine_workload_args(trace_p)
     trace_p.add_argument("--output", default="trace.json",
                          help="Chrome trace_event JSON path (Perfetto-loadable)")
     trace_p.add_argument("--summary-output", default=None,
@@ -175,28 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
         "profile",
         help="run a workload with cost-attribution profiling; write profile JSON",
     )
-    profile_p.add_argument("--model", required=True)
-    profile_p.add_argument("--hardware", required=True)
-    profile_p.add_argument("--framework", required=True)
-    profile_p.add_argument("--batch-size", type=int, default=8)
-    profile_p.add_argument("--input-tokens", type=int, default=1024)
-    profile_p.add_argument("--output-tokens", type=int, default=1024)
-    profile_p.add_argument(
-        "--rate",
-        type=float,
-        default=None,
-        help="Poisson arrival rate (req/s); omit for the paper's fixed batch",
-    )
-    profile_p.add_argument(
-        "--num-requests",
-        type=int,
-        default=None,
-        help="request count for --rate workloads (default 4x batch size)",
-    )
-    profile_p.add_argument("--seed", type=int, default=0,
-                           help="RNG seed for --rate arrival draws")
-    profile_p.add_argument("--optimistic", action="store_true",
-                           help="vLLM optimistic admission (preempt+recompute)")
+    _add_engine_workload_args(profile_p)
     profile_p.add_argument("--output", default="profile.json",
                            help="deterministic profile JSON path")
     profile_p.add_argument(
@@ -612,13 +596,18 @@ def _cmd_export(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.obs import EventTracer, timeline_table, trace_summary, write_chrome_trace
+def _run_engine_workload(args: argparse.Namespace, tracer, profile: bool = False):
+    """Shared body of ``trace`` and ``profile``: run the flagged workload
+    on the event engine.
+
+    Returns ``(deployment, workload, result, trace metadata)``, or
+    ``None`` after printing the ``OOM:`` line.
+    """
+    from repro.runtime.engine import ServingEngine
     from repro.runtime.memory_manager import OutOfMemoryError
     from repro.runtime.workload import fixed_batch_trace, poisson_trace
 
-    runner = BenchmarkRunner(use_engine=True)
-    dep = runner.deployment(args.model, args.hardware, args.framework)
+    dep = BenchmarkRunner().deployment(args.model, args.hardware, args.framework)
     if args.rate is not None:
         num = args.num_requests or 4 * args.batch_size
         workload = poisson_trace(
@@ -628,32 +617,37 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         workload = fixed_batch_trace(
             args.batch_size, args.input_tokens, args.output_tokens
         )
-
-    tracer = EventTracer()
     try:
-        result = runner.run_traced(
+        result = ServingEngine(
             dep,
-            workload,
-            tracer,
-            max_concurrency=args.batch_size,
+            max_concurrency=args.batch_size or len(workload),
             optimistic=args.optimistic,
-        )
+            tracer=tracer,
+            profile=profile,
+        ).run(workload)
     except OutOfMemoryError as exc:
         print(f"OOM: {exc}")
-        return 1
+        return None
+    metadata = {
+        "model": dep.model.name,
+        "hardware": dep.hardware.name,
+        "devices": dep.num_devices,
+        "framework": dep.framework.name,
+        "requests": len(workload),
+        "makespan_s": result.total_time_s,
+    }
+    return dep, workload, result, metadata
 
-    path = write_chrome_trace(
-        args.output,
-        tracer.events,
-        metadata={
-            "model": dep.model.name,
-            "hardware": dep.hardware.name,
-            "devices": dep.num_devices,
-            "framework": dep.framework.name,
-            "requests": len(workload),
-            "makespan_s": result.total_time_s,
-        },
-    )
+
+def _cmd_trace(args: argparse.Namespace) -> int:
+    from repro.obs import EventTracer, timeline_table, trace_summary, write_chrome_trace
+
+    tracer = EventTracer()
+    ran = _run_engine_workload(args, tracer)
+    if ran is None:
+        return 1
+    dep, workload, result, metadata = ran
+    path = write_chrome_trace(args.output, tracer.events, metadata=metadata)
     summary = trace_summary(tracer.events, result.metrics)
     header = (
         f"{dep.model.name} / {dep.hardware.name} x{dep.num_devices} / "
@@ -675,37 +669,15 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    from repro.obs import EventTracer, write_chrome_trace
-    from repro.runtime.memory_manager import OutOfMemoryError
-    from repro.runtime.workload import fixed_batch_trace, poisson_trace
+    from repro.obs import NULL_TRACER, EventTracer, write_chrome_trace
 
-    runner = BenchmarkRunner(use_engine=True)
-    dep = runner.deployment(args.model, args.hardware, args.framework)
-    if args.rate is not None:
-        num = args.num_requests or 4 * args.batch_size
-        workload = poisson_trace(
-            num, args.rate, args.input_tokens, args.output_tokens, seed=args.seed
-        )
-    else:
-        workload = fixed_batch_trace(
-            args.batch_size, args.input_tokens, args.output_tokens
-        )
-
-    tracer = EventTracer() if args.trace_output else None
-    try:
-        result = runner.run_profiled(
-            dep,
-            workload,
-            max_concurrency=args.batch_size,
-            optimistic=args.optimistic,
-            tracer=tracer,
-        )
-    except OutOfMemoryError as exc:
-        print(f"OOM: {exc}")
+    tracer = EventTracer() if args.trace_output else NULL_TRACER
+    ran = _run_engine_workload(args, tracer, profile=True)
+    if ran is None:
         return 1
-
+    dep, workload, result, metadata = ran
     profile = result.profile
-    assert profile is not None  # run_profiled always enables the profiler
+    assert profile is not None  # the engine ran with profile=True
     print(
         f"{dep.model.name} / {dep.hardware.name} x{dep.num_devices} / "
         f"{dep.framework.name} — {len(workload)} requests"
@@ -713,19 +685,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     print()
     print(profile.render(max_requests=args.requests_shown))
     _write_json(args.output, profile.to_json_dict())
-    if args.trace_output and tracer is not None:
-        path = write_chrome_trace(
-            args.trace_output,
-            tracer.events,
-            metadata={
-                "model": dep.model.name,
-                "hardware": dep.hardware.name,
-                "devices": dep.num_devices,
-                "framework": dep.framework.name,
-                "requests": len(workload),
-                "makespan_s": result.total_time_s,
-            },
-        )
+    if args.trace_output:
+        path = write_chrome_trace(args.trace_output, tracer.events, metadata=metadata)
         print(f"wrote {path} ({len(tracer.events)} events) — counter tracks "
               "under the 'profile' lane in https://ui.perfetto.dev")
     return 0

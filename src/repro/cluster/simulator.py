@@ -55,9 +55,19 @@ from repro.control.autoscale import (
 )
 from repro.control.plane import ControlPlane
 from repro.core.request import GenerationRequest, RequestState
-from repro.obs.metrics import MetricsRegistry, MetricsSnapshot, percentile
+from repro.obs.metrics import (
+    MetricsRegistry,
+    MetricsSnapshot,
+    percentile,
+    record_latencies,
+)
 from repro.obs.profiler import ProfileReport, merge_profiles
-from repro.obs.telemetry import NULL_TELEMETRY, TelemetryHub, TelemetrySnapshot
+from repro.obs.telemetry import (
+    NULL_TELEMETRY,
+    TelemetryHub,
+    TelemetrySnapshot,
+    trace_alerts,
+)
 from repro.obs.tracer import EventTracer, TraceEvent
 from repro.perf.kernel import get_kernel
 from repro.perf.phases import Deployment
@@ -662,25 +672,7 @@ class ClusterSimulator:
                 if self._control_on:
                     self._completions.append(orig)
                 if self._telemetry_on:
-                    self._record_completion(orig)
-
-    def _record_completion(self, orig: GenerationRequest) -> None:
-        """Feed one finished request into the telemetry bus (buffered)."""
-        hub = self.telemetry
-        finish = orig.finish_time
-        first = orig.first_token_time
-        ttft = orig.ttft_s if first is not None else float("nan")
-        if orig.output_tokens > 1 and first is not None:
-            itl = (finish - first) / (orig.output_tokens - 1)
-        else:
-            itl = float("nan")
-        hub.record_completion(
-            finish,
-            ttft,
-            itl,
-            hub.slo_for(orig.tenant).met_by(orig),
-            tenant=orig.tenant,
-        )
+                    self.telemetry.record_request(orig)
 
     def _complete_prefill(
         self, orig: GenerationRequest, proxy: GenerationRequest
@@ -737,21 +729,25 @@ class ClusterSimulator:
         draining replicas as a last resort, then an empty list — the
         caller fails the request.
         """
-        replicas = self._replicas
-        ready = [
-            r
-            for r in replicas
-            if r.role == role and r.alive and not r.draining and r.start_s <= now
-        ]
+        ready, warming = self._partition(role, now)
         if ready:
             return ready
-        warming = [
-            r for r in replicas if r.role == role and r.alive and not r.draining
-        ]
         if warming:
             self._push(min(r.start_s for r in warming), kind, payload)
             return None
-        return [r for r in replicas if r.role == role and r.alive]
+        return [r for r in self._replicas if r.role == role and r.alive]
+
+    def _partition(
+        self, role: str, now: float
+    ) -> tuple[list[Replica], list[Replica]]:
+        """Alive, non-draining replicas of ``role``: (ready, warming) at
+        ``now``, in one pass over the fleet."""
+        ready: list[Replica] = []
+        warming: list[Replica] = []
+        for r in self._replicas:
+            if r.role == role and r.alive and not r.draining:
+                (ready if r.start_s <= now else warming).append(r)
+        return ready, warming
 
     def _dispatch_arrival(
         self, request: GenerationRequest, ts: float, retry: bool = False
@@ -855,10 +851,7 @@ class ClusterSimulator:
         orig.state = RequestState.FAILED
         self._failed += 1
         if self._telemetry_on:
-            # A failed request burns the error budget like a missed SLO.
-            self.telemetry.record_completion(
-                ts, float("nan"), float("nan"), False, tenant=orig.tenant
-            )
+            self.telemetry.record_request(orig, failed_at_s=ts)
 
     def _requeue(self, orig: GenerationRequest, ts: float) -> None:
         """Re-enter a displaced request via backoff, or fail it."""
@@ -867,12 +860,7 @@ class ClusterSimulator:
         policy = self.control.retry
         attempt = self._attempts.get(orig.request_id, 0)
         if attempt >= policy.max_retries:
-            orig.state = RequestState.FAILED
-            self._failed += 1
-            if self._telemetry_on:
-                self.telemetry.record_completion(
-                    ts, float("nan"), float("nan"), False, tenant=orig.tenant
-                )
+            self._fail(orig, ts)
             if self._ctl_tracer is not None:
                 self._ctl_tracer.instant(
                     "control", "retry_budget_exhausted", ts_s=ts, attempts=attempt
@@ -956,19 +944,10 @@ class ClusterSimulator:
                     "control", "fault:slowdown_end", ts_s=ts, replica=replica.name
                 )
 
-    def _fleet_view(self, ts: float) -> FleetView:
+    def _fleet_view(
+        self, ts: float, serving: list[Replica], warming: list[Replica]
+    ) -> FleetView:
         assert self.control is not None
-        role = self._serving_role
-        serving = [
-            r
-            for r in self._replicas
-            if r.role == role and r.alive and not r.draining and r.start_s <= ts
-        ]
-        warming = [
-            r
-            for r in self._replicas
-            if r.role == role and r.alive and not r.draining and r.start_s > ts
-        ]
         window = self.control.metrics_window_s
         recent = [r for r in self._completions if r.finish_time >= ts - window]
         slo = getattr(self.control.autoscaler, "slo", None) or ServiceLevelObjective()
@@ -996,13 +975,14 @@ class ClusterSimulator:
         )
 
     def _autoscale_tick(self, ts: float) -> None:
+        serving, warming = self._partition(self._serving_role, ts)
         if self._telemetry_on:
-            self._telemetry_tick(ts)
+            self._telemetry_tick(ts, serving, warming)
         if self._control_ticks:
             plane = self.control
             assert plane is not None
             policy = plane.autoscaler
-            view = self._fleet_view(ts)
+            view = self._fleet_view(ts, serving, warming)
             registry = self._registry
             registry.gauge("fleet.serving").set(view.num_serving, ts_s=ts)
             registry.gauge("fleet.warming").set(view.num_warming, ts_s=ts)
@@ -1022,22 +1002,13 @@ class ClusterSimulator:
         if self._events or any(r.alive and r.has_work for r in self._replicas):
             self._push(ts + self._tick_every, _TICK, None)
 
-    def _telemetry_tick(self, ts: float) -> None:
+    def _telemetry_tick(
+        self, ts: float, serving: list[Replica], warming: list[Replica]
+    ) -> None:
         """Sample the fleet into the telemetry bus, evaluate the budget,
         land alert transitions in the control trace, and feed observed
         utilization back into routing weights (profiled runs)."""
         hub = self.telemetry
-        role = self._serving_role
-        serving = [
-            r
-            for r in self._replicas
-            if r.role == role and r.alive and not r.draining and r.start_s <= ts
-        ]
-        warming = [
-            r
-            for r in self._replicas
-            if r.role == role and r.alive and not r.draining and r.start_s > ts
-        ]
         hub.sample("fleet.serving", ts, float(len(serving)), unit="replicas")
         hub.sample("fleet.warming", ts, float(len(warming)), unit="replicas")
         hub.sample(
@@ -1064,17 +1035,7 @@ class ClusterSimulator:
             totals = replica.run.profiler.running_totals()
             if totals is not None:
                 self._sample_profiler_totals(prefix, ts, replica, totals)
-        transitions = hub.tick(ts)
-        if self._ctl_tracer is not None:
-            for alert in transitions:
-                self._ctl_tracer.instant(
-                    "control",
-                    f"alert:{alert.name}:{alert.state}",
-                    ts_s=alert.ts_s,
-                    severity=alert.severity,
-                    value=alert.value,
-                    threshold=alert.threshold,
-                )
+        trace_alerts(self._ctl_tracer, hub.tick(ts))
         if self._telemetry_view is not None and len(serving) > 1:
             scales = self._telemetry_view.routing_scales(
                 [r.name for r in serving], ts
@@ -1201,16 +1162,7 @@ class ClusterSimulator:
         if self._telemetry_on:
             # Closeout tick at the horizon: flush completions recorded
             # past the last control tick and settle any firing alerts.
-            for alert in self.telemetry.finish(makespan):
-                if self._ctl_tracer is not None:
-                    self._ctl_tracer.instant(
-                        "control",
-                        f"alert:{alert.name}:{alert.state}",
-                        ts_s=alert.ts_s,
-                        severity=alert.severity,
-                        value=alert.value,
-                        threshold=alert.threshold,
-                    )
+            trace_alerts(self._ctl_tracer, self.telemetry.finish(makespan))
             telemetry_snapshot = self.telemetry.snapshot()
         energy_j = 0.0
         reports: list[ReplicaReport] = []
@@ -1257,23 +1209,7 @@ class ClusterSimulator:
         if self._ctl_tracer is not None and self._ctl_tracer.events:
             events["control"] = self._ctl_tracer.events
 
-        for request in trace:
-            if request.first_token_time is None:
-                continue
-            registry.histogram("ttft_s").record(request.ttft_s)
-            if request.finish_time is None:
-                continue
-            registry.histogram("e2e_s").record(request.end_to_end_latency_s)
-            if request.output_tokens > 0:
-                # NTPOT lane, mirroring the single-engine histogram set.
-                registry.histogram("ntpot_s").record(
-                    request.end_to_end_latency_s / request.output_tokens
-                )
-            if request.output_tokens > 1:
-                gap = (request.finish_time - request.first_token_time) / (
-                    request.output_tokens - 1
-                )
-                registry.histogram("itl_s").record(gap)
+        record_latencies(registry, trace)
         registry.counter("routed").inc(len(trace))
         registry.counter("prefix_hits").inc(self._prefix_hits)
         registry.counter("handoffs").inc(self._handoffs)

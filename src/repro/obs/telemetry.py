@@ -51,6 +51,7 @@ __all__ = [
     "TelemetryHub",
     "TelemetrySnapshot",
     "TimeSeries",
+    "trace_alerts",
 ]
 
 
@@ -543,6 +544,32 @@ class TelemetryHub:
         )
         self._seq += 1
 
+    def record_request(self, request, failed_at_s: float | None = None) -> None:
+        """Record one terminal request: its TTFT, ITL and SLO verdict.
+
+        A finished request lands at its finish time (NaN TTFT/ITL where
+        it has no first token or a single token).  A failed request
+        burns the error budget like a missed SLO: NaN/NaN/not met at
+        ``failed_at_s``.
+        """
+        nan = float("nan")
+        if failed_at_s is not None:
+            self.record_completion(failed_at_s, nan, nan, False, tenant=request.tenant)
+            return
+        first = request.first_token_time
+        ttft = itl = nan
+        if first is not None:
+            ttft = request.ttft_s
+            if request.output_tokens > 1:
+                itl = (request.finish_time - first) / (request.output_tokens - 1)
+        self.record_completion(
+            request.finish_time,
+            ttft,
+            itl,
+            self.slo_for(request.tenant).met_by(request),
+            tenant=request.tenant,
+        )
+
     def _flush(self, up_to_s: float) -> None:
         if not self._pending:
             return
@@ -697,6 +724,9 @@ class _NullTelemetry(TelemetryHub):
     def record_completion(self, ts_s, ttft_s, itl_s, good, tenant=None) -> None:
         return None
 
+    def record_request(self, request, failed_at_s=None) -> None:
+        return None
+
     def tick(self, now_s: float) -> list[Alert]:
         return []
 
@@ -708,3 +738,19 @@ class _NullTelemetry(TelemetryHub):
 
 
 NULL_TELEMETRY = _NullTelemetry()
+
+
+def trace_alerts(tracer, transitions: list[Alert]) -> None:
+    """Land alert transitions as ``control``-category trace instants
+    (no-op without a recording tracer)."""
+    if tracer is None or not tracer.enabled:
+        return
+    for alert in transitions:
+        tracer.instant(
+            "control",
+            f"alert:{alert.name}:{alert.state}",
+            ts_s=alert.ts_s,
+            severity=alert.severity,
+            value=alert.value,
+            threshold=alert.threshold,
+        )

@@ -51,9 +51,14 @@ from functools import cached_property
 from repro.core.metrics import InferenceMetrics, LatencyBreakdown
 from repro.core.request import GenerationRequest, RequestState
 from repro.hardware.power import PowerModel
-from repro.obs.metrics import MetricsRegistry, MetricsSnapshot
+from repro.obs.metrics import MetricsRegistry, MetricsSnapshot, record_latencies
 from repro.obs.profiler import NULL_PROFILER, ProfileReport, StepProfiler
-from repro.obs.telemetry import NULL_TELEMETRY, TelemetryHub, TelemetrySnapshot
+from repro.obs.telemetry import (
+    NULL_TELEMETRY,
+    TelemetryHub,
+    TelemetrySnapshot,
+    trace_alerts,
+)
 from repro.obs.timeline import RequestTimeline, build_timelines
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.perf.estimator import phase_utilization
@@ -535,6 +540,7 @@ class EngineRun:
         )
         self.telemetry = engine.telemetry
         self._telemetry_on = engine.telemetry.enabled
+        self._observed = self._traced or self._telemetry_on
         self._pressure = pressure
         self.profiler = (
             StepProfiler(
@@ -587,11 +593,8 @@ class EngineRun:
         self.iterations += 1
         if self.iterations > _MAX_ITERATIONS:
             raise RuntimeError("engine exceeded the iteration safeguard")
-        if self._traced:
-            self.tracer.advance(self.now)
-            self._sample_gauges()
-        if self._telemetry_on:
-            self._sample_telemetry()
+        if self._observed:
+            self._sample_state(self._telemetry_on)
 
         admitted = scheduler.admit(self.now)
         if admitted:
@@ -652,13 +655,12 @@ class EngineRun:
             # crashed replica) write their progress back to the objects.
             table.flush(self.scheduler.running)
         if self._traced:
-            self.tracer.advance(self.now)
-            self._sample_gauges()  # close the gauge series
+            self._sample_state(False)  # close the gauge series
         telemetry_snapshot: TelemetrySnapshot | None = None
         if self._telemetry_on:
             # Closeout: flush buffered completions and settle alerts at
             # the run's horizon.
-            self._emit_alerts(self.telemetry.finish(self.now))
+            trace_alerts(self.tracer, self.telemetry.finish(self.now))
             telemetry_snapshot = self.telemetry.snapshot()
         resolved = list(requests) if requests is not None else list(self.submitted)
         return EngineResult(
@@ -769,95 +771,47 @@ class EngineRun:
         return min(min_remaining, k)
 
     # ------------------------------------------------------------------
-    # Observability helpers (no-ops unless a recording tracer is set).
+    # Observability helpers: the gauge registry on traced runs, the
+    # telemetry hub when one is attached.
 
-    def _sample_gauges(self) -> None:
-        """One per-iteration sample of the operator-facing gauges."""
-        registry = self._registry
-        if registry is None:
-            return
+    def _sample_state(self, telemetry: bool) -> None:
+        """One sample of queue depth, batch size and KV occupancy.
+
+        Written to the gauge registry on traced runs and, when
+        ``telemetry``, to the hub followed by a throttled budget tick.
+        """
         now = self.now
         scheduler = self.scheduler
-        arrived = scheduler.arrived_count(now)
-        registry.gauge("queue_depth").set(arrived, ts_s=now)
-        registry.gauge("batch_size").set(len(scheduler.running), ts_s=now)
+        queue = scheduler.arrived_count(now)
+        batch = len(scheduler.running)
         allocator = scheduler.allocator
         capacity = allocator.capacity_tokens
-        if capacity > 0:
-            registry.gauge("kv_occupancy").set(
-                allocator.used_tokens / capacity, ts_s=now
-            )
-
-    def _observe_retired(self, done: list[GenerationRequest]) -> None:
-        """Record per-request latency histograms at retirement."""
-        if not done:
-            return
+        kv = allocator.used_tokens / capacity if capacity > 0 else None
         registry = self._registry
         if registry is not None:
-            for request in done:
-                registry.histogram("ttft_s").record(request.ttft_s)
-                registry.histogram("e2e_s").record(request.end_to_end_latency_s)
-                if request.output_tokens > 0:
-                    # NTPOT: whole-request latency per generated token
-                    # (queueing and prefill included, unlike ITL).
-                    registry.histogram("ntpot_s").record(
-                        request.end_to_end_latency_s / request.output_tokens
-                    )
-                if request.output_tokens > 1 and request.first_token_time is not None:
-                    gap = (request.finish_time - request.first_token_time) / (
-                        request.output_tokens - 1
-                    )
-                    registry.histogram("itl_s").record(gap)
-        if self._telemetry_on:
+            self.tracer.advance(now)
+            registry.gauge("queue_depth").set(queue, ts_s=now)
+            registry.gauge("batch_size").set(batch, ts_s=now)
+            if kv is not None:
+                registry.gauge("kv_occupancy").set(kv, ts_s=now)
+        if telemetry:
             hub = self.telemetry
-            for request in done:
-                first = request.first_token_time
-                ttft = request.ttft_s if first is not None else float("nan")
-                if request.output_tokens > 1 and first is not None:
-                    itl = (request.finish_time - first) / (
-                        request.output_tokens - 1
-                    )
-                else:
-                    itl = float("nan")
-                hub.record_completion(
-                    request.finish_time,
-                    ttft,
-                    itl,
-                    hub.slo_for(request.tenant).met_by(request),
-                    tenant=request.tenant,
-                )
+            hub.sample("engine.queue_depth", now, float(queue))
+            hub.sample("engine.batch_size", now, float(batch))
+            if kv is not None:
+                hub.sample("engine.kv_occupancy", now, kv)
+            if now - hub.last_tick_s >= hub.tick_interval_s:
+                trace_alerts(self.tracer, hub.tick(now))
 
-    def _sample_telemetry(self) -> None:
-        """Per-iteration telemetry sample plus a throttled budget tick."""
-        hub = self.telemetry
-        now = self.now
-        scheduler = self.scheduler
-        hub.sample(
-            "engine.queue_depth", now, float(scheduler.arrived_count(now))
-        )
-        hub.sample("engine.batch_size", now, float(len(scheduler.running)))
-        allocator = scheduler.allocator
-        capacity = allocator.capacity_tokens
-        if capacity > 0:
-            hub.sample(
-                "engine.kv_occupancy", now, allocator.used_tokens / capacity
-            )
-        if now - hub.last_tick_s >= hub.tick_interval_s:
-            self._emit_alerts(hub.tick(now))
-
-    def _emit_alerts(self, transitions) -> None:
-        """Land alert transitions as control-category trace instants."""
-        if not self._traced:
+    def _observe_retired(self, done: list[GenerationRequest]) -> None:
+        """Record per-request latency histograms and SLO completions."""
+        if not done:
             return
-        for alert in transitions:
-            self.tracer.instant(
-                "control",
-                f"alert:{alert.name}:{alert.state}",
-                ts_s=alert.ts_s,
-                severity=alert.severity,
-                value=alert.value,
-                threshold=alert.threshold,
-            )
+        if self._registry is not None:
+            record_latencies(self._registry, done)
+        if self._telemetry_on:
+            for request in done:
+                self.telemetry.record_request(request)
 
     def _final_snapshot(self) -> MetricsSnapshot | None:
         registry = self._registry

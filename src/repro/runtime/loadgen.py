@@ -239,11 +239,7 @@ def _tenant_report(
         ttft_p95 = float(np.percentile(sorted(r.ttft_s for r in completed), 95))
     else:
         ttft_p95 = float("nan")
-    ntpots = [
-        r.end_to_end_latency_s / r.output_tokens
-        for r in finished
-        if r.output_tokens > 0
-    ]
+    ntpots = [r.end_to_end_latency_s / r.output_tokens for r in finished]
     return TenantReport(
         tenant=tenant,
         requests=len(requests),
@@ -302,11 +298,7 @@ def summarize_requests(
 
     # NTPOT (normalized time per output token): whole-request latency per
     # generated token, queueing and prefill included.
-    ntpots = [
-        r.end_to_end_latency_s / r.output_tokens
-        for r in finished
-        if r.output_tokens > 0
-    ]
+    ntpots = [r.end_to_end_latency_s / r.output_tokens for r in finished]
     ntpot_mean = sum(ntpots) / len(ntpots) if ntpots else float("nan")
 
     tenant_names: list[str] = []

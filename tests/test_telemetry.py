@@ -316,6 +316,8 @@ class TestTelemetryHub:
         assert NULL_TELEMETRY.enabled is False
         NULL_TELEMETRY.sample("x", 0.0, 1.0)
         NULL_TELEMETRY.record_completion(0.0, 0.1, 0.01, True)
+        NULL_TELEMETRY.record_request(object())
+        NULL_TELEMETRY.record_request(object(), failed_at_s=1.0)
         assert NULL_TELEMETRY.tick(1.0) == []
         assert NULL_TELEMETRY.finish(1.0) == []
         assert NULL_TELEMETRY.snapshot() is None
@@ -508,3 +510,68 @@ class TestFlashCrowdControlLoop:
         burn = result.telemetry.series["slo.burn_rate_fast"]
         values = [v for v in burn["values"] if v is not None]
         assert max(values) > 2.0
+
+
+def mistral() -> Deployment:
+    return Deployment(
+        get_model("Mistral-7B"), get_hardware("A100"), get_framework("vLLM")
+    )
+
+
+class TestObserverPaths:
+    """Alert instants and failure records reach the trace and the hub
+    once each, on both the engine and the cluster path."""
+
+    def test_engine_alerts_land_once_in_trace(self):
+        from repro.obs.tracer import EventTracer
+        from repro.runtime.engine import ServingEngine
+        from repro.runtime.workload import open_loop_trace
+
+        tracer = EventTracer()
+        engine = ServingEngine(
+            mistral(),
+            tracer=tracer,
+            telemetry=TelemetryHub(slo=ServiceLevelObjective(ttft_s=0.05)),
+        )
+        result = engine.run(open_loop_trace(64, 12.0, 512, 128, seed=3))
+        alerts = result.telemetry.alerts
+        assert alerts
+        instants = [
+            e.name for e in tracer.events
+            if e.category == "control" and e.name.startswith("alert:")
+        ]
+        assert len(instants) == len(alerts)
+        for alert in alerts:
+            assert instants.count(f"alert:{alert.name}:{alert.state}") == 1
+
+    def test_retry_budget_exhaustion_is_recorded(self):
+        from repro.cluster.simulator import ClusterSimulator
+        from repro.control import ControlPlane, FaultEvent, FaultSchedule, RetryPolicy
+        from repro.core.request import RequestState
+        from repro.runtime.workload import open_loop_trace
+
+        trace = open_loop_trace(32, 8.0, 256, 96, seed=5)
+        sim = ClusterSimulator(
+            mistral(),
+            2,
+            telemetry=TelemetryHub(),
+            traced=True,
+            control=ControlPlane(
+                faults=FaultSchedule(
+                    (FaultEvent("crash", 1.0, replica="replica1"),)
+                ),
+                retry=RetryPolicy(max_retries=0),
+            ),
+        )
+        result = sim.run(trace)
+        finished = sum(r.state == RequestState.FINISHED for r in result.requests)
+        assert result.failed_requests > 0
+        series = result.telemetry.series
+        total = series["slo.requests_total"]["values"][-1]
+        assert total == len(trace) == finished + result.failed_requests
+        assert series["slo.good_total"]["values"][-1] <= finished
+        exhausted = [
+            e for e in result.replica_events["control"]
+            if e.name == "retry_budget_exhausted"
+        ]
+        assert len(exhausted) == result.failed_requests
