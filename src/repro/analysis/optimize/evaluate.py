@@ -9,8 +9,8 @@ the grid, fleet sizing from the closed-form
 :func:`~repro.perf.multinode.replicas_for_rate`, cost-per-token from the
 zoo's per-device hourly rates, joules-per-token from the roofline power
 integral, and perplexity from :mod:`repro.models.quality`.  This is the
-path that screens 10^4+ configurations in seconds (benchmarked as
-``optimize_screening``).
+path that screens 10^4+ configurations in seconds (benchmarked by the
+``optimize-paper-zoo`` workload in ``BENCHMARK.json``).
 
 **Stage 2 (refinement)** re-evaluates the top frontier candidates
 through the discrete-event :class:`~repro.cluster.ClusterCapacityPlanner`

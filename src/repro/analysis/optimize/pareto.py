@@ -4,13 +4,19 @@ Minimization convention throughout: a point ``a`` *dominates* ``b`` when
 ``a`` is no worse on every objective and strictly better on at least
 one.  Maximized objectives are negated by the caller before extraction.
 
-The extractor is the exact O(n^2) pairwise definition — no sorting
-heuristics, no epsilon — so the frontier equals the brute-force
-non-dominated set by construction (and the test suite cross-checks it
-against an independent brute-force pass anyway).  Ties are kept: two
-identical points do not dominate each other, and both survive, which
-keeps extraction order-independent and therefore deterministic under the
-search space's fixed enumeration order.
+The extractor is one pass over the points in lexicographic order of
+their objective tuples, keeping a point only when no frontier member
+kept so far dominates it.  It is exact for any number of objectives, not
+a heuristic: a dominator is no worse everywhere and strictly better
+somewhere, so it is lexicographically strictly smaller and is visited
+first; and dominance is transitive, so a dominated point is also
+dominated by some earlier *frontier* member, which is all the pass
+checks against.  Cost is O(n log n + n·f) for a frontier of f points
+instead of the O(n^2) pairwise scan, and the test suite cross-checks the
+result against an independent pairwise definition.  No epsilon is used,
+and ties are kept: two identical points do not dominate each other, and
+both survive, which keeps extraction order-independent and therefore
+deterministic under the search space's fixed enumeration order.
 """
 
 from __future__ import annotations
@@ -37,17 +43,22 @@ def non_dominated_indices(points: Sequence[Sequence[float]]) -> list[int]:
     both directions, which would make "dominated" silently depend on
     operand order.  Callers filter unevaluable candidates (OOM lanes,
     infeasible replica counts) *before* extraction; infinities are legal
-    (an inf objective simply never wins that dimension).
+    (an inf objective simply never wins that dimension).  Every point
+    must have the same arity; that is checked up front because tuple
+    ordering would otherwise accept mixed lengths silently.
     """
-    for index, point in enumerate(points):
-        if any(math.isnan(value) for value in point):
-            raise ValueError(f"point {index} has NaN objectives: {tuple(point)}")
+    vectors = [tuple(point) for point in points]
+    for index, vector in enumerate(vectors):
+        if len(vector) != len(vectors[0]):
+            raise ValueError(
+                f"objective arity mismatch: point {index} has {len(vector)}, "
+                f"point 0 has {len(vectors[0])}"
+            )
+        if any(math.isnan(value) for value in vector):
+            raise ValueError(f"point {index} has NaN objectives: {vector}")
     frontier: list[int] = []
-    for i, candidate in enumerate(points):
-        if not any(
-            dominates(other, candidate)
-            for j, other in enumerate(points)
-            if j != i
-        ):
+    for i in sorted(range(len(vectors)), key=vectors.__getitem__):
+        if not any(dominates(vectors[f], vectors[i]) for f in frontier):
             frontier.append(i)
+    frontier.sort()
     return frontier

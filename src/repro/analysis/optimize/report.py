@@ -69,9 +69,9 @@ def extract_frontiers(
         eligible_fn, objectives_fn = _FRONTIER_SPECS[name]
         eligible = [c for c in configs if eligible_fn(c)]
         points = [objectives_fn(c) for c in eligible]
-        members = [eligible[i] for i in non_dominated_indices(points)]
-        members.sort(key=lambda c: (objectives_fn(c), c.key))
-        frontiers[name] = tuple(members)
+        kept = non_dominated_indices(points)
+        kept.sort(key=lambda i: (points[i], eligible[i].key))
+        frontiers[name] = tuple(eligible[i] for i in kept)
     return frontiers
 
 

@@ -6,9 +6,10 @@ batch sizes, plus one workload shape and one SLO — and the optimizer
 takes their cross product.  Validation is fail-fast and happens twice:
 
 * **at construction** — every label must resolve in its registry
-  (model/hardware/framework zoos, ``QUANT_SCHEMES``, ``ROUTER_NAMES``)
-  and every numeric axis must be positive, so a typo dies before any
-  kernel work starts;
+  (model/hardware/framework zoos, ``QUANT_SCHEMES``, ``ROUTER_NAMES``),
+  no two labels on one axis may name the same entry (``"llama-2-7b"``
+  and ``"LLaMA-2-7B"`` are one model), and every numeric axis must be
+  positive, so a typo dies before any kernel work starts;
 * **at enumeration** — combinations that are *individually* valid but
   jointly unsupported (Table III framework x hardware gaps, FP8 on
   non-FP8 silicon, TP degrees exceeding a node, MoE on non-MoE
@@ -19,7 +20,9 @@ takes their cross product.  Validation is fail-fast and happens twice:
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import Any
 
 from repro.cluster.router import ROUTER_NAMES
 from repro.experiments.spec import QUANT_SCHEMES
@@ -48,6 +51,26 @@ def build_deployment(
         plan=ParallelismPlan(tp=tp),
         quant=QUANT_SCHEMES[quant],
     )
+
+
+def _reject_repeats(
+    axis: str, labels: tuple, resolve: Callable[[Any], object] = lambda x: x
+) -> None:
+    """Fail when two labels on one axis resolve to the same entry.
+
+    A repeated lane would be screened once per copy and fill the
+    frontiers with duplicates.  Labels themselves are kept as given —
+    report keys use them.
+    """
+    seen: dict[object, object] = {}
+    for label in labels:
+        entry = resolve(label)
+        if entry in seen:
+            raise ValueError(
+                f"search space axis {axis!r} labels must be unique: "
+                f"{seen[entry]!r} and {label!r} name the same entry"
+            )
+        seen[entry] = label
 
 
 @dataclass(frozen=True)
@@ -103,12 +126,11 @@ class SearchSpace:
             if not values:
                 raise ValueError(f"search space axis {axis!r} is empty")
             object.__setattr__(self, axis, values)
-        for name in self.models:
-            get_model(name)
-        for name in self.hardware:
-            get_hardware(name)
-        for name in self.frameworks:
-            get_framework(name)
+        _reject_repeats("models", self.models, lambda n: get_model(n).name)
+        _reject_repeats("hardware", self.hardware, lambda n: get_hardware(n).name)
+        _reject_repeats(
+            "frameworks", self.frameworks, lambda n: get_framework(n).name
+        )
         for label in self.quant_schemes:
             if label not in QUANT_SCHEMES:
                 known = ", ".join(sorted(QUANT_SCHEMES))
@@ -123,8 +145,8 @@ class SearchSpace:
             raise ValueError("tensor_parallel degrees must be >= 1")
         if any(b < 1 for b in self.batch_sizes):
             raise ValueError("batch_sizes must be >= 1")
-        if len(set(self.batch_sizes)) != len(self.batch_sizes):
-            raise ValueError("batch_sizes must be unique")
+        for axis in ("quant_schemes", "tensor_parallel", "batch_sizes", "routers"):
+            _reject_repeats(axis, getattr(self, axis))
         if self.input_tokens < 1 or self.output_tokens < 1:
             raise ValueError("input_tokens and output_tokens must be >= 1")
         if self.target_rate_rps <= 0:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 
 import pytest
 
@@ -20,6 +21,7 @@ from repro.analysis.optimize import (
     optimize,
     screen,
 )
+from repro.analysis.optimize import pareto as pareto_module
 from repro.cluster.planner import CapacityPlan
 from repro.control import autoscaler_from_plan, derive_autoscaler_bounds
 from repro.control.autoscale import QueueDepthAutoscaler
@@ -45,6 +47,22 @@ def _tiny_space(**overrides) -> SearchSpace:
     )
     kwargs.update(overrides)
     return SearchSpace(**kwargs)
+
+
+def _pairwise_frontier(points) -> list[int]:
+    """Reference non-dominated set: compare every pair (minimization)."""
+    return [
+        i
+        for i, p in enumerate(points)
+        if not any(
+            all(a <= b for a, b in zip(q, p)) and any(a < b for a, b in zip(q, p))
+            for j, q in enumerate(points)
+            if j != i
+        )
+    ]
+
+
+_SPECIAL_VALUES = (0.0, -0.0, 1.0, -1.0, 2.5, math.inf, -math.inf)
 
 
 class TestPareto:
@@ -77,21 +95,62 @@ class TestPareto:
             for y in range(4)
         ]
         points += points[:5]  # duplicates survive as ties
-        expected = [
-            i
-            for i, p in enumerate(points)
-            if not any(
-                all(q[k] <= p[k] for k in range(3))
-                and any(q[k] < p[k] for k in range(3))
-                for j, q in enumerate(points)
-                if j != i
-            )
-        ]
-        assert non_dominated_indices(points) == expected
+        assert non_dominated_indices(points) == _pairwise_frontier(points)
 
     def test_ties_kept(self):
         indices = non_dominated_indices([(1.0, 2.0), (1.0, 2.0), (0.5, 3.0)])
         assert indices == [0, 1, 2]
+
+    def test_mixed_arity_raises(self):
+        with pytest.raises(ValueError, match="arity"):
+            non_dominated_indices([(1.0, 2.0), (0.5,)])
+        with pytest.raises(ValueError, match="arity"):
+            non_dominated_indices([(1.0,), (0.5, 3.0), (2.0,)])
+
+    def test_matches_brute_force_on_random_sets(self):
+        # Special values make ties, duplicates, signed zeros and infinities
+        # common; a shuffled copy must keep exactly the same points.
+        rng = random.Random(20240611)
+        for case in range(2000):
+            arity = rng.randint(1, 4)
+            size = rng.randint(0, 40)
+            points = [
+                tuple(
+                    rng.choice(_SPECIAL_VALUES)
+                    if rng.random() < 0.5
+                    else rng.uniform(-3.0, 3.0)
+                    for _ in range(arity)
+                )
+                for _ in range(size)
+            ]
+            expected = _pairwise_frontier(points)
+            assert non_dominated_indices(points) == expected, case
+            order = list(range(size))
+            rng.shuffle(order)
+            shuffled = [points[i] for i in order]
+            mapped = sorted(order[i] for i in non_dominated_indices(shuffled))
+            assert mapped == expected, case
+
+    def test_dominance_checks_scale_with_frontier(self, monkeypatch):
+        # Deterministic complexity guard: count dominance checks instead of
+        # timing.  Input is ordered worst-first, where a pairwise scan
+        # needs ~n^2/2 checks before it meets each point's dominators.
+        calls = 0
+        inner = pareto_module.dominates
+
+        def counting(a, b):
+            nonlocal calls
+            calls += 1
+            return inner(a, b)
+
+        monkeypatch.setattr(pareto_module, "dominates", counting)
+        rng = random.Random(7)
+        points = sorted(
+            ((rng.random(), rng.random()) for _ in range(5000)), reverse=True
+        )
+        frontier = non_dominated_indices(points)
+        assert 1 <= len(frontier) < 50
+        assert calls <= len(points) * (len(frontier) + 1)
 
 
 class TestSearchSpace:
@@ -122,6 +181,21 @@ class TestSearchSpace:
     def test_duplicate_batches_raise(self):
         with pytest.raises(ValueError, match="unique"):
             _tiny_space(batch_sizes=(8, 8))
+
+    @pytest.mark.parametrize(
+        "axis, labels",
+        [
+            ("models", ("llama-2-7b", "LLaMA-2-7B")),
+            ("hardware", ("A100", "a100")),
+            ("frameworks", ("vLLM", "vllm")),
+            ("quant_schemes", ("fp16", "fp16")),
+            ("tensor_parallel", (1, 1)),
+            ("routers", ("round-robin", "round-robin")),
+        ],
+    )
+    def test_repeated_axis_labels_raise(self, axis, labels):
+        with pytest.raises(ValueError, match=f"{axis}.*unique"):
+            _tiny_space(**{axis: labels})
 
     @pytest.mark.parametrize(
         "overrides",
