@@ -24,13 +24,13 @@ tails.  The accuracy trade-off is documented in ``docs/optimize.md``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import partial
 
 from repro.cluster.planner import CapacityPlan, ClusterCapacityPlanner
 from repro.cluster.router import get_router
 from repro.control.autoscale import derive_autoscaler_bounds
+from repro.core.jsonio import from_json_float, json_float
 from repro.core.request import GenerationConfig
 from repro.experiments.spec import QUANT_SCHEMES
 from repro.frameworks.base import get_framework
@@ -60,17 +60,6 @@ OBJECTIVES: dict[str, str] = {
     "energy_per_token": "energy_per_token_j",
     "joules_per_token": "energy_per_token_j",
 }
-
-
-def _json_num(value: float) -> float | None:
-    """JSON-safe scalar (non-finite -> null), the snapshot convention."""
-    value = float(value)
-    return value if math.isfinite(value) else None
-
-
-def _from_json_num(value: object) -> float:
-    """Inverse of :func:`_json_num`; ``null`` loads back as NaN."""
-    return float("nan") if value is None else float(value)  # type: ignore[arg-type]
 
 
 @dataclass(frozen=True)
@@ -134,16 +123,16 @@ class ScreenedConfig:
             "feasible": self.feasible,
             "oom": self.oom,
             "slo_ok": self.slo_ok,
-            "ttft_s": _json_num(self.ttft_s),
-            "itl_s": _json_num(self.itl_s),
-            "e2e_s": _json_num(self.e2e_s),
-            "per_replica_rps": _json_num(self.per_replica_rps),
-            "throughput_tokens_per_s": _json_num(self.throughput_tokens_per_s),
-            "average_power_w": _json_num(self.average_power_w),
-            "cost_per_token_usd": _json_num(self.cost_per_token_usd),
-            "energy_per_token_j": _json_num(self.energy_per_token_j),
-            "perplexity": _json_num(self.perplexity),
-            "slo_headroom": _json_num(self.slo_headroom),
+            "ttft_s": json_float(self.ttft_s),
+            "itl_s": json_float(self.itl_s),
+            "e2e_s": json_float(self.e2e_s),
+            "per_replica_rps": json_float(self.per_replica_rps),
+            "throughput_tokens_per_s": json_float(self.throughput_tokens_per_s),
+            "average_power_w": json_float(self.average_power_w),
+            "cost_per_token_usd": json_float(self.cost_per_token_usd),
+            "energy_per_token_j": json_float(self.energy_per_token_j),
+            "perplexity": json_float(self.perplexity),
+            "slo_headroom": json_float(self.slo_headroom),
         }
 
     @classmethod
@@ -167,7 +156,7 @@ class ScreenedConfig:
             "perplexity",
             "slo_headroom",
         ):
-            kwargs[label] = _from_json_num(payload[label])
+            kwargs[label] = from_json_float(payload[label])
         return cls(**kwargs)  # type: ignore[arg-type]
 
 

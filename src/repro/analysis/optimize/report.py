@@ -11,14 +11,12 @@ configurations (minimization; maximized axes negated before extraction):
   predicted perplexity (:mod:`repro.models.quality`), the paper's
   speed-vs-quality Fig. 10 axis pair.
 
-The report serialises with the repo's artifact discipline — sorted keys,
-indent 1, trailing newline, non-finite scalars as ``null`` — so a double
-run over the same space byte-diffs clean (CI's ``optimize`` job).
+The report serialises with :mod:`repro.core.jsonio`, so a double run
+over the same space byte-diffs clean (CI's ``optimize`` job).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,6 +31,7 @@ from repro.analysis.optimize.evaluate import (
 )
 from repro.analysis.optimize.pareto import non_dominated_indices
 from repro.analysis.optimize.space import SearchSpace
+from repro.core.jsonio import dumps
 
 __all__ = ["FRONTIER_NAMES", "OptimizationReport", "extract_frontiers", "optimize"]
 
@@ -102,8 +101,8 @@ class OptimizationReport:
         }
 
     def to_json(self) -> str:
-        """Canonical byte representation (sorted keys, indent 1)."""
-        return json.dumps(self.to_json_dict(), indent=1, sort_keys=True) + "\n"
+        """Canonical byte representation (:func:`repro.core.jsonio.dumps`)."""
+        return dumps(self.to_json_dict())
 
     def save(self, path: str | Path) -> Path:
         path = Path(path)

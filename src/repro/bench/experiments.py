@@ -13,6 +13,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.bench.runner import BenchmarkRunner
+from repro.core import UnknownNameError
 from repro.core.results import ResultTable
 
 __all__ = [
@@ -91,7 +92,7 @@ def register_experiment(
 def get_experiment(experiment_id: str) -> Experiment:
     if experiment_id not in EXPERIMENTS:
         known = ", ".join(sorted(EXPERIMENTS))
-        raise KeyError(f"unknown experiment {experiment_id!r}; known: {known}")
+        raise UnknownNameError(f"unknown experiment {experiment_id!r}; known: {known}")
     return EXPERIMENTS[experiment_id]
 
 

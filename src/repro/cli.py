@@ -61,6 +61,8 @@ from repro.bench import (
     run_all,
     run_experiment,
 )
+from repro.core import UnknownNameError
+from repro.core.jsonio import write_json
 from repro.core.request import GenerationConfig
 from repro.frameworks.base import list_frameworks
 from repro.hardware.zoo import list_hardware
@@ -69,14 +71,25 @@ from repro.models.zoo import list_models
 __all__ = ["main", "build_parser"]
 
 
-def _add_engine_workload_args(parser: argparse.ArgumentParser) -> None:
-    """The deployment and workload flags ``trace`` and ``profile`` share."""
-    parser.add_argument("--model", required=True)
-    parser.add_argument("--hardware", required=True)
-    parser.add_argument("--framework", required=True)
-    parser.add_argument("--batch-size", type=int, default=8)
+def _add_deployment_args(parser: argparse.ArgumentParser, **defaults: str) -> None:
+    """``--model/--hardware/--framework``, required unless given a default."""
+    for name in ("model", "hardware", "framework"):
+        parser.add_argument(
+            f"--{name}", required=name not in defaults, default=defaults.get(name)
+        )
+
+
+def _add_batch_args(parser: argparse.ArgumentParser, batch_size: int) -> None:
+    """``--batch-size`` plus the fixed-length ``--input/--output-tokens``."""
+    parser.add_argument("--batch-size", type=int, default=batch_size)
     parser.add_argument("--input-tokens", type=int, default=1024)
     parser.add_argument("--output-tokens", type=int, default=1024)
+
+
+def _add_engine_workload_args(parser: argparse.ArgumentParser) -> None:
+    """The deployment and workload flags ``trace`` and ``profile`` share."""
+    _add_deployment_args(parser)
+    _add_batch_args(parser, batch_size=8)
     parser.add_argument(
         "--rate",
         type=float,
@@ -102,9 +115,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("list", help="list models, hardware, frameworks, experiments")
+    sub.add_parser(
+        "list", help="list models, hardware, frameworks, experiments"
+    ).set_defaults(func=_cmd_list)
 
     run_p = sub.add_parser("run", help="run one or more experiments")
+    run_p.set_defaults(func=_cmd_run)
     run_p.add_argument("experiments", nargs="+", metavar="EXPERIMENT")
     run_p.add_argument(
         "--engine",
@@ -129,45 +145,44 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     point_p = sub.add_parser("point", help="run a single benchmark point")
-    point_p.add_argument("--model", required=True)
-    point_p.add_argument("--hardware", required=True)
-    point_p.add_argument("--framework", required=True)
-    point_p.add_argument("--batch-size", type=int, default=1)
-    point_p.add_argument("--input-tokens", type=int, default=1024)
-    point_p.add_argument("--output-tokens", type=int, default=1024)
+    point_p.set_defaults(func=_cmd_point)
+    _add_deployment_args(point_p)
+    _add_batch_args(point_p, batch_size=1)
     point_p.add_argument("--engine", action="store_true")
 
     analyze_p = sub.add_parser(
         "analyze", help="bottleneck attribution for one configuration"
     )
-    analyze_p.add_argument("--model", required=True)
-    analyze_p.add_argument("--hardware", required=True)
-    analyze_p.add_argument("--framework", required=True)
-    analyze_p.add_argument("--batch-size", type=int, default=16)
-    analyze_p.add_argument("--input-tokens", type=int, default=1024)
-    analyze_p.add_argument("--output-tokens", type=int, default=1024)
+    analyze_p.set_defaults(func=_cmd_analyze)
+    _add_deployment_args(analyze_p)
+    _add_batch_args(analyze_p, batch_size=16)
 
     report_p = sub.add_parser("report", help="regenerate EXPERIMENTS.md content")
+    report_p.set_defaults(func=_cmd_report)
     report_p.add_argument("--output", default=None, help="write to file")
 
     dash_p = sub.add_parser("dashboard", help="build the HTML dashboard")
+    dash_p.set_defaults(func=_cmd_dashboard)
     dash_p.add_argument("--output", default="dashboard.html")
 
     export_p = sub.add_parser(
         "export", help="write per-experiment CSVs + index.json"
     )
+    export_p.set_defaults(func=_cmd_export)
     export_p.add_argument("--outdir", default="results")
     export_p.add_argument("--ids", nargs="*", default=None)
 
     validate_p = sub.add_parser(
         "validate", help="cross-check estimator vs event engine"
     )
+    validate_p.set_defaults(func=_cmd_validate)
     validate_p.add_argument("--points", type=int, default=20)
     validate_p.add_argument("--seed", type=int, default=0)
 
     trace_p = sub.add_parser(
         "trace", help="run a workload with tracing; write Chrome trace JSON"
     )
+    trace_p.set_defaults(func=_cmd_trace)
     _add_engine_workload_args(trace_p)
     trace_p.add_argument("--output", default="trace.json",
                          help="Chrome trace_event JSON path (Perfetto-loadable)")
@@ -180,6 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
         "profile",
         help="run a workload with cost-attribution profiling; write profile JSON",
     )
+    profile_p.set_defaults(func=_cmd_profile)
     _add_engine_workload_args(profile_p)
     profile_p.add_argument("--output", default="profile.json",
                            help="deterministic profile JSON path")
@@ -195,9 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
     cluster_p = sub.add_parser(
         "cluster", help="simulate a multi-replica serving cluster"
     )
-    cluster_p.add_argument("--model", required=True)
-    cluster_p.add_argument("--hardware", required=True)
-    cluster_p.add_argument("--framework", required=True)
+    cluster_p.set_defaults(func=_cmd_cluster)
+    _add_deployment_args(cluster_p)
     cluster_p.add_argument("--replicas", type=int, default=4)
     cluster_p.add_argument("--router", default="least-outstanding",
                            choices=list_routers())
@@ -268,6 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
         "scenario",
         help="production traffic scenarios: list, describe, run",
     )
+    scen_p.set_defaults(func=_cmd_scenario)
     scen_sub = scen_p.add_subparsers(dest="verb", required=True)
 
     scen_sub.add_parser("list", help="list the built-in scenario catalog")
@@ -287,9 +303,9 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="run a scenario trace through a serving cluster"
     )
     scen_run.add_argument("name", help="scenario name (see `scenario list`)")
-    scen_run.add_argument("--model", default="LLaMA-3-8B")
-    scen_run.add_argument("--hardware", default="A100")
-    scen_run.add_argument("--framework", default="vLLM")
+    _add_deployment_args(
+        scen_run, model="LLaMA-3-8B", hardware="A100", framework="vLLM"
+    )
     scen_run.add_argument("--replicas", type=int, default=4)
     scen_run.add_argument("--router", default="session-affinity",
                           choices=list_routers())
@@ -314,6 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
         "experiment",
         help="replicated experiments: run, replay, compare, profile-diff",
     )
+    exp_p.set_defaults(func=_cmd_experiment)
     exp_sub = exp_p.add_subparsers(dest="verb", required=True)
 
     exp_run = exp_sub.add_parser(
@@ -369,6 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
         "optimize",
         help="Pareto search over the deployment space for cost/energy",
     )
+    opt_p.set_defaults(func=_cmd_optimize)
     opt_p.add_argument("--space", default=None, metavar="PATH",
                        help="SearchSpace JSON (overrides the axis flags)")
     opt_p.add_argument("--models", default="llama-2-7b",
@@ -402,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_list() -> int:
+def _cmd_list(args: argparse.Namespace) -> int:
     print("Models:")
     for name in list_models():
         print(f"  {name}")
@@ -419,12 +437,8 @@ def _cmd_list() -> int:
 
 
 def _write_json(path: str, payload: object) -> None:
-    """Deterministic JSON output convention shared by every export flag."""
-    import json as _json
-
-    with open(path, "w", encoding="utf-8") as fh:
-        _json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    """Write an export flag's canonical JSON artifact and announce it."""
+    write_json(path, payload)
     print(f"wrote {path}")
 
 
@@ -692,16 +706,44 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_cluster(args: argparse.Namespace) -> int:
-    from repro.cluster import (
-        ClusterCapacityPlanner,
-        ClusterSimulator,
-        DisaggregationSpec,
-        get_router,
+def _simulate(
+    args: argparse.Namespace, dep, workload, title: str, offered_rps: float,
+    load_kwargs: dict[str, object], **simulator_kwargs,
+):
+    """Shared body of ``cluster`` and ``scenario run``: simulate the
+    workload on the flagged fleet, print the header, fleet and load
+    reports, and write ``--result-output``.  Returns the result, or
+    ``None`` after printing the ``OOM:`` line."""
+    from repro.cluster import ClusterSimulator, get_router
+    from repro.runtime.memory_manager import OutOfMemoryError
+
+    simulator = ClusterSimulator(
+        dep,
+        args.replicas,
+        router=get_router(args.router, seed=args.seed),
+        max_concurrency=args.max_concurrency,
+        **simulator_kwargs,
     )
+    try:
+        result = simulator.run(workload)
+    except OutOfMemoryError as exc:
+        print(f"OOM: {exc}")
+        return None
+    print(
+        f"{title}{dep.model.name} / {dep.hardware.name} x{dep.num_devices} / "
+        f"{dep.framework.name}"
+    )
+    print(result.render())
+    print(result.load_report(offered_rps, **load_kwargs).render())
+    if args.result_output:
+        _write_json(args.result_output, result.to_json_dict())
+    return result
+
+
+def _cmd_cluster(args: argparse.Namespace) -> int:
+    from repro.cluster import ClusterCapacityPlanner, DisaggregationSpec, get_router
     from repro.obs.export import to_chrome_trace_multi
     from repro.runtime.loadgen import ServiceLevelObjective
-    from repro.runtime.memory_manager import OutOfMemoryError
     from repro.runtime.workload import open_loop_trace, shared_prefix_trace
 
     runner = BenchmarkRunner(use_engine=True)
@@ -769,35 +811,17 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         from repro.obs.telemetry import TelemetryHub
 
         telemetry = TelemetryHub(slo=slo)
-    simulator = ClusterSimulator(
-        dep,
-        args.replicas,
-        router=get_router(args.router, seed=args.seed),
-        max_concurrency=args.max_concurrency,
+    result = _simulate(
+        args, dep, workload, title="", offered_rps=args.rate,
+        load_kwargs={"slo": slo},
         disaggregation=disagg,
         control=control,
         traced=args.trace_output is not None,
         profiled=args.profile_output is not None,
         telemetry=telemetry,
     )
-    try:
-        result = simulator.run(workload)
-    except OutOfMemoryError as exc:
-        print(f"OOM: {exc}")
+    if result is None:
         return 1
-    print(
-        f"{dep.model.name} / {dep.hardware.name} x{dep.num_devices} / "
-        f"{dep.framework.name}"
-    )
-    print(result.render())
-    print(result.load_report(args.rate, slo=slo).render())
-    if args.result_output:
-        import json as _json
-
-        with open(args.result_output, "w", encoding="utf-8") as fh:
-            _json.dump(result.to_json_dict(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.result_output}")
     if args.metrics_output:
         _write_json(args.metrics_output, result.metrics.to_json_dict())
     if args.profile_output:
@@ -847,12 +871,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
             print(f"{scenario.name:<20}{scenario.num_sessions:>9}  {composition}")
         return 0
 
-    try:
-        scenario = get_scenario(args.name)
-    except KeyError as exc:
-        print(exc.args[0])
-        return 1
-
+    scenario = get_scenario(args.name)
     if args.verb == "describe":
         print(scenario.describe())
         trace = scenario.build(args.seed)
@@ -865,11 +884,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         )
         if args.trace_output:
             _write_json(args.trace_output, trace_json_dicts(trace))
-            print(f"wrote {args.trace_output}")
         return 0
-
-    from repro.cluster import ClusterSimulator, get_router
-    from repro.runtime.memory_manager import OutOfMemoryError
 
     if args.sessions is not None:
         scenario = scenario.with_sessions(args.sessions)
@@ -881,33 +896,16 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         from repro.obs.telemetry import TelemetryHub
 
         telemetry = TelemetryHub(tenant_slos=scenario.tenant_slos() or None)
-    simulator = ClusterSimulator(
-        dep,
-        args.replicas,
-        router=get_router(args.router, seed=args.seed),
-        max_concurrency=args.max_concurrency,
+    span = trace[-1].arrival_time - trace[0].arrival_time
+    result = _simulate(
+        args, dep, trace, title=f"{scenario.name}: ",
+        offered_rps=len(trace) / span if span > 0 else float(len(trace)),
+        load_kwargs={"tenant_slos": scenario.tenant_slos() or None},
         prefix_cache_slots=args.prefix_cache_slots,
         telemetry=telemetry,
     )
-    try:
-        result = simulator.run(trace)
-    except OutOfMemoryError as exc:
-        print(f"OOM: {exc}")
+    if result is None:
         return 1
-    span = trace[-1].arrival_time - trace[0].arrival_time
-    offered = len(trace) / span if span > 0 else float(len(trace))
-    print(
-        f"{scenario.name}: {dep.model.name} / {dep.hardware.name} "
-        f"x{dep.num_devices} / {dep.framework.name}"
-    )
-    print(result.render())
-    print(
-        result.load_report(offered, tenant_slos=scenario.tenant_slos() or None)
-        .render()
-    )
-    if args.result_output:
-        _write_json(args.result_output, result.to_json_dict())
-        print(f"wrote {args.result_output}")
     if args.telemetry_output:
         assert result.telemetry is not None  # telemetry hub attached above
         _write_json(args.telemetry_output, result.telemetry.to_json_dict())
@@ -1061,36 +1059,15 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command.  Exit codes: 0 ok; 1 OOM, infeasible plan or
+    replay mismatch; 2 usage error or unknown registry name."""
     args = build_parser().parse_args(argv)
-    if args.command == "list":
-        return _cmd_list()
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "point":
-        return _cmd_point(args)
-    if args.command == "analyze":
-        return _cmd_analyze(args)
-    if args.command == "report":
-        return _cmd_report(args)
-    if args.command == "dashboard":
-        return _cmd_dashboard(args)
-    if args.command == "export":
-        return _cmd_export(args)
-    if args.command == "validate":
-        return _cmd_validate(args)
-    if args.command == "trace":
-        return _cmd_trace(args)
-    if args.command == "profile":
-        return _cmd_profile(args)
-    if args.command == "cluster":
-        return _cmd_cluster(args)
-    if args.command == "scenario":
-        return _cmd_scenario(args)
-    if args.command == "optimize":
-        return _cmd_optimize(args)
-    if args.command == "experiment":
-        return _cmd_experiment(args)
-    raise AssertionError(f"unhandled command {args.command!r}")
+    try:
+        return args.func(args)
+    except UnknownNameError as exc:
+        print(f"llm-inference-bench {args.command}: error: {exc.args[0]}",
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

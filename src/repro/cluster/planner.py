@@ -14,12 +14,12 @@ and shared-prefix workloads where the closed form has nothing to say.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.cluster.router import LeastOutstandingTokensRouter, Router
 from repro.cluster.simulator import ClusterSimulator
+from repro.core.jsonio import from_json_float, json_float
 from repro.core.request import GenerationRequest
 from repro.perf.kernel import get_kernel
 from repro.perf.multinode import replicas_for_rate
@@ -36,17 +36,6 @@ __all__ = ["CapacityPlan", "ClusterCapacityPlanner", "TraceFactory"]
 
 # (num_requests, rate_per_s, seed) -> trace
 TraceFactory = Callable[[int, float, int], "list[GenerationRequest]"]
-
-
-def _json_num(value: float) -> float | None:
-    """JSON-safe scalar (non-finite -> null), the snapshot convention."""
-    value = float(value)
-    return value if math.isfinite(value) else None
-
-
-def _from_json_num(value: object) -> float:
-    """Inverse of :func:`_json_num`; ``null`` loads back as NaN."""
-    return float("nan") if value is None else float(value)  # type: ignore[arg-type]
 
 
 @dataclass(frozen=True)
@@ -73,20 +62,20 @@ class CapacityPlan:
         )
 
     def to_json_dict(self) -> dict[str, object]:
-        """Deterministic JSON view, mirroring the snapshot conventions.
+        """Deterministic JSON view (:func:`~repro.core.jsonio.json_float`).
 
         Optimizer artifacts (:mod:`repro.analysis.optimize`) embed plans
         losslessly; probe attainments on empty probe runs are NaN and
         survive as ``null``.
         """
         return {
-            "target_rate_rps": _json_num(self.target_rate_rps),
+            "target_rate_rps": json_float(self.target_rate_rps),
             "num_replicas": self.num_replicas,
             "analytic_replicas": self.analytic_replicas,
             "feasible": self.feasible,
             "report": self.report.to_json_dict(),
             "probes": [
-                [replicas, _json_num(attainment)]
+                [replicas, json_float(attainment)]
                 for replicas, attainment in self.probes
             ],
         }
@@ -94,13 +83,13 @@ class CapacityPlan:
     @classmethod
     def from_json_dict(cls, payload: dict[str, object]) -> "CapacityPlan":
         return cls(
-            target_rate_rps=_from_json_num(payload["target_rate_rps"]),
+            target_rate_rps=from_json_float(payload["target_rate_rps"]),
             num_replicas=int(payload["num_replicas"]),  # type: ignore[arg-type]
             analytic_replicas=int(payload["analytic_replicas"]),  # type: ignore[arg-type]
             feasible=bool(payload["feasible"]),
             report=LoadReport.from_json_dict(payload["report"]),  # type: ignore[arg-type]
             probes=tuple(
-                (int(replicas), _from_json_num(attainment))
+                (int(replicas), from_json_float(attainment))
                 for replicas, attainment in payload["probes"]  # type: ignore[union-attr]
             ),
         )

@@ -38,6 +38,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.core import UnknownNameError
 from repro.core.request import GenerationRequest
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -239,7 +240,7 @@ def get_router(name: str, seed: int = 0) -> Router:
         cls = ROUTER_NAMES[name]
     except KeyError:
         known = ", ".join(sorted(ROUTER_NAMES))
-        raise KeyError(f"unknown router {name!r} (known: {known})") from None
+        raise UnknownNameError(f"unknown router {name!r} (known: {known})") from None
     return cls(seed=seed)
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.core import UnknownNameError
 from repro.runtime.loadgen import ServiceLevelObjective
 
 __all__ = [
@@ -319,7 +320,7 @@ def get_autoscaler(
         cls = AUTOSCALER_NAMES[name]
     except KeyError:
         known = ", ".join(sorted(AUTOSCALER_NAMES))
-        raise KeyError(f"unknown autoscaler {name!r} (known: {known})") from None
+        raise UnknownNameError(f"unknown autoscaler {name!r} (known: {known})") from None
     if cls is SLOAutoscaler or cls is BurnRateAutoscaler:
         return cls(slo=slo, **kwargs)
     return cls(**kwargs)

@@ -12,7 +12,14 @@ from repro.core.request import GenerationConfig, GenerationRequest, RequestState
 from repro.core.results import ResultRecord, ResultTable
 from repro.core.sweep import Sweep, paper_batch_sweep, paper_length_sweep
 
+
+class UnknownNameError(KeyError):
+    """A registry lookup (model, hardware, framework, scenario, router,
+    autoscaler, experiment) found no entry; ``args[0]`` is the message."""
+
+
 __all__ = [
+    "UnknownNameError",
     "InferenceMetrics",
     "LatencyBreakdown",
     "inter_token_latency",

@@ -10,10 +10,13 @@ from __future__ import annotations
 
 import html
 import json
+import math
+from collections.abc import Iterable, Sequence
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from repro.bench.experiments import EXPERIMENTS, ExperimentResult
+from repro.core.metrics import COMPONENT_FIELDS
 from repro.obs.metrics import MetricsSnapshot
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -118,6 +121,29 @@ render(picker.value);
 """
 
 
+def _table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> list[str]:
+    """One ``data`` table as section parts: the header row, one part per
+    row and the closing tag.  Headers and cells arrive already formatted."""
+    head = "".join(f"<th>{h}</th>" for h in headers)
+    return [
+        f"<table class='data'><tr>{head}</tr>",
+        *("<tr>" + "".join(f"<td>{c}</td>" for c in row) + "</tr>" for row in rows),
+        "</table>",
+    ]
+
+
+def _bar(width: int) -> str:
+    """Inline bar cell content, ``width`` pixels long."""
+    return f"<span class='bar' style='width:{width}px'></span>"
+
+
+def _num(value: float | None, spec: str = ".4g") -> str:
+    """``value`` formatted by ``spec``; an em dash when missing or non-finite."""
+    if value is None or not math.isfinite(value):
+        return "&mdash;"
+    return format(value, spec)
+
+
 def metrics_section_html(
     snapshot: MetricsSnapshot, title: str = "Serving metrics (traced engine run)"
 ) -> str:
@@ -128,21 +154,17 @@ def metrics_section_html(
     ``metrics`` argument or served standalone.
     """
     parts = [f"<h2>{html.escape(title)}</h2>"]
-    if snapshot.histograms:
-        parts.append(
-            "<table class='data'><tr><th>histogram</th><th>count</th>"
-            "<th>mean</th><th>p50</th><th>p90</th><th>p99</th></tr>"
+    histograms = sorted(snapshot.histograms.items())
+    if histograms:
+        parts += _table(
+            ("histogram", "count", "mean", "p50", "p90", "p99"),
+            [
+                (html.escape(name), h.count,
+                 *(f"{v:.4g}" for v in (h.mean, h.p50, h.p90, h.p99)))
+                for name, h in histograms
+            ],
         )
-        for name in sorted(snapshot.histograms):
-            h = snapshot.histograms[name]
-            parts.append(
-                f"<tr><td>{html.escape(name)}</td><td>{h.count}</td>"
-                f"<td>{h.mean:.4g}</td><td>{h.p50:.4g}</td>"
-                f"<td>{h.p90:.4g}</td><td>{h.p99:.4g}</td></tr>"
-            )
-        parts.append("</table>")
-        for name in sorted(snapshot.histograms):
-            h = snapshot.histograms[name]
+        for name, h in histograms:
             populated = [
                 (i, c) for i, c in enumerate(h.bucket_counts) if c > 0
             ]
@@ -150,40 +172,33 @@ def metrics_section_html(
                 continue
             peak = max(c for _, c in populated)
             parts.append(f"<h3>{html.escape(name)} distribution</h3>")
-            parts.append("<table class='data'><tr><th>bucket &le;</th>"
-                         "<th>count</th><th></th></tr>")
-            for i, count in populated:
-                bound = (
-                    f"{h.buckets[i]:.4g}" if i < len(h.buckets) else "+inf"
-                )
-                width = round(200 * count / peak)
-                parts.append(
-                    f"<tr><td>{bound}</td><td>{count}</td>"
-                    f"<td><span class='bar' style='width:{width}px'></span>"
-                    "</td></tr>"
-                )
-            parts.append("</table>")
+            parts += _table(
+                ("bucket &le;", "count", ""),
+                [
+                    (f"{h.buckets[i]:.4g}" if i < len(h.buckets) else "+inf",
+                     count, _bar(round(200 * count / peak)))
+                    for i, count in populated
+                ],
+            )
     if snapshot.gauges:
-        parts.append(
-            "<table class='data'><tr><th>gauge</th><th>last</th><th>min</th>"
-            "<th>max</th><th>time-weighted mean</th></tr>"
+        parts += _table(
+            ("gauge", "last", "min", "max", "time-weighted mean"),
+            [
+                (html.escape(name), *(
+                    f"{v:.4g}"
+                    for v in (g.last, g.minimum, g.maximum, g.time_weighted_mean)
+                ))
+                for name, g in sorted(snapshot.gauges.items())
+            ],
         )
-        for name in sorted(snapshot.gauges):
-            g = snapshot.gauges[name]
-            parts.append(
-                f"<tr><td>{html.escape(name)}</td><td>{g.last:.4g}</td>"
-                f"<td>{g.minimum:.4g}</td><td>{g.maximum:.4g}</td>"
-                f"<td>{g.time_weighted_mean:.4g}</td></tr>"
-            )
-        parts.append("</table>")
     if snapshot.counters:
-        parts.append("<table class='data'><tr><th>counter</th><th>value</th></tr>")
-        for name in sorted(snapshot.counters):
-            parts.append(
-                f"<tr><td>{html.escape(name)}</td>"
-                f"<td>{snapshot.counters[name]:.4g}</td></tr>"
-            )
-        parts.append("</table>")
+        parts += _table(
+            ("counter", "value"),
+            [
+                (html.escape(name), f"{value:.4g}")
+                for name, value in sorted(snapshot.counters.items())
+            ],
+        )
     return "\n".join(parts)
 
 
@@ -215,28 +230,19 @@ def cluster_section_html(
         )
         + "</p>"
     )
-    parts.append(
-        "<table class='data'><tr><th>replica</th><th>role</th>"
-        "<th>status</th><th>requests</th><th>busy s</th>"
-        "<th>utilization</th><th></th></tr>"
+    parts += _table(
+        ("replica", "role", "status", "requests", "busy s", "utilization", ""),
+        [
+            (html.escape(rep.name), html.escape(rep.role),
+             html.escape(rep.status), rep.requests_served, f"{rep.busy_s:.2f}",
+             f"{rep.utilization:.0%}",
+             _bar(round(200 * min(1.0, max(0.0, rep.utilization)))))
+            for rep in result.replicas
+        ],
     )
-    for rep in result.replicas:
-        width = round(200 * min(1.0, max(0.0, rep.utilization)))
-        parts.append(
-            f"<tr><td>{html.escape(rep.name)}</td>"
-            f"<td>{html.escape(rep.role)}</td>"
-            f"<td>{html.escape(rep.status)}</td>"
-            f"<td>{rep.requests_served}</td><td>{rep.busy_s:.2f}</td>"
-            f"<td>{rep.utilization:.0%}</td>"
-            f"<td><span class='bar' style='width:{width}px'></span></td></tr>"
-        )
-    parts.append("</table>")
     if result.fault_log:
         parts.append("<h3>Injected faults</h3>")
-        parts.append(
-            "<table class='data'><tr><th>t (s)</th><th>kind</th>"
-            "<th>replica</th><th>detail</th></tr>"
-        )
+        rows = []
         for fault in result.fault_log:
             detail = ""
             if fault.get("duration_s"):
@@ -245,32 +251,24 @@ def cluster_section_html(
                     detail += f" x{fault['factor']:g}"
             if "requeued" in fault:
                 detail = f"{fault['requeued']} requests requeued"
-            parts.append(
-                f"<tr><td>{fault['at_s']:.2f}</td>"
-                f"<td>{html.escape(fault['kind'])}</td>"
-                f"<td>{html.escape(fault.get('replica') or '-')}</td>"
-                f"<td>{html.escape(detail)}</td></tr>"
-            )
-        parts.append("</table>")
+            rows.append((
+                f"{fault['at_s']:.2f}", html.escape(fault["kind"]),
+                html.escape(fault.get("replica") or "-"), html.escape(detail),
+            ))
+        parts += _table(("t (s)", "kind", "replica", "detail"), rows)
     if result.scale_log:
         parts.append("<h3>Autoscale events</h3>")
-        parts.append(
-            "<table class='data'><tr><th>t (s)</th><th>action</th>"
-            "<th>replica</th><th>ready (s)</th></tr>"
+        parts += _table(
+            ("t (s)", "action", "replica", "ready (s)"),
+            [
+                (f"{event['ts_s']:.2f}", html.escape(event["action"]),
+                 html.escape(event.get("replica") or "-"),
+                 f"{event['ready_s']:.2f}"
+                 if event.get("ready_s") is not None
+                 else "-")
+                for event in result.scale_log
+            ],
         )
-        for event in result.scale_log:
-            ready = (
-                f"{event['ready_s']:.2f}"
-                if event.get("ready_s") is not None
-                else "-"
-            )
-            parts.append(
-                f"<tr><td>{event['ts_s']:.2f}</td>"
-                f"<td>{html.escape(event['action'])}</td>"
-                f"<td>{html.escape(event.get('replica') or '-')}</td>"
-                f"<td>{ready}</td></tr>"
-            )
-        parts.append("</table>")
     parts.append(metrics_section_html(result.metrics, title="Cluster metrics"))
     return "\n".join(parts)
 
@@ -295,60 +293,42 @@ def profile_section_html(
         f"(busy {profile.busy_s:.4g}, idle {profile.idle_s:.4g}), "
         f"{profile.tokens} tokens</p>"
     )
-    parts.append(
-        "<table class='data'><tr><th>MFU</th><th>MBU</th>"
-        "<th>tokens/s</th><th>avg power (W)</th><th>J/token</th>"
-        "<th>dominant</th></tr>"
-        f"<tr><td>{profile.mfu:.1%}</td><td>{profile.mbu:.1%}</td>"
-        f"<td>{profile.tokens_per_s:.4g}</td>"
-        f"<td>{profile.average_power_w:.4g}</td>"
-        f"<td>{profile.joules_per_token:.4g}</td>"
-        f"<td>{profile.dominant_bottleneck or '-'}</td></tr></table>"
-    )
+    parts.append("".join(_table(
+        ("MFU", "MBU", "tokens/s", "avg power (W)", "J/token", "dominant"),
+        [(f"{profile.mfu:.1%}", f"{profile.mbu:.1%}",
+          f"{profile.tokens_per_s:.4g}", f"{profile.average_power_w:.4g}",
+          f"{profile.joules_per_token:.4g}", profile.dominant_bottleneck or "-")],
+    )))
     if profile.phases:
-        parts.append(
-            "<table class='data'><tr><th>phase</th><th>time s</th>"
-            "<th>events</th><th>tokens</th><th>compute</th><th>weights</th>"
-            "<th>kv</th><th>act</th><th>comm</th><th>overhead</th>"
-            "<th>dominant</th><th></th></tr>"
-        )
+        rows = []
         for phase in profile.phases:
             shares = phase.components.fractions()
-            cells = "".join(
-                f"<td>{shares[field]:.1%}</td>"
-                for field in ("compute_s", "weight_s", "kv_s",
-                              "activation_s", "communication_s", "overhead_s")
-            )
-            width = round(200 * min(1.0, max(0.0, shares["compute_s"])))
-            parts.append(
-                f"<tr><td>{html.escape(phase.phase)}</td>"
-                f"<td>{phase.time_s:.4g}</td><td>{phase.events}</td>"
-                f"<td>{phase.tokens}</td>{cells}"
-                f"<td>{phase.dominant or '-'}</td>"
-                f"<td><span class='bar' style='width:{width}px'></span>"
-                "</td></tr>"
-            )
-        parts.append("</table>")
+            rows.append((
+                html.escape(phase.phase), f"{phase.time_s:.4g}", phase.events,
+                phase.tokens, *(f"{shares[name]:.1%}" for name in COMPONENT_FIELDS),
+                phase.dominant or "-",
+                _bar(round(200 * min(1.0, max(0.0, shares["compute_s"])))),
+            ))
+        parts += _table(
+            ("phase", "time s", "events", "tokens", "compute", "weights", "kv",
+             "act", "comm", "overhead", "dominant", ""),
+            rows,
+        )
     if profile.requests:
         shown = sorted(
             profile.requests, key=lambda r: (-r.time_s, r.index)
         )[:8]
         peak = max(req.time_s for req in shown)
         parts.append("<h3>Most expensive requests</h3>")
-        parts.append(
-            "<table class='data'><tr><th>request</th><th>in</th><th>out</th>"
-            "<th>time s</th><th>energy J</th><th>dominant</th><th></th></tr>"
+        parts += _table(
+            ("request", "in", "out", "time s", "energy J", "dominant", ""),
+            [
+                (req.index, req.input_tokens, req.output_tokens,
+                 f"{req.time_s:.4g}", f"{req.energy_j:.4g}", req.dominant or "-",
+                 _bar(round(200 * req.time_s / peak) if peak > 0 else 0))
+                for req in shown
+            ],
         )
-        for req in shown:
-            width = round(200 * req.time_s / peak) if peak > 0 else 0
-            parts.append(
-                f"<tr><td>{req.index}</td><td>{req.input_tokens}</td>"
-                f"<td>{req.output_tokens}</td><td>{req.time_s:.4g}</td>"
-                f"<td>{req.energy_j:.4g}</td><td>{req.dominant or '-'}</td>"
-                f"<td><span class='bar' style='width:{width}px'></span>"
-                "</td></tr>"
-            )
-        parts.append("</table>")
     return "\n".join(parts)
 
 
@@ -363,8 +343,6 @@ def replication_section_html(
     point estimates.  Embeddable via ``dashboard_html``'s ``replication``
     argument.
     """
-    import math as _math
-
     if title is None:
         title = f"Replication: {report.spec.name}"
     parts = [f"<h2>{html.escape(title)}</h2>"]
@@ -375,29 +353,23 @@ def replication_section_html(
         f"{report.num_seeds} seeds, {html.escape(report.method)} intervals at "
         f"{report.confidence:.0%} confidence</p>"
     )
-    parts.append(
-        "<table class='data'><tr><th>metric</th><th>mean</th>"
-        "<th>CI low</th><th>CI high</th><th>std</th><th>n</th><th></th></tr>"
-    )
+    rows = []
     for name in sorted(report.summaries):
         s = report.summaries[name]
         half = s.half_width
         rel = (
             half / abs(s.mean)
-            if _math.isfinite(half) and s.mean not in (0.0,) and _math.isfinite(s.mean)
+            if math.isfinite(half) and s.mean not in (0.0,) and math.isfinite(s.mean)
             else float("nan")
         )
-        width = (
-            round(200 * min(1.0, rel)) if _math.isfinite(rel) else 0
-        )
-        fmt = lambda v: f"{v:.4g}" if _math.isfinite(v) else "&mdash;"  # noqa: E731
-        parts.append(
-            f"<tr><td>{html.escape(name)}</td><td>{fmt(s.mean)}</td>"
-            f"<td>{fmt(s.ci_lo)}</td><td>{fmt(s.ci_hi)}</td>"
-            f"<td>{fmt(s.std)}</td><td>{s.n}</td>"
-            f"<td><span class='bar' style='width:{width}px'></span></td></tr>"
-        )
-    parts.append("</table>")
+        width = round(200 * min(1.0, rel)) if math.isfinite(rel) else 0
+        rows.append((
+            html.escape(name), _num(s.mean), _num(s.ci_lo), _num(s.ci_hi),
+            _num(s.std), s.n, _bar(width),
+        ))
+    parts += _table(
+        ("metric", "mean", "CI low", "CI high", "std", "n", ""), rows
+    )
     return "\n".join(parts)
 
 
@@ -411,8 +383,6 @@ def comparison_section_html(
     the marker so sweep reviews can skim for real effects.  Embeddable
     via ``dashboard_html``'s ``comparison`` argument.
     """
-    import math as _math
-
     if title is None:
         title = f"Comparison: {report.name_a} vs {report.name_b}"
     pairing = "paired by seed" if report.paired else "independent samples"
@@ -422,25 +392,16 @@ def comparison_section_html(
         f"A = {html.escape(report.name_a)}, B = {html.escape(report.name_b)} "
         f"&mdash; {pairing}, significance at p&lt;{report.alpha:g}</p>"
     )
-    parts.append(
-        "<table class='data'><tr><th>metric</th><th>A</th><th>B</th>"
-        "<th>delta</th><th>p</th><th>significant</th></tr>"
+    parts += _table(
+        ("metric", "A", "B", "delta", "p", "significant"),
+        [
+            (html.escape(comp.metric), f"{comp.mean_a:.4g}",
+             f"{comp.mean_b:.4g}", f"{comp.delta:+.4g}",
+             _num(comp.test.p_value, ".3g"),
+             "*" if comp.significant(report.alpha) else "")
+            for comp in report.comparisons
+        ],
     )
-    for comp in report.comparisons:
-        p = comp.test.p_value
-        sig = comp.significant(report.alpha)
-        parts.append(
-            f"<tr><td>{html.escape(comp.metric)}</td>"
-            f"<td>{comp.mean_a:.4g}</td><td>{comp.mean_b:.4g}</td>"
-            f"<td>{comp.delta:+.4g}</td>"
-            + (
-                f"<td>{p:.3g}</td>"
-                if _math.isfinite(p)
-                else "<td>&mdash;</td>"
-            )
-            + f"<td>{'*' if sig else ''}</td></tr>"
-        )
-    parts.append("</table>")
     significant = report.significant_metrics()
     if significant:
         parts.append(
@@ -462,46 +423,35 @@ def scenarios_section_html(
     NaN lanes (a tenant that completed nothing) render as dashes.
     Embeddable via ``dashboard_html``'s ``scenarios`` argument.
     """
-    import math as _math
-
     parts = ["<h2>Traffic scenarios</h2>"]
     parts.append(
         "<p class='note'>Named, seed-deterministic production traffic "
         "shapes (<code>repro.scenarios</code>); run with "
         "<code>scenario run &lt;name&gt;</code>.</p>"
     )
-    parts.append(
-        "<table class='data'><tr><th>scenario</th><th>sessions</th>"
-        "<th>arrivals</th><th>lengths</th><th>sessions model</th>"
-        "<th>tenants</th></tr>"
+    parts += _table(
+        ("scenario", "sessions", "arrivals", "lengths", "sessions model",
+         "tenants"),
+        [
+            (html.escape(scenario.name), scenario.num_sessions,
+             html.escape(scenario.arrival.describe()),
+             html.escape(scenario.lengths.describe()),
+             html.escape(scenario.sessions.describe()),
+             len(scenario.tenants) or "&mdash;")
+            for scenario in scenarios
+        ],
     )
-    for scenario in scenarios:
-        parts.append(
-            f"<tr><td>{html.escape(scenario.name)}</td>"
-            f"<td>{scenario.num_sessions}</td>"
-            f"<td>{html.escape(scenario.arrival.describe())}</td>"
-            f"<td>{html.escape(scenario.lengths.describe())}</td>"
-            f"<td>{html.escape(scenario.sessions.describe())}</td>"
-            f"<td>{len(scenario.tenants) or '&mdash;'}</td></tr>"
-        )
-    parts.append("</table>")
     if load is not None and load.tenants:
-        fmt = lambda v: f"{v:.4g}" if _math.isfinite(v) else "&mdash;"  # noqa: E731
-        parts.append(
-            "<table class='data'><tr><th>tenant</th><th>requests</th>"
-            "<th>SLO attainment</th><th>TTFT p95 (s)</th>"
-            "<th>NTPOT (s)</th><th>failure rate</th></tr>"
+        parts += _table(
+            ("tenant", "requests", "SLO attainment", "TTFT p95 (s)",
+             "NTPOT (s)", "failure rate"),
+            [
+                (html.escape(lane.tenant), lane.requests,
+                 f"{lane.slo_attainment:.0%}", _num(lane.ttft_p95_s),
+                 _num(lane.ntpot_mean_s), f"{lane.failure_rate:.0%}")
+                for lane in load.tenants
+            ],
         )
-        for lane in load.tenants:
-            parts.append(
-                f"<tr><td>{html.escape(lane.tenant)}</td>"
-                f"<td>{lane.requests}</td>"
-                f"<td>{lane.slo_attainment:.0%}</td>"
-                f"<td>{fmt(lane.ttft_p95_s)}</td>"
-                f"<td>{fmt(lane.ntpot_mean_s)}</td>"
-                f"<td>{lane.failure_rate:.0%}</td></tr>"
-            )
-        parts.append("</table>")
     return "\n".join(parts)
 
 
@@ -517,26 +467,19 @@ def telemetry_section_html(
     outputs) render as dashes.  Embeddable via ``dashboard_html``'s
     ``telemetry`` argument.
     """
-    import math as _math
-
-    fmt = lambda v: f"{v:.4g}" if v is not None and _math.isfinite(v) else "&mdash;"  # noqa: E731
     cfg = snapshot.config
     parts = [f"<h2>{html.escape(title)}</h2>"]
     parts.append(
         "<p class='note'>SLO budget: attainment target "
-        f"{fmt(cfg.get('attainment_target'))}, burn windows "
-        f"{fmt(cfg.get('fast_window_s'))}&nbsp;s / "
-        f"{fmt(cfg.get('slow_window_s'))}&nbsp;s, page at "
-        f"{fmt(cfg.get('page_threshold'))}&times;, ticket at "
-        f"{fmt(cfg.get('ticket_threshold'))}&times;, tick every "
-        f"{fmt(cfg.get('tick_interval_s'))}&nbsp;s</p>"
+        f"{_num(cfg.get('attainment_target'))}, burn windows "
+        f"{_num(cfg.get('fast_window_s'))}&nbsp;s / "
+        f"{_num(cfg.get('slow_window_s'))}&nbsp;s, page at "
+        f"{_num(cfg.get('page_threshold'))}&times;, ticket at "
+        f"{_num(cfg.get('ticket_threshold'))}&times;, tick every "
+        f"{_num(cfg.get('tick_interval_s'))}&nbsp;s</p>"
     )
     if snapshot.series:
-        parts.append(
-            "<table class='data'><tr><th>series</th><th>unit</th>"
-            "<th>samples</th><th>last</th><th>min</th><th>max</th>"
-            "<th></th></tr>"
-        )
+        rows = []
         for name in sorted(snapshot.series):
             body = snapshot.series[name]
             values = [v for v in body["values"] if v is not None]
@@ -546,33 +489,25 @@ def telemetry_section_html(
             width = 0
             if last is not None and hi is not None and hi > 0:
                 width = round(200 * max(0.0, last) / hi)
-            parts.append(
-                f"<tr><td>{html.escape(name)}</td>"
-                f"<td>{html.escape(body.get('unit', ''))}</td>"
-                f"<td>{len(body['values'])}</td>"
-                f"<td>{fmt(last)}</td><td>{fmt(lo)}</td><td>{fmt(hi)}</td>"
-                f"<td><span class='bar' style='width:{width}px'></span>"
-                "</td></tr>"
-            )
-        parts.append("</table>")
+            rows.append((
+                html.escape(name), html.escape(body.get("unit", "")),
+                len(body["values"]), _num(last), _num(lo), _num(hi), _bar(width),
+            ))
+        parts += _table(
+            ("series", "unit", "samples", "last", "min", "max", ""), rows
+        )
     if snapshot.alerts:
         parts.append("<h3>Alerts</h3>")
-        parts.append(
-            "<table class='data'><tr><th>t (s)</th><th>alert</th>"
-            "<th>severity</th><th>state</th><th>burn</th>"
-            "<th>threshold</th><th>window (s)</th></tr>"
+        parts += _table(
+            ("t (s)", "alert", "severity", "state", "burn", "threshold",
+             "window (s)"),
+            [
+                (_num(alert.ts_s), html.escape(alert.name),
+                 html.escape(alert.severity), html.escape(alert.state),
+                 _num(alert.value), _num(alert.threshold), _num(alert.window_s))
+                for alert in snapshot.alerts
+            ],
         )
-        for alert in snapshot.alerts:
-            parts.append(
-                f"<tr><td>{fmt(alert.ts_s)}</td>"
-                f"<td>{html.escape(alert.name)}</td>"
-                f"<td>{html.escape(alert.severity)}</td>"
-                f"<td>{html.escape(alert.state)}</td>"
-                f"<td>{fmt(alert.value)}</td>"
-                f"<td>{fmt(alert.threshold)}</td>"
-                f"<td>{fmt(alert.window_s)}</td></tr>"
-            )
-        parts.append("</table>")
     else:
         parts.append("<p class='note'>No alerts fired.</p>")
     return "\n".join(parts)
@@ -586,9 +521,6 @@ def optimize_section_html(report: "OptimizationReport") -> str:
     each table reads as the trade-off curve top to bottom.  Embeddable
     via ``dashboard_html``'s ``optimization`` argument.
     """
-    import math as _math
-
-    fmt = lambda v: f"{v:.4g}" if _math.isfinite(v) else "&mdash;"  # noqa: E731
     stats = report.stats
     parts = ["<h2>Deployment optimization</h2>"]
     parts.append(
@@ -617,45 +549,32 @@ def optimize_section_html(report: "OptimizationReport") -> str:
         )
     for name, members in sorted(report.frontiers.items()):
         parts.append(f"<h3>{html.escape(name.replace('_', ' '))}</h3>")
-        parts.append(
-            "<table class='data'><tr><th>configuration</th><th>replicas</th>"
-            "<th>$/token</th><th>J/token</th><th>tok/s</th><th>e2e (s)</th>"
-            "<th>SLO headroom</th><th>perplexity</th></tr>"
+        parts += _table(
+            ("configuration", "replicas", "$/token", "J/token", "tok/s",
+             "e2e (s)", "SLO headroom", "perplexity"),
+            [
+                (f"<code>{html.escape(c.key)}</code>", c.replicas,
+                 _num(c.cost_per_token_usd), _num(c.energy_per_token_j),
+                 _num(c.throughput_tokens_per_s), _num(c.e2e_s),
+                 _num(c.slo_headroom), _num(c.perplexity))
+                for c in members
+            ],
         )
-        for c in members:
-            parts.append(
-                f"<tr><td><code>{html.escape(c.key)}</code></td>"
-                f"<td>{c.replicas}</td>"
-                f"<td>{fmt(c.cost_per_token_usd)}</td>"
-                f"<td>{fmt(c.energy_per_token_j)}</td>"
-                f"<td>{fmt(c.throughput_tokens_per_s)}</td>"
-                f"<td>{fmt(c.e2e_s)}</td>"
-                f"<td>{fmt(c.slo_headroom)}</td>"
-                f"<td>{fmt(c.perplexity)}</td></tr>"
-            )
-        parts.append("</table>")
     if report.refined:
         parts.append("<h3>Discrete-event refinement</h3>")
-        parts.append(
-            "<table class='data'><tr><th>configuration</th><th>router</th>"
-            "<th>planned replicas</th><th>feasible</th>"
-            "<th>autoscaler bounds</th></tr>"
+        parts += _table(
+            ("configuration", "router", "planned replicas", "feasible",
+             "autoscaler bounds"),
+            [
+                (f"<code>{html.escape(r.config.key)}</code>",
+                 html.escape(r.router), r.capacity_plan.num_replicas,
+                 "yes" if r.capacity_plan.feasible else "no",
+                 f"[{r.autoscaler_min_replicas}, {r.autoscaler_max_replicas}]"
+                 if r.autoscaler_min_replicas is not None
+                 else "&mdash;")
+                for r in report.refined
+            ],
         )
-        for r in report.refined:
-            plan = r.capacity_plan
-            bounds = (
-                f"[{r.autoscaler_min_replicas}, {r.autoscaler_max_replicas}]"
-                if r.autoscaler_min_replicas is not None
-                else "&mdash;"
-            )
-            parts.append(
-                f"<tr><td><code>{html.escape(r.config.key)}</code></td>"
-                f"<td>{html.escape(r.router)}</td>"
-                f"<td>{plan.num_replicas}</td>"
-                f"<td>{'yes' if plan.feasible else 'no'}</td>"
-                f"<td>{bounds}</td></tr>"
-            )
-        parts.append("</table>")
     return "\n".join(parts)
 
 
@@ -704,64 +623,27 @@ def dashboard_html(
             ],
             "records": result.table.to_dicts(),
         }
-    metrics_html = "" if metrics is None else metrics_section_html(metrics)
-    if cluster is not None:
-        metrics_html += ("\n" if metrics_html else "") + cluster_section_html(
-            cluster
-        )
-    if profile is not None:
-        metrics_html += ("\n" if metrics_html else "") + profile_section_html(
-            profile
-        )
-    if replication is not None:
-        metrics_html += (
-            "\n" if metrics_html else ""
-        ) + replication_section_html(replication)
-    if comparison is not None:
-        metrics_html += (
-            "\n" if metrics_html else ""
-        ) + comparison_section_html(comparison)
-    if scenarios is not None:
-        metrics_html += (
-            "\n" if metrics_html else ""
-        ) + scenarios_section_html(scenarios)
-    if optimization is not None:
-        metrics_html += (
-            "\n" if metrics_html else ""
-        ) + optimize_section_html(optimization)
-    if telemetry is not None:
-        metrics_html += (
-            "\n" if metrics_html else ""
-        ) + telemetry_section_html(telemetry)
+    sections = (
+        (metrics, metrics_section_html),
+        (cluster, cluster_section_html),
+        (profile, profile_section_html),
+        (replication, replication_section_html),
+        (comparison, comparison_section_html),
+        (scenarios, scenarios_section_html),
+        (optimization, optimize_section_html),
+        (telemetry, telemetry_section_html),
+    )
+    metrics_html = "\n".join(
+        render(value) for value, render in sections if value is not None
+    )
     return _PAGE.format(data_json=json.dumps(data), metrics_html=metrics_html)
 
 
 def write_dashboard(
-    results: list[ExperimentResult],
-    path: str | Path,
-    metrics: MetricsSnapshot | None = None,
-    cluster: "ClusterResult | None" = None,
-    profile: "ProfileReport | None" = None,
-    replication: "ReplicationReport | None" = None,
-    comparison: "ComparisonReport | None" = None,
-    scenarios: "list[Scenario] | None" = None,
-    optimization: "OptimizationReport | None" = None,
-    telemetry: "TelemetrySnapshot | None" = None,
+    results: list[ExperimentResult], path: str | Path, **sections
 ) -> Path:
-    """Write the dashboard file and return its path."""
+    """Write the dashboard file and return its path; ``sections`` are
+    :func:`dashboard_html`'s optional section arguments."""
     out = Path(path)
-    out.write_text(
-        dashboard_html(
-            results,
-            metrics=metrics,
-            cluster=cluster,
-            profile=profile,
-            replication=replication,
-            comparison=comparison,
-            scenarios=scenarios,
-            optimization=optimization,
-            telemetry=telemetry,
-        ),
-        encoding="utf-8",
-    )
+    out.write_text(dashboard_html(results, **sections), encoding="utf-8")
     return out

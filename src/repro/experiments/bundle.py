@@ -12,9 +12,8 @@ them again, and :func:`verify_replay` checks the fresh per-seed results
 against the stored ones byte-for-byte — the generalization of the CI
 chaos/profile determinism jobs to whole experiments.
 
-Serialization discipline (shared with the rest of the repo): sorted
-keys, indent=1, trailing newline, non-finite scalars as ``null`` — two
-saves of the same bundle are file-identical.
+Serialization follows :mod:`repro.core.jsonio`: two saves of the same
+bundle are file-identical.
 """
 
 from __future__ import annotations
@@ -22,6 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from repro.core.jsonio import dumps, write_json
 from repro.experiments.runner import (
     ReplicationReport,
     SeedResult,
@@ -41,11 +41,6 @@ __all__ = [
 
 #: Bundle format version; bump on any incompatible JSON layout change.
 BUNDLE_VERSION = 1
-
-
-def _canonical(payload: object) -> str:
-    """The byte-comparison form used by replay verification."""
-    return json.dumps(payload, indent=1, sort_keys=True) + "\n"
 
 
 @dataclass(frozen=True)
@@ -112,8 +107,7 @@ class ExperimentBundle:
         )
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(_canonical(self.to_json_dict()))
+        write_json(path, self.to_json_dict())
 
     @classmethod
     def load(cls, path: str) -> "ExperimentBundle":
@@ -163,6 +157,6 @@ def verify_replay(
         replayed = replay(bundle)
     mismatches = []
     for original, fresh in zip(bundle.seed_results, replayed.seed_results):
-        if _canonical(original.to_json_dict()) != _canonical(fresh.to_json_dict()):
+        if dumps(original.to_json_dict()) != dumps(fresh.to_json_dict()):
             mismatches.append(f"seed {original.seed}: replayed result differs")
     return (not mismatches, mismatches)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.core.jsonio import json_num
 from repro.core.results import ResultTable
 from repro.experiments.runner import ReplicationReport
 from repro.experiments.stats import (
@@ -33,10 +34,6 @@ from repro.experiments.stats import (
 __all__ = ["MetricComparison", "ComparisonReport", "compare_replications"]
 
 _TEST_CHOICES = ("auto", "welch", "mann-whitney", "paired")
-
-
-def _json_num(value: float) -> float | None:
-    return value if math.isfinite(value) else None
 
 
 @dataclass(frozen=True)
@@ -66,10 +63,10 @@ class MetricComparison:
     def to_json_dict(self) -> dict[str, object]:
         return {
             "metric": self.metric,
-            "mean_a": _json_num(self.mean_a),
-            "mean_b": _json_num(self.mean_b),
-            "delta": _json_num(self.delta),
-            "rel": _json_num(self.rel),
+            "mean_a": json_num(self.mean_a),
+            "mean_b": json_num(self.mean_b),
+            "delta": json_num(self.delta),
+            "rel": json_num(self.rel),
             "test": self.test.to_json_dict(),
         }
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.core.jsonio import json_num
 from repro.core.metrics import COMPONENT_FIELDS
 from repro.experiments.stats import TestResult, paired_t_test, welch_t_test
 from repro.obs.profiler import ProfileReport
@@ -49,10 +50,6 @@ _DIFF_METRICS = (
 #: Relative change below which a metric is not worth flagging in the
 #: verdict (0.5% — well inside seed noise for every simulator metric).
 _VERDICT_REL_FLOOR = 0.005
-
-
-def _json_num(value: float) -> float | None:
-    return value if math.isfinite(value) else None
 
 
 @dataclass(frozen=True)
@@ -84,10 +81,10 @@ class MetricDelta:
     def to_json_dict(self) -> dict[str, object]:
         return {
             "name": self.name,
-            "a": _json_num(self.a),
-            "b": _json_num(self.b),
-            "delta": _json_num(self.delta),
-            "rel": _json_num(self.rel),
+            "a": json_num(self.a),
+            "b": json_num(self.b),
+            "delta": json_num(self.delta),
+            "rel": json_num(self.rel),
             "test": None if self.test is None else self.test.to_json_dict(),
         }
 
@@ -118,12 +115,12 @@ class PhaseDiff:
     def to_json_dict(self) -> dict[str, object]:
         return {
             "phase": self.phase,
-            "time_a_s": _json_num(self.time_a_s),
-            "time_b_s": _json_num(self.time_b_s),
-            "share_a": {k: _json_num(v) for k, v in sorted(self.share_a.items())},
-            "share_b": {k: _json_num(v) for k, v in sorted(self.share_b.items())},
+            "time_a_s": json_num(self.time_a_s),
+            "time_b_s": json_num(self.time_b_s),
+            "share_a": {k: json_num(v) for k, v in sorted(self.share_a.items())},
+            "share_b": {k: json_num(v) for k, v in sorted(self.share_b.items())},
             "share_deltas": {
-                k: _json_num(v) for k, v in sorted(self.share_deltas.items())
+                k: json_num(v) for k, v in sorted(self.share_deltas.items())
             },
             "dominant_a": self.dominant_a,
             "dominant_b": self.dominant_b,

@@ -16,7 +16,6 @@ probability rather than silently conditioning on survival.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +23,7 @@ import numpy as np
 from repro.bench.runner import BenchmarkRunner
 from repro.cluster.router import get_router
 from repro.cluster.simulator import ClusterSimulator
+from repro.core.jsonio import from_json_num, json_num
 from repro.core.request import GenerationRequest
 from repro.core.results import ResultTable
 from repro.experiments.spec import ExperimentSpec
@@ -41,10 +41,6 @@ from repro.runtime.loadgen import ServiceLevelObjective, summarize_requests
 from repro.runtime.memory_manager import OutOfMemoryError
 
 __all__ = ["SeedResult", "ReplicationReport", "run_seed", "run_replication"]
-
-
-def _json_num(value: float) -> float | None:
-    return value if math.isfinite(value) else None
 
 
 @dataclass(frozen=True)
@@ -66,7 +62,7 @@ class SeedResult:
         """
         payload: dict[str, object] = {
             "seed": self.seed,
-            "metrics": {k: _json_num(v) for k, v in sorted(self.metrics.items())},
+            "metrics": {k: json_num(v) for k, v in sorted(self.metrics.items())},
             "snapshot": None if self.snapshot is None else self.snapshot.to_json_dict(),
             "profile": None if self.profile is None else self.profile.to_json_dict(),
         }
@@ -83,8 +79,7 @@ class SeedResult:
         return cls(
             seed=int(payload["seed"]),  # type: ignore[arg-type]
             metrics={
-                # Numbers pass through untouched (byte-identical re-save).
-                name: float("nan") if value is None else value
+                name: from_json_num(value)
                 for name, value in dict(payload["metrics"]).items()  # type: ignore[arg-type]
             },
             snapshot=(

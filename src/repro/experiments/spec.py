@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field, replace
 
+from repro.core.jsonio import write_json
 from repro.core.request import GenerationRequest
 from repro.perf.quantization import (
     FP8_SCHEME,
@@ -217,9 +218,7 @@ class ExperimentSpec:
         return cls(**data)  # type: ignore[arg-type]
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_json_dict())
 
     @classmethod
     def load(cls, path: str) -> "ExperimentSpec":

@@ -31,6 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.jsonio import json_num
+
 __all__ = [
     "MetricSummary",
     "TestResult",
@@ -90,10 +92,10 @@ class MetricSummary:
         return {
             "name": self.name,
             "n": self.n,
-            "mean": _json_num(self.mean),
-            "std": _json_num(self.std),
-            "ci_lo": _json_num(self.ci_lo),
-            "ci_hi": _json_num(self.ci_hi),
+            "mean": json_num(self.mean),
+            "std": json_num(self.std),
+            "ci_lo": json_num(self.ci_lo),
+            "ci_hi": json_num(self.ci_hi),
             "confidence": self.confidence,
             "method": self.method,
         }
@@ -127,15 +129,11 @@ class TestResult:
     def to_json_dict(self) -> dict[str, object]:
         return {
             "test": self.test,
-            "statistic": _json_num(self.statistic),
-            "p_value": _json_num(self.p_value),
+            "statistic": json_num(self.statistic),
+            "p_value": json_num(self.p_value),
             "n_a": self.n_a,
             "n_b": self.n_b,
         }
-
-
-def _json_num(value: float) -> float | None:
-    return value if math.isfinite(value) else None
 
 
 # ----------------------------------------------------------------------

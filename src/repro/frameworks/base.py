@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, replace
 
+from repro.core import UnknownNameError
 from repro.core.precision import Precision
 
 __all__ = [
@@ -210,7 +211,7 @@ def get_framework(name: str) -> FrameworkProfile:
     key = name.lower()
     if key not in FRAMEWORK_REGISTRY:
         known = ", ".join(sorted(FRAMEWORK_REGISTRY))
-        raise KeyError(f"unknown framework {name!r}; known frameworks: {known}")
+        raise UnknownNameError(f"unknown framework {name!r}; known frameworks: {known}")
     return FRAMEWORK_REGISTRY[key]
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 
+from repro.core import UnknownNameError
 from repro.core.precision import Precision
 from repro.hardware.spec import (
     GB,
@@ -249,7 +250,7 @@ def get_hardware(name: str) -> HardwareSpec:
     key = name.lower()
     if key not in HARDWARE_ZOO:
         known = ", ".join(sorted(HARDWARE_ZOO))
-        raise KeyError(f"unknown hardware {name!r}; known platforms: {known}")
+        raise UnknownNameError(f"unknown hardware {name!r}; known platforms: {known}")
     return HARDWARE_ZOO[key]
 
 

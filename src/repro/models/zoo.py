@@ -9,6 +9,7 @@ speculative-decoding draft model (Fig. 4b).
 
 from __future__ import annotations
 
+from repro.core import UnknownNameError
 from repro.models.config import AttentionType, FFNType, ModelConfig
 
 __all__ = [
@@ -264,7 +265,7 @@ def get_model(name: str) -> ModelConfig:
     key = name.lower()
     if key not in MODEL_ZOO:
         known = ", ".join(sorted(MODEL_ZOO))
-        raise KeyError(f"unknown model {name!r}; known models: {known}")
+        raise UnknownNameError(f"unknown model {name!r}; known models: {known}")
     return MODEL_ZOO[key]
 
 

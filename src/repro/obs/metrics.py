@@ -17,9 +17,10 @@ relative 1e-12 (tested).
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
+
+from repro.core.jsonio import from_json_num, json_num
 
 __all__ = [
     "Counter",
@@ -226,14 +227,14 @@ class MetricsSnapshot:
         """
         return {
             "counters": {
-                name: _json_num(value) for name, value in self.counters.items()
+                name: json_num(value) for name, value in self.counters.items()
             },
             "gauges": {
                 name: {
-                    "last": _json_num(g.last),
-                    "min": _json_num(g.minimum),
-                    "max": _json_num(g.maximum),
-                    "time_weighted_mean": _json_num(g.time_weighted_mean),
+                    "last": json_num(g.last),
+                    "min": json_num(g.minimum),
+                    "max": json_num(g.maximum),
+                    "time_weighted_mean": json_num(g.time_weighted_mean),
                     "num_samples": g.num_samples,
                 }
                 for name, g in self.gauges.items()
@@ -241,10 +242,10 @@ class MetricsSnapshot:
             "histograms": {
                 name: {
                     "count": h.count,
-                    "mean": _json_num(h.mean),
-                    "p50": _json_num(h.p50),
-                    "p90": _json_num(h.p90),
-                    "p99": _json_num(h.p99),
+                    "mean": json_num(h.mean),
+                    "p50": json_num(h.p50),
+                    "p90": json_num(h.p90),
+                    "p99": json_num(h.p99),
                     "buckets": list(h.buckets),
                     "bucket_counts": list(h.bucket_counts),
                 }
@@ -264,15 +265,15 @@ class MetricsSnapshot:
         registry instrument produces infinities.
         """
         counters = {
-            name: _from_json_num(value)
+            name: from_json_num(value)
             for name, value in dict(payload.get("counters", {})).items()
         }
         gauges = {
             name: GaugeStats(
-                last=_from_json_num(g["last"]),
-                minimum=_from_json_num(g["min"]),
-                maximum=_from_json_num(g["max"]),
-                time_weighted_mean=_from_json_num(g["time_weighted_mean"]),
+                last=from_json_num(g["last"]),
+                minimum=from_json_num(g["min"]),
+                maximum=from_json_num(g["max"]),
+                time_weighted_mean=from_json_num(g["time_weighted_mean"]),
                 num_samples=int(g["num_samples"]),
             )
             for name, g in dict(payload.get("gauges", {})).items()
@@ -280,31 +281,16 @@ class MetricsSnapshot:
         histograms = {
             name: HistogramStats(
                 count=int(h["count"]),
-                mean=_from_json_num(h["mean"]),
-                p50=_from_json_num(h["p50"]),
-                p90=_from_json_num(h["p90"]),
-                p99=_from_json_num(h["p99"]),
+                mean=from_json_num(h["mean"]),
+                p50=from_json_num(h["p50"]),
+                p90=from_json_num(h["p90"]),
+                p99=from_json_num(h["p99"]),
                 buckets=tuple(h["buckets"]),
                 bucket_counts=tuple(int(c) for c in h["bucket_counts"]),
             )
             for name, h in dict(payload.get("histograms", {})).items()
         }
         return cls(counters=counters, gauges=gauges, histograms=histograms)
-
-
-def _json_num(value: float) -> float | None:
-    """JSON-safe scalar: ``None`` for NaN/inf (empty gauges/histograms)."""
-    return value if math.isfinite(value) else None
-
-
-def _from_json_num(value: float | None) -> float:
-    """Inverse of :func:`_json_num`: ``None`` back to NaN.
-
-    Numbers pass through *untouched* (no float() coercion): gauges fed
-    integer samples snapshot integer stats, and coercing them on load
-    would turn ``0`` into ``0.0`` and break byte-identical round-trips.
-    """
-    return float("nan") if value is None else value
 
 
 def record_latencies(registry: "MetricsRegistry", requests) -> None:

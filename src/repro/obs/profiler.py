@@ -39,10 +39,10 @@ rates over the step, viewable alongside the engine's span tracks.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.analysis.bottleneck import Bottleneck, PhaseAttribution
+from repro.core.jsonio import from_json_num, json_num
 from repro.core.metrics import COMPONENT_FIELDS, CostComponents, LatencyBreakdown
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.perf.kernel import get_kernel
@@ -62,31 +62,16 @@ __all__ = [
 _PHASE_ORDER = ("prefill", "decode")
 
 
-def _finite(value: float) -> float | None:
-    """JSON-safe scalar: ``None`` for NaN/inf (json.dump would emit bare
-    ``NaN`` tokens that most parsers reject)."""
-    return value if math.isfinite(value) else None
-
-
 def _ratio(numerator: float, denominator: float) -> float:
     """``numerator / denominator`` with 0.0 on an empty denominator."""
     return numerator / denominator if denominator > 0.0 else 0.0
-
-
-def _unfinite(value: object) -> float:
-    """Inverse of :func:`_finite`: ``None`` back to NaN.
-
-    Numbers pass through untouched (no float() coercion) so JSON that
-    serialized an integer-valued field re-serializes byte-identically.
-    """
-    return float("nan") if value is None else value  # type: ignore[return-value]
 
 
 def _components_from_json(payload: object) -> CostComponents:
     """Rebuild a :class:`CostComponents` from its ``components_s`` dict."""
     data = dict(payload)  # type: ignore[call-overload]
     return CostComponents(
-        **{name: _unfinite(data.get(name, 0.0)) for name in COMPONENT_FIELDS}
+        **{name: from_json_num(data.get(name, 0.0)) for name in COMPONENT_FIELDS}
     )
 
 
@@ -120,19 +105,19 @@ class PhaseProfile:
         dominant = self.dominant
         return {
             "phase": self.phase,
-            "time_s": _finite(self.time_s),
+            "time_s": json_num(self.time_s),
             "events": self.events,
             "steps": self.steps,
             "tokens": self.tokens,
-            "flops": _finite(self.flops),
-            "bytes_moved": _finite(self.bytes_moved),
-            "energy_j": _finite(self.energy_j),
+            "flops": json_num(self.flops),
+            "bytes_moved": json_num(self.bytes_moved),
+            "energy_j": json_num(self.energy_j),
             "components_s": {
-                name: _finite(value)
+                name: json_num(value)
                 for name, value in self.components.as_dict().items()
             },
             "fractions": {
-                name: _finite(value)
+                name: json_num(value)
                 for name, value in self.components.fractions().items()
             },
             "dominant": str(dominant) if dominant is not None else None,
@@ -143,13 +128,13 @@ class PhaseProfile:
         """Inverse of :meth:`to_json_dict` (derived fields recomputed)."""
         return cls(
             phase=str(payload["phase"]),
-            time_s=_unfinite(payload["time_s"]),
+            time_s=from_json_num(payload["time_s"]),
             events=int(payload["events"]),
             steps=int(payload["steps"]),
             tokens=int(payload["tokens"]),
-            flops=_unfinite(payload["flops"]),
-            bytes_moved=_unfinite(payload["bytes_moved"]),
-            energy_j=_unfinite(payload["energy_j"]),
+            flops=from_json_num(payload["flops"]),
+            bytes_moved=from_json_num(payload["bytes_moved"]),
+            energy_j=from_json_num(payload["energy_j"]),
             components=_components_from_json(payload["components_s"]),
         )
 
@@ -188,10 +173,10 @@ class RequestProfile:
             "index": self.index,
             "input_tokens": self.input_tokens,
             "output_tokens": self.output_tokens,
-            "time_s": _finite(self.time_s),
-            "energy_j": _finite(self.energy_j),
+            "time_s": json_num(self.time_s),
+            "energy_j": json_num(self.energy_j),
             "components_s": {
-                name: _finite(value)
+                name: json_num(value)
                 for name, value in self.components.as_dict().items()
             },
             "dominant": str(dominant) if dominant is not None else None,
@@ -204,8 +189,8 @@ class RequestProfile:
             index=int(payload["index"]),
             input_tokens=int(payload["input_tokens"]),
             output_tokens=int(payload["output_tokens"]),
-            time_s=_unfinite(payload["time_s"]),
-            energy_j=_unfinite(payload["energy_j"]),
+            time_s=from_json_num(payload["time_s"]),
+            energy_j=from_json_num(payload["energy_j"]),
             components=_components_from_json(payload["components_s"]),
         )
 
@@ -362,23 +347,23 @@ class ProfileReport:
             "hardware": self.hardware,
             "framework": self.framework,
             "num_devices": self.num_devices,
-            "total_time_s": _finite(self.total_time_s),
-            "busy_s": _finite(self.busy_s),
-            "idle_s": _finite(self.idle_s),
-            "energy_j": _finite(self.energy_j),
-            "idle_energy_j": _finite(self.idle_energy_j),
-            "peak_flops_per_s": _finite(self.peak_flops_per_s),
-            "peak_bandwidth_bytes_s": _finite(self.peak_bandwidth_bytes_s),
-            "flop_capacity": _finite(self.flop_capacity),
-            "byte_capacity": _finite(self.byte_capacity),
-            "flops": _finite(self.flops),
-            "bytes_moved": _finite(self.bytes_moved),
+            "total_time_s": json_num(self.total_time_s),
+            "busy_s": json_num(self.busy_s),
+            "idle_s": json_num(self.idle_s),
+            "energy_j": json_num(self.energy_j),
+            "idle_energy_j": json_num(self.idle_energy_j),
+            "peak_flops_per_s": json_num(self.peak_flops_per_s),
+            "peak_bandwidth_bytes_s": json_num(self.peak_bandwidth_bytes_s),
+            "flop_capacity": json_num(self.flop_capacity),
+            "byte_capacity": json_num(self.byte_capacity),
+            "flops": json_num(self.flops),
+            "bytes_moved": json_num(self.bytes_moved),
             "tokens": self.tokens,
-            "mfu": _finite(self.mfu),
-            "mbu": _finite(self.mbu),
-            "tokens_per_s": _finite(self.tokens_per_s),
-            "joules_per_token": _finite(self.joules_per_token),
-            "average_power_w": _finite(self.average_power_w),
+            "mfu": json_num(self.mfu),
+            "mbu": json_num(self.mbu),
+            "tokens_per_s": json_num(self.tokens_per_s),
+            "joules_per_token": json_num(self.joules_per_token),
+            "average_power_w": json_num(self.average_power_w),
             "dominant": str(dominant) if dominant is not None else None,
             "phases": [phase.to_json_dict() for phase in self.phases],
             "requests": [req.to_json_dict() for req in self.requests],
@@ -401,15 +386,15 @@ class ProfileReport:
             hardware=str(payload["hardware"]),
             framework=str(payload["framework"]),
             num_devices=int(payload["num_devices"]),
-            total_time_s=_unfinite(payload["total_time_s"]),
-            busy_s=_unfinite(payload["busy_s"]),
-            idle_s=_unfinite(payload["idle_s"]),
-            energy_j=_unfinite(payload["energy_j"]),
-            idle_energy_j=_unfinite(payload["idle_energy_j"]),
-            peak_flops_per_s=_unfinite(payload["peak_flops_per_s"]),
-            peak_bandwidth_bytes_s=_unfinite(payload["peak_bandwidth_bytes_s"]),
-            flop_capacity=_unfinite(payload["flop_capacity"]),
-            byte_capacity=_unfinite(payload["byte_capacity"]),
+            total_time_s=from_json_num(payload["total_time_s"]),
+            busy_s=from_json_num(payload["busy_s"]),
+            idle_s=from_json_num(payload["idle_s"]),
+            energy_j=from_json_num(payload["energy_j"]),
+            idle_energy_j=from_json_num(payload["idle_energy_j"]),
+            peak_flops_per_s=from_json_num(payload["peak_flops_per_s"]),
+            peak_bandwidth_bytes_s=from_json_num(payload["peak_bandwidth_bytes_s"]),
+            flop_capacity=from_json_num(payload["flop_capacity"]),
+            byte_capacity=from_json_num(payload["byte_capacity"]),
             phases=tuple(
                 PhaseProfile.from_json_dict(p) for p in payload["phases"]
             ),

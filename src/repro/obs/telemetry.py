@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.obs.metrics import _from_json_num, _json_num
+from repro.core.jsonio import from_json_num, json_num
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.loadgen import ServiceLevelObjective
@@ -54,6 +54,11 @@ __all__ = [
     "trace_alerts",
 ]
 
+#: Seconds between telemetry control ticks.
+TICK_INTERVAL_S = 0.5
+#: Samples each :class:`TimeSeries` channel keeps (ring-buffer capacity).
+SERIES_CAPACITY = 4096
+
 
 class TimeSeries:
     """Fixed-capacity ring buffer of ``(ts_s, value)`` samples.
@@ -66,7 +71,7 @@ class TimeSeries:
 
     __slots__ = ("name", "unit", "capacity", "_ts", "_values", "_size", "_head")
 
-    def __init__(self, name: str, unit: str = "", capacity: int = 4096):
+    def __init__(self, name: str, unit: str = "", capacity: int = SERIES_CAPACITY):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.name = name
@@ -197,15 +202,15 @@ class TimeSeries:
     def to_json_dict(self) -> dict:
         return {
             "unit": self.unit,
-            "ts_s": [_json_num(float(t)) for t in self.timestamps()],
-            "values": [_json_num(float(v)) for v in self.values()],
+            "ts_s": [json_num(float(t)) for t in self.timestamps()],
+            "values": [json_num(float(v)) for v in self.values()],
         }
 
     @classmethod
     def from_json_dict(cls, name: str, payload: dict) -> "TimeSeries":
-        ts = [_from_json_num(t) for t in payload["ts_s"]]
+        ts = [from_json_num(t) for t in payload["ts_s"]]
         series = cls(name, unit=payload["unit"], capacity=max(len(ts), 1))
-        for t, v in zip(ts, (_from_json_num(v) for v in payload["values"])):
+        for t, v in zip(ts, (from_json_num(v) for v in payload["values"])):
             series.append(t, v)
         return series
 
@@ -310,10 +315,10 @@ class Alert:
             "name": self.name,
             "severity": self.severity,
             "state": self.state,
-            "ts_s": _json_num(self.ts_s),
-            "window_s": _json_num(self.window_s),
-            "value": _json_num(self.value),
-            "threshold": _json_num(self.threshold),
+            "ts_s": json_num(self.ts_s),
+            "window_s": json_num(self.window_s),
+            "value": json_num(self.value),
+            "threshold": json_num(self.threshold),
         }
 
     @classmethod
@@ -322,10 +327,10 @@ class Alert:
             name=payload["name"],
             severity=payload["severity"],
             state=payload["state"],
-            ts_s=_from_json_num(payload["ts_s"]),
-            window_s=_from_json_num(payload["window_s"]),
-            value=_from_json_num(payload["value"]),
-            threshold=_from_json_num(payload["threshold"]),
+            ts_s=from_json_num(payload["ts_s"]),
+            window_s=from_json_num(payload["window_s"]),
+            value=from_json_num(payload["value"]),
+            threshold=from_json_num(payload["threshold"]),
         )
 
 
@@ -419,8 +424,7 @@ class TelemetrySnapshot:
     """Immutable export of a hub: config, named series, alert log.
 
     ``to_json_dict``/``from_json_dict`` round-trip byte-identically
-    through the repo's canonical JSON convention (sorted keys, NaN as
-    null), which is what the experiment-bundle replay gate relies on.
+    through :mod:`repro.core.jsonio`, which is what the experiment-bundle replay gate relies on.
     """
 
     config: dict
@@ -467,28 +471,20 @@ class TelemetryHub:
     """
 
     enabled: bool = True
+    tick_interval_s: float = TICK_INTERVAL_S
 
     def __init__(
         self,
         slo: "ServiceLevelObjective | None" = None,
         tenant_slos: "dict[str, ServiceLevelObjective] | None" = None,
-        budget: SloBudget | None = None,
-        tick_interval_s: float = 0.5,
-        capacity: int = 4096,
     ):
-        if tick_interval_s <= 0:
-            raise ValueError("tick_interval_s must be positive")
         if slo is None:
             from repro.runtime.loadgen import ServiceLevelObjective
 
             slo = ServiceLevelObjective()
         self.slo = slo
         self.tenant_slos = dict(tenant_slos or {})
-        self.budget = budget if budget is not None else SloBudget(
-            attainment_target=slo.attainment_target
-        )
-        self.tick_interval_s = tick_interval_s
-        self.capacity = capacity
+        self.budget = SloBudget(attainment_target=slo.attainment_target)
         self._series: dict[str, TimeSeries] = {}
         self._pending: list[_PendingCompletion] = []
         self._seq = 0
@@ -507,9 +503,7 @@ class TelemetryHub:
         """Create-on-first-use named channel."""
         found = self._series.get(name)
         if found is None:
-            found = self._series[name] = TimeSeries(
-                name, unit=unit, capacity=self.capacity
-            )
+            found = self._series[name] = TimeSeries(name, unit=unit)
         elif unit and found.unit and unit != found.unit:
             raise ValueError(
                 f"series {name!r} re-registered with unit {unit!r} "
@@ -686,12 +680,12 @@ class TelemetryHub:
     def snapshot(self) -> TelemetrySnapshot:
         return TelemetrySnapshot(
             config={
-                "attainment_target": _json_num(self.budget.attainment_target),
-                "fast_window_s": _json_num(self.budget.fast_window_s),
-                "slow_window_s": _json_num(self.budget.slow_window_s),
-                "page_threshold": _json_num(self.budget.rules[0][2]),
-                "ticket_threshold": _json_num(self.budget.rules[1][2]),
-                "tick_interval_s": _json_num(self.tick_interval_s),
+                "attainment_target": json_num(self.budget.attainment_target),
+                "fast_window_s": json_num(self.budget.fast_window_s),
+                "slow_window_s": json_num(self.budget.slow_window_s),
+                "page_threshold": json_num(self.budget.rules[0][2]),
+                "ticket_threshold": json_num(self.budget.rules[1][2]),
+                "tick_interval_s": json_num(self.tick_interval_s),
             },
             series={
                 name: series.to_json_dict()
@@ -709,8 +703,7 @@ class _NullTelemetry(TelemetryHub):
     stay safe to call so callers need no None checks.
     """
 
-    enabled = False
-    tick_interval_s = 0.5  # read (never armed) by tick-train plumbing
+    enabled = False  # the inherited tick_interval_s is read, never armed
 
     def __init__(self):  # noqa: D107 - no state, no slo import
         pass

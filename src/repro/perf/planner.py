@@ -10,9 +10,9 @@ preferences match the paper's.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
+from repro.core.jsonio import from_json_float, json_float
 from repro.core.request import GenerationConfig
 from repro.frameworks.base import FrameworkProfile
 from repro.hardware.spec import HardwareSpec
@@ -38,17 +38,16 @@ class PlanScore:
         return not self.oom and self.throughput_tokens_per_s > 0
 
     def to_json_dict(self) -> dict[str, object]:
-        """Deterministic JSON view (non-finite -> null).
+        """Deterministic JSON view (:func:`~repro.core.jsonio.json_float`).
 
-        Mirrors the ``MetricsSnapshot`` conventions so optimizer
-        artifacts embed plan rankings losslessly; the OOM sentinel
+        Optimizer artifacts embed plan rankings losslessly; the OOM sentinel
         ``ttft_s=inf`` serialises as ``null`` (the ``oom`` flag carries
         the information).
         """
         return {
             "plan": {"tp": self.plan.tp, "pp": self.plan.pp, "ep": self.plan.ep},
-            "throughput_tokens_per_s": _json_num(self.throughput_tokens_per_s),
-            "ttft_s": _json_num(self.ttft_s),
+            "throughput_tokens_per_s": json_float(self.throughput_tokens_per_s),
+            "ttft_s": json_float(self.ttft_s),
             "oom": self.oom,
         }
 
@@ -61,23 +60,12 @@ class PlanScore:
                 pp=int(plan["pp"]),  # type: ignore[index]
                 ep=int(plan["ep"]),  # type: ignore[index]
             ),
-            throughput_tokens_per_s=_from_json_num(
+            throughput_tokens_per_s=from_json_float(
                 payload["throughput_tokens_per_s"]
             ),
-            ttft_s=_from_json_num(payload["ttft_s"]),
+            ttft_s=from_json_float(payload["ttft_s"]),
             oom=bool(payload["oom"]),
         )
-
-
-def _json_num(value: float) -> float | None:
-    """JSON-safe scalar (non-finite -> null), the snapshot convention."""
-    value = float(value)
-    return value if math.isfinite(value) else None
-
-
-def _from_json_num(value: object) -> float:
-    """Inverse of :func:`_json_num`; ``null`` loads back as NaN."""
-    return float("nan") if value is None else float(value)  # type: ignore[arg-type]
 
 
 def _divisors(n: int) -> list[int]:

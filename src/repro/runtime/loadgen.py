@@ -10,11 +10,11 @@ token throughput.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.jsonio import from_json_float, json_float
 from repro.core.request import GenerationRequest
 from repro.perf.phases import Deployment
 from repro.runtime.engine import ServingEngine
@@ -29,17 +29,6 @@ __all__ = [
     "run_load_test",
     "find_max_sustainable_rate",
 ]
-
-
-def _json_num(value: float) -> float | None:
-    """JSON-safe scalar (non-finite -> null), the repo's snapshot rule."""
-    value = float(value)
-    return value if math.isfinite(value) else None
-
-
-def _from_json_num(value: object) -> float:
-    """Inverse of :func:`_json_num`; ``null`` loads back as NaN."""
-    return float("nan") if value is None else float(value)  # type: ignore[arg-type]
 
 
 @dataclass(frozen=True)
@@ -115,10 +104,10 @@ class TenantReport:
             "tenant": self.tenant,
             "requests": self.requests,
             "completed_requests": self.completed_requests,
-            "slo_attainment": _json_num(self.slo_attainment),
-            "ntpot_mean_s": _json_num(self.ntpot_mean_s),
-            "ttft_p95_s": _json_num(self.ttft_p95_s),
-            "failure_rate": _json_num(self.failure_rate),
+            "slo_attainment": json_float(self.slo_attainment),
+            "ntpot_mean_s": json_float(self.ntpot_mean_s),
+            "ttft_p95_s": json_float(self.ttft_p95_s),
+            "failure_rate": json_float(self.failure_rate),
         }
 
     @classmethod
@@ -127,10 +116,10 @@ class TenantReport:
             tenant=str(payload["tenant"]),
             requests=int(payload["requests"]),  # type: ignore[arg-type]
             completed_requests=int(payload["completed_requests"]),  # type: ignore[arg-type]
-            slo_attainment=_from_json_num(payload["slo_attainment"]),
-            ntpot_mean_s=_from_json_num(payload["ntpot_mean_s"]),
-            ttft_p95_s=_from_json_num(payload["ttft_p95_s"]),
-            failure_rate=_from_json_num(payload["failure_rate"]),
+            slo_attainment=from_json_float(payload["slo_attainment"]),
+            ntpot_mean_s=from_json_float(payload["ntpot_mean_s"]),
+            ttft_p95_s=from_json_float(payload["ttft_p95_s"]),
+            failure_rate=from_json_float(payload["failure_rate"]),
         )
 
 
@@ -177,49 +166,47 @@ class LoadReport:
         return line
 
     def to_json_dict(self) -> dict[str, object]:
-        """Deterministic JSON view (non-finite -> null).
+        """Deterministic JSON view (:func:`~repro.core.jsonio.json_float`).
 
-        Mirrors the :class:`~repro.obs.metrics.MetricsSnapshot` /
-        :class:`~repro.obs.profiler.ProfileReport` conventions so
-        capacity plans and optimizer artifacts can embed load reports
+        Capacity plans and optimizer artifacts embed load reports
         losslessly; NaN lanes (empty completion sets) survive a
         round-trip as NaN.
         """
         return {
-            "offered_rate_rps": _json_num(self.offered_rate_rps),
+            "offered_rate_rps": json_float(self.offered_rate_rps),
             "completed_requests": self.completed_requests,
-            "makespan_s": _json_num(self.makespan_s),
-            "throughput_tokens_per_s": _json_num(self.throughput_tokens_per_s),
-            "ttft_p50_s": _json_num(self.ttft_p50_s),
-            "ttft_p95_s": _json_num(self.ttft_p95_s),
-            "ttft_p99_s": _json_num(self.ttft_p99_s),
-            "itl_mean_s": _json_num(self.itl_mean_s),
-            "slo_attainment": _json_num(self.slo_attainment),
-            "goodput_rps": _json_num(self.goodput_rps),
-            "average_power_w": _json_num(self.average_power_w),
-            "ntpot_mean_s": _json_num(self.ntpot_mean_s),
-            "failure_rate": _json_num(self.failure_rate),
+            "makespan_s": json_float(self.makespan_s),
+            "throughput_tokens_per_s": json_float(self.throughput_tokens_per_s),
+            "ttft_p50_s": json_float(self.ttft_p50_s),
+            "ttft_p95_s": json_float(self.ttft_p95_s),
+            "ttft_p99_s": json_float(self.ttft_p99_s),
+            "itl_mean_s": json_float(self.itl_mean_s),
+            "slo_attainment": json_float(self.slo_attainment),
+            "goodput_rps": json_float(self.goodput_rps),
+            "average_power_w": json_float(self.average_power_w),
+            "ntpot_mean_s": json_float(self.ntpot_mean_s),
+            "failure_rate": json_float(self.failure_rate),
             "tenants": [t.to_json_dict() for t in self.tenants],
         }
 
     @classmethod
     def from_json_dict(cls, payload: dict[str, object]) -> "LoadReport":
         return cls(
-            offered_rate_rps=_from_json_num(payload["offered_rate_rps"]),
+            offered_rate_rps=from_json_float(payload["offered_rate_rps"]),
             completed_requests=int(payload["completed_requests"]),  # type: ignore[arg-type]
-            makespan_s=_from_json_num(payload["makespan_s"]),
-            throughput_tokens_per_s=_from_json_num(
+            makespan_s=from_json_float(payload["makespan_s"]),
+            throughput_tokens_per_s=from_json_float(
                 payload["throughput_tokens_per_s"]
             ),
-            ttft_p50_s=_from_json_num(payload["ttft_p50_s"]),
-            ttft_p95_s=_from_json_num(payload["ttft_p95_s"]),
-            ttft_p99_s=_from_json_num(payload["ttft_p99_s"]),
-            itl_mean_s=_from_json_num(payload["itl_mean_s"]),
-            slo_attainment=_from_json_num(payload["slo_attainment"]),
-            goodput_rps=_from_json_num(payload["goodput_rps"]),
-            average_power_w=_from_json_num(payload["average_power_w"]),
-            ntpot_mean_s=_from_json_num(payload["ntpot_mean_s"]),
-            failure_rate=_from_json_num(payload["failure_rate"]),
+            ttft_p50_s=from_json_float(payload["ttft_p50_s"]),
+            ttft_p95_s=from_json_float(payload["ttft_p95_s"]),
+            ttft_p99_s=from_json_float(payload["ttft_p99_s"]),
+            itl_mean_s=from_json_float(payload["itl_mean_s"]),
+            slo_attainment=from_json_float(payload["slo_attainment"]),
+            goodput_rps=from_json_float(payload["goodput_rps"]),
+            average_power_w=from_json_float(payload["average_power_w"]),
+            ntpot_mean_s=from_json_float(payload["ntpot_mean_s"]),
+            failure_rate=from_json_float(payload["failure_rate"]),
             tenants=tuple(
                 TenantReport.from_json_dict(t)
                 for t in payload.get("tenants", ())  # type: ignore[union-attr]

@@ -14,6 +14,7 @@ lookup key everywhere (CLI, ``WorkloadSpec.scenario``, dashboards).
 
 from __future__ import annotations
 
+from repro.core import UnknownNameError
 from repro.scenarios.arrival import (
     BurstArrivals,
     ConstantArrivals,
@@ -56,7 +57,7 @@ def get_scenario(name: str) -> Scenario:
         return SCENARIOS[name]
     except KeyError:
         known = ", ".join(sorted(SCENARIOS))
-        raise KeyError(f"unknown scenario {name!r} (known: {known})") from None
+        raise UnknownNameError(f"unknown scenario {name!r} (known: {known})") from None
 
 
 def list_scenarios() -> list[Scenario]:

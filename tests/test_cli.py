@@ -375,3 +375,53 @@ class TestExperimentCommand:
         assert code == 0
         assert "joules_per_token" in capsys.readouterr().out
         assert out_json.exists()
+
+
+class TestUnknownNames:
+    """An unknown registry name is a usage error: one argparse-style line
+    on stderr and exit 2, never a traceback or the OOM exit code 1."""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["point", "--model", "LLaMA-9B", "--hardware", "A100",
+              "--framework", "vLLM"], "unknown model 'LLaMA-9B'"),
+            (["point", "--model", "LLaMA-2-7B", "--hardware", "A100",
+              "--framework", "nope"], "unknown framework 'nope'"),
+            (["cluster", "--model", "Mistral-7B", "--hardware", "nope",
+              "--framework", "vLLM"], "unknown hardware 'nope'"),
+            (["optimize", "--models", "nope"], "unknown model 'nope'"),
+            (["run", "fig999"], "unknown experiment 'fig999'"),
+            (["scenario", "run", "nope"], "unknown scenario 'nope'"),
+        ],
+        ids=["point-model", "point-framework", "cluster-hardware",
+             "optimize", "run", "scenario"],
+    )
+    def test_exit_2_with_one_stderr_line(self, capsys, argv, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"llm-inference-bench {argv[0]}: error: {message}"
+        )
+        assert captured.err.count("\n") == 1
+
+
+class TestWroteLines:
+    def test_each_artifact_announced_once(self, capsys, tmp_path):
+        trace = tmp_path / "trace.json"
+        result = tmp_path / "result.json"
+        telemetry = tmp_path / "telemetry.json"
+        assert main([
+            "scenario", "describe", "chat-sharegpt",
+            "--trace-output", str(trace),
+        ]) == 0
+        assert main([
+            "scenario", "run", "multi-tenant-prod",
+            "--replicas", "2", "--sessions", "6",
+            "--result-output", str(result),
+            "--telemetry-output", str(telemetry),
+        ]) == 0
+        out = capsys.readouterr().out
+        for path in (trace, result, telemetry):
+            assert out.count(f"wrote {path}\n") == 1

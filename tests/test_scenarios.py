@@ -538,8 +538,8 @@ class TestScenarioCLI:
     def test_unknown_name_fails(self, capsys):
         from repro.cli import main
 
-        assert main(["scenario", "describe", "nope"]) == 1
-        assert "unknown scenario" in capsys.readouterr().out
+        assert main(["scenario", "describe", "nope"]) == 2
+        assert "unknown scenario" in capsys.readouterr().err
 
     def test_run_byte_identical(self, capsys, tmp_path):
         """Two identical `scenario run` invocations write byte-identical
