@@ -71,6 +71,17 @@ from repro.models.zoo import list_models
 __all__ = ["main", "build_parser"]
 
 
+def _positive_int(text: str) -> int:
+    """argparse ``type``: an integer of at least 1 (fleet sizes, batch caps)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_deployment_args(parser: argparse.ArgumentParser, **defaults: str) -> None:
     """``--model/--hardware/--framework``, required unless given a default."""
     for name in ("model", "hardware", "framework"):
@@ -213,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cluster_p.set_defaults(func=_cmd_cluster)
     _add_deployment_args(cluster_p)
-    cluster_p.add_argument("--replicas", type=int, default=4)
+    cluster_p.add_argument("--replicas", type=_positive_int, default=4)
     cluster_p.add_argument("--router", default="least-outstanding",
                            choices=list_routers())
     cluster_p.add_argument("--rate", type=float, default=8.0,
@@ -221,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     cluster_p.add_argument("--num-requests", type=int, default=64)
     cluster_p.add_argument("--mean-input-tokens", type=int, default=512)
     cluster_p.add_argument("--mean-output-tokens", type=int, default=256)
-    cluster_p.add_argument("--max-concurrency", type=int, default=32)
+    cluster_p.add_argument("--max-concurrency", type=_positive_int, default=32)
     cluster_p.add_argument("--seed", type=int, default=0,
                            help="RNG seed for arrivals, lengths and routing")
     cluster_p.add_argument(
@@ -306,14 +317,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_deployment_args(
         scen_run, model="LLaMA-3-8B", hardware="A100", framework="vLLM"
     )
-    scen_run.add_argument("--replicas", type=int, default=4)
+    scen_run.add_argument("--replicas", type=_positive_int, default=4)
     scen_run.add_argument("--router", default="session-affinity",
                           choices=list_routers())
     scen_run.add_argument("--seed", type=int, default=0,
                           help="RNG seed for the trace and routing")
     scen_run.add_argument("--sessions", type=int, default=None, metavar="N",
                           help="override the scenario's session count")
-    scen_run.add_argument("--max-concurrency", type=int, default=32)
+    scen_run.add_argument("--max-concurrency", type=_positive_int, default=32)
     scen_run.add_argument("--prefix-cache-slots", type=int, default=8,
                           help="per-replica prefix/session KV LRU slots")
     scen_run.add_argument(

@@ -71,7 +71,7 @@ from repro.obs.telemetry import (
 from repro.obs.tracer import EventTracer, TraceEvent
 from repro.perf.kernel import get_kernel
 from repro.perf.phases import Deployment
-from repro.runtime.engine import EngineResult, EngineRun, ServingEngine, resolve_core
+from repro.runtime.engine import EngineResult, EngineRun, ServingEngine
 from repro.runtime.loadgen import LoadReport, ServiceLevelObjective, summarize_requests
 
 __all__ = ["Replica", "ReplicaReport", "ClusterResult", "ClusterSimulator"]
@@ -347,11 +347,12 @@ class ClusterSimulator:
         kernel=None,
         control: ControlPlane | None = None,
         fleet: Sequence[Deployment] | None = None,
-        core: str | None = None,
         telemetry: TelemetryHub | None = None,
     ) -> None:
         if num_replicas < 1:
             raise ValueError(f"num_replicas must be >= 1, got {num_replicas}")
+        if max_concurrency < 1:
+            raise ValueError(f"max_concurrency must be >= 1, got {max_concurrency}")
         if prefix_cache_slots < 1:
             raise ValueError(
                 f"prefix_cache_slots must be >= 1, got {prefix_cache_slots}"
@@ -385,10 +386,6 @@ class ClusterSimulator:
                     "state must be attachable on every decode replica"
                 )
         self.fleet = fleet
-        # Execution core for every replica engine (see repro.runtime.engine):
-        # "vector" additionally batches the simulator's own replica
-        # selection into one masked-argmin array pass.
-        self.core = resolve_core(core)
         self.control = control
         # A null plane is provably inert; treat it exactly like no plane
         # so the bit-identity guarantee holds by construction.
@@ -405,35 +402,8 @@ class ClusterSimulator:
             telemetry = TelemetryHub(slo=control.autoscaler.slo)
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self._telemetry_on = self.telemetry.enabled
-        # Run-scoped state (initialized in run()).
-        self._replicas: list[Replica] = []
-        self._prefill_fleet: list[Replica] = []
-        # Vector-core fleet arrays: per-replica clock and step eligibility
-        # (alive and has_work), index-aligned with ``_replicas`` so the
-        # next replica to step falls out of one masked argmin.
-        self._clock: np.ndarray | None = None
-        self._eligible: np.ndarray | None = None
-        self._next_index = 0
-        self._events: list[tuple[float, int, str, object]] = []
-        self._seq = itertools.count()
-        self._orig_by_proxy: dict[int, GenerationRequest] = {}
-        self._registry = MetricsRegistry()
-        self._prefix_hits = 0
-        self._handoffs = 0
-        self._transfer_s = 0.0
-        self._retries = 0
-        self._failed = 0
-        self._lost_handoffs = 0
-        self._fault_log: list[dict] = []
-        self._scale_log: list[dict] = []
-        self._completions: list[GenerationRequest] = []
-        self._attempts: dict[int, int] = {}
-        self._kv_windows: tuple[tuple[float, float], ...] = ()
-        self._last_scale_s = float("-inf")
-        self._ctl_tracer: EventTracer | None = None
-        self._control_ticks = False
-        self._tick_every = 0.5
-        self._telemetry_view: TelemetryFleetView | None = None
+        # Run-scoped state (replicas, fleet arrays, event heap, counters)
+        # is set by run() and _build_replicas() before any read.
 
     # ------------------------------------------------------------------
 
@@ -469,7 +439,6 @@ class ClusterSimulator:
             optimistic=self.optimistic,
             kernel=kernel,
             profile=self.profiled,
-            core=self.core,
             **({"tracer": tracer} if tracer is not None else {}),
         )
         return Replica(
@@ -503,12 +472,12 @@ class ClusterSimulator:
             self._replicas.append(self._make_replica(index, name, dep, role))
         self._next_index = len(specs)
         self._prefill_fleet = [r for r in self._replicas if r.role == "prefill"]
-        if self.core == "vector":
-            n = len(self._replicas)
-            self._clock = np.zeros(n, dtype=np.float64)
-            self._eligible = np.zeros(n, dtype=bool)
-        else:
-            self._clock = self._eligible = None
+        # Fleet arrays, index-aligned with ``_replicas``: per-replica clock
+        # and step eligibility (alive and has work), so the next replica
+        # to step falls out of one masked argmin.
+        n = len(self._replicas)
+        self._clock = np.zeros(n, dtype=np.float64)
+        self._eligible = np.zeros(n, dtype=bool)
 
     def _pressure(self) -> bool:
         """More work may still arrive *before* the step horizon: hold
@@ -522,42 +491,24 @@ class ClusterSimulator:
         return any(r.alive and r.has_work for r in self._prefill_fleet)
 
     def _sync_replica(self, replica: Replica) -> None:
-        """Refresh one replica's row in the fleet arrays (vector core)."""
-        eligible = self._eligible
-        if eligible is None:
-            return
+        """Refresh one replica's row in the fleet arrays."""
         i = replica.index
         self._clock[i] = replica.run.now
-        eligible[i] = replica.alive and replica.run.has_work
+        self._eligible[i] = replica.alive and replica.run.has_work
 
     def _select(self, bound: float | None) -> Replica | None:
         """Least-advanced eligible replica (clock < ``bound`` if given).
 
-        Vector core: one masked argmin over the fleet arrays — argmin
-        returns the first minimum, which is the lowest index among
-        clock ties, exactly the scalar ``min(..., key=(now, index))``
-        tie-break.  The scalar core scans the replica list (reference path).
+        One masked argmin over the fleet arrays: argmin returns the first
+        minimum, so clock ties go to the lowest replica index.
         """
         eligible = self._eligible
-        if eligible is not None:
-            mask = (
-                eligible
-                if bound is None
-                else eligible & (self._clock < bound)
-            )
-            masked = np.where(mask, self._clock, np.inf)
-            i = int(np.argmin(masked))
-            if masked[i] == np.inf:
-                return None
-            return self._replicas[i]
-        candidates = [
-            r
-            for r in self._replicas
-            if r.alive and r.has_work and (bound is None or r.now < bound)
-        ]
-        if not candidates:
+        mask = eligible if bound is None else eligible & (self._clock < bound)
+        masked = np.where(mask, self._clock, np.inf)
+        i = int(np.argmin(masked))
+        if masked[i] == np.inf:
             return None
-        return min(candidates, key=lambda r: (r.now, r.index))
+        return self._replicas[i]
 
     # ------------------------------------------------------------------
 
@@ -1099,9 +1050,8 @@ class ClusterSimulator:
         )
         replica.status = "scaled"
         self._replicas.append(replica)
-        if self._eligible is not None:
-            self._clock = np.append(self._clock, 0.0)
-            self._eligible = np.append(self._eligible, False)
+        self._clock = np.append(self._clock, 0.0)
+        self._eligible = np.append(self._eligible, False)
         self._last_scale_s = ts
         self._scale_log.append(
             {"action": "up", "ts_s": ts, "replica": name, "ready_s": ts + warmup}

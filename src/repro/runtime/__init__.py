@@ -5,7 +5,7 @@ Observability: every component accepts a :class:`repro.obs.Tracer`
 TTFT/ITL histograms when given a recording ``EventTracer``.
 """
 
-from repro.runtime.engine import EngineResult, EngineRun, ServingEngine, resolve_core
+from repro.runtime.engine import EngineResult, EngineRun, ServingEngine
 from repro.runtime.loadgen import (
     LoadReport,
     ServiceLevelObjective,
@@ -27,7 +27,6 @@ from repro.runtime.scheduler import (
     SchedulerStats,
     StaticBatchingScheduler,
 )
-from repro.runtime.soa import RequestTable
 from repro.runtime.workload import (
     TraceSummary,
     blended_trace,
@@ -54,11 +53,9 @@ __all__ = [
     "KVAllocator",
     "PagedKVAllocator",
     "ContinuousBatchingScheduler",
-    "RequestTable",
     "Scheduler",
     "SchedulerStats",
     "StaticBatchingScheduler",
-    "resolve_core",
     "TraceSummary",
     "blended_trace",
     "fixed_batch_trace",

@@ -10,27 +10,18 @@ The engine and the closed-form :class:`~repro.perf.estimator
 .InferenceEstimator` are two views of the same model; tests cross-check
 them on the paper's fixed-shape workloads.
 
-Execution cores (``ServingEngine(core=...)``):
-
-* ``"vector"`` (default) — the vectorized event core: request state lives
-  in a struct-of-arrays :class:`~repro.runtime.soa.RequestTable` and each
-  decode span / prefill rider chunk commits as one numpy operation
-  instead of a Python loop over request objects.
-* ``"scalar"`` — the reference implementation: per-token Python loops
-  over request objects.  Bit-identical to ``"vector"`` (same results,
-  metrics, traces, profiles — enforced by ``tests/test_vector_core.py``);
-  it exists to keep the vectorized core honest.
-
-Iteration coalescing: a decode span advances every running sequence in
-lockstep, evaluating the step cost at the span's mean context — exact for
-the affine-in-context step model.  Both cores bound each span by the
-*next scheduling event* (the caller's horizon, the next future arrival,
-a completion) so saturated runs cost O(events) instead of O(tokens); an
+Running-set state lives on the request objects alone.  Iteration
+coalescing: a decode span advances every running sequence in lockstep,
+evaluating the step cost at the span's mean context — exact for the
+affine-in-context step model.  Each span is bounded by the *next
+scheduling event* (the caller's horizon, the next future arrival, a
+completion) so saturated runs cost O(events) instead of O(tokens); an
 arrived-but-blocked queue head cannot shorten a span, since only a
-retirement (which ends the span anyway) can unblock admission.
-The environment variable ``REPRO_ENGINE_CORE`` overrides the default
-core for engines (and cluster replicas) constructed without an explicit
-``core=`` — CI uses it to run the whole test suite under both paths.
+retirement (which ends the span anyway) can unblock admission.  Because
+no request finishes mid-span, the default admission policy commits a
+span in one O(batch) pass over the running requests.  Optimistic
+admission grows KV token by token and may preempt mid-span, so it
+commits token by token instead.
 
 Execution is resumable: :meth:`ServingEngine.start` returns an
 :class:`EngineRun` whose ``submit``/``step`` pair lets a caller interleave
@@ -43,7 +34,6 @@ arrivals between steps.
 from __future__ import annotations
 
 import math
-import os
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
@@ -72,23 +62,9 @@ from repro.runtime.scheduler import (
     StaticBatchingScheduler,
 )
 
-__all__ = ["EngineResult", "EngineRun", "ServingEngine", "resolve_core"]
+__all__ = ["EngineResult", "EngineRun", "ServingEngine"]
 
 _MAX_ITERATIONS = 10_000_000
-
-_VALID_CORES = ("vector", "scalar")
-
-
-def resolve_core(core: str | None) -> str:
-    """Validate a core name; ``None`` reads ``REPRO_ENGINE_CORE`` (default
-    ``"vector"``)."""
-    if core is None:
-        core = os.environ.get("REPRO_ENGINE_CORE", "vector")
-    if core not in _VALID_CORES:
-        raise ValueError(
-            f"core must be one of {_VALID_CORES}, got {core!r}"
-        )
-    return core
 
 
 @dataclass
@@ -179,7 +155,14 @@ class EngineResult:
 
 
 class ServingEngine:
-    """Simulates a serving stack for one deployment."""
+    """Simulates a serving stack for one deployment.
+
+    Each run keeps its running set as the scheduler's list of request
+    objects; a decode span commits through :meth:`_commit_span` (one pass
+    that adds the span's steps to every request) or, under optimistic
+    admission, through :meth:`_commit_tokens` (token by token, growing KV
+    and preempting as it goes).
+    """
 
     def __init__(
         self,
@@ -190,15 +173,16 @@ class ServingEngine:
         tracer: Tracer = NULL_TRACER,
         kernel=None,
         profile: bool = False,
-        core: str | None = None,
         telemetry: TelemetryHub = NULL_TELEMETRY,
     ) -> None:
-        """``optimistic=True`` enables vLLM's real admission policy:
+        """``max_concurrency`` caps the running batch; ``None`` means 1024
+        and values below 1 raise ``ValueError``.
+
+        ``optimistic=True`` enables vLLM's real admission policy:
         reserve only prompt blocks and preempt-and-recompute when the KV
         pool runs dry mid-decode (requires a paged deployment).  Because
         that policy grows each request's KV allocation token by token,
-        optimistic runs always commit through the scalar per-token loop,
-        whatever ``core`` says about the span rule.
+        optimistic runs commit decode spans token by token.
 
         ``tracer`` (default the no-op :data:`~repro.obs.tracer.NULL_TRACER`)
         records span/instant events and metric histograms as the run
@@ -217,9 +201,6 @@ class ServingEngine:
         :class:`~repro.perf.kernel.DirectStepCost` to force un-memoized
         ``phases.py`` evaluation (the test reference).
 
-        ``core`` selects the execution core (see the module docstring):
-        ``"vector"`` (default) or ``"scalar"``.
-
         ``telemetry`` (default the no-op
         :data:`~repro.obs.telemetry.NULL_TELEMETRY`) attaches a streaming
         :class:`~repro.obs.telemetry.TelemetryHub`: runs sample
@@ -228,21 +209,19 @@ class ServingEngine:
         cadence.  Results stay bit-identical either way — only the
         result's ``telemetry`` snapshot differs.  Hubs carry state; pass
         a fresh one per run."""
+        if max_concurrency is not None and max_concurrency < 1:
+            raise ValueError(f"max_concurrency must be >= 1, got {max_concurrency}")
         if optimistic and not deployment.kv_spec.paged:
             raise ValueError("optimistic admission requires a paged KV spec")
         self.deployment = deployment
         self.kernel = kernel if kernel is not None else get_kernel(deployment)
         self.tracer = tracer
         self.memory = MemoryManager(deployment, tracer=tracer)  # raises if weights don't fit
-        self.max_concurrency = max_concurrency or 1024
+        self.max_concurrency = 1024 if max_concurrency is None else max_concurrency
         self.coalesce = coalesce
         self.optimistic = optimistic
         self.profile = profile
         self.telemetry = telemetry
-        self.core = resolve_core(core)
-        # Optimistic admission mutates the allocator per token, so its
-        # commits stay on the scalar object path even under core="vector".
-        self._vector_commit = self.core == "vector" and not optimistic
         self._power = PowerModel(deployment.hardware, deployment.num_devices)
 
     def _make_scheduler(self) -> Scheduler:
@@ -257,7 +236,6 @@ class ServingEngine:
             self.max_concurrency,
             optimistic=self.optimistic,
             tracer=self.tracer,
-            track_soa=self._vector_commit,
         )
 
     # ------------------------------------------------------------------
@@ -294,8 +272,7 @@ class ServingEngine:
         self,
         run: "EngineRun",
         admitted: list[GenerationRequest],
-        decoding: list[GenerationRequest] | None,
-        riders: int,
+        decoding: list[GenerationRequest],
     ) -> None:
         """Prefill newly admitted prompts (advances ``run`` in place).
 
@@ -305,12 +282,11 @@ class ServingEngine:
         chunk instead of stalling for the whole prefill — the mechanism
         behind those frameworks' smoother tail ITL under load.
 
-        ``decoding`` lists the rider requests on the scalar core;
-        the vector core passes ``None`` and rides the first ``riders``
-        rows of the scheduler's request table instead (admission appends,
-        so pre-admission requests always occupy the table's head).
+        ``decoding`` lists the rider requests: running streams admitted
+        before this pass that still owe output.
         """
         batch = len(admitted)
+        riders = len(decoding)
         # Preempted requests re-prefill their full context (recompute).
         max_input = max(r.prefill_tokens_needed for r in admitted)
         # Captured before any mutation: the prefill work this pass retires.
@@ -322,9 +298,6 @@ class ServingEngine:
             chunks = -(-max_input // per_chunk_len)
         chunk_len = -(-max_input // chunks)
 
-        scheduler = run.scheduler
-        table = scheduler.table
-        running = scheduler.running
         now = run.now
         traced = self.tracer.enabled
         profiler = run.profiler
@@ -358,19 +331,10 @@ class ServingEngine:
             # Decoding streams ride along with the chunk (their token is
             # folded into the fused chunk's batch at negligible marginal
             # cost — the SplitFuse effect).
-            if decoding is not None:
-                for request in decoding:
-                    if request.generated_tokens < request.output_tokens:
-                        request.record_token(now)
-                        run._outstanding -= 1
-            elif riders:
-                given, newly = table.commit_rider_chunk(riders)
-                run._outstanding -= given
-                for i in newly.tolist():
-                    request = running[i]
-                    request.generated_tokens = request.output_tokens
-                    request.finish_time = now
-                    request.state = RequestState.FINISHED
+            for request in decoding:
+                if request.generated_tokens < request.output_tokens:
+                    request.record_token(now)
+                    run._outstanding -= 1
         for request in admitted:
             if request.generated_tokens == 0:
                 request.record_token(now)  # prefill emits the first token
@@ -379,10 +343,6 @@ class ServingEngine:
                 # A preempted request resumed: the re-prefill recreated its
                 # KV state; its next token comes from the next decode step.
                 request.state = RequestState.DECODING
-        if table is not None:
-            # The admitted requests mutated through the object path above;
-            # refresh their (tail) rows.
-            table.sync_tail(running, batch)
         run._outstanding -= owed
         run.now = now
 
@@ -394,12 +354,7 @@ class ServingEngine:
     ) -> None:
         now = run.now
         batch = len(running)
-        table = run.scheduler.table
-        if table is not None:
-            ctx_sum = table.context_sum()
-        else:
-            ctx_sum = sum(r.context_length for r in running)
-        mean_ctx = ctx_sum / batch
+        mean_ctx = sum(r.context_length for r in running) / batch
         # Context at the span's midpoint (contexts grow one token per step).
         span_ctx = max(1, round(mean_ctx + (steps - 1) / 2.0))
         step_bd = self.kernel.decode_step(batch, span_ctx)
@@ -413,8 +368,7 @@ class ServingEngine:
                 now, step_bd, batch, span_ctx, steps,
                 span_bd.total_s * step_power_w, running,
             )
-        traced = self.tracer.enabled
-        if traced:
+        if self.tracer.enabled:
             self.tracer.complete(
                 "decode_span",
                 "decode",
@@ -427,35 +381,61 @@ class ServingEngine:
             self.tracer.counter(
                 "power_sample", "power_w", ts_s=now, watts=round(step_power_w, 3)
             )
-        if table is not None:
-            # Vectorized commit: every row advances ``steps`` tokens in one
-            # array pass.  The span rule guarantees no mid-span completion,
-            # so each finisher's last token lands exactly at the span end —
-            # the identical float expression the scalar loop evaluates.
-            finished = table.commit_decode(steps)
-            last_time = now + step_bd.total_s * steps
-            if traced:
-                self.tracer.advance(last_time)
-            for i in finished.tolist():
-                request = running[i]
-                request.generated_tokens = request.output_tokens
+        commit = self._commit_tokens if self.optimistic else self._commit_span
+        commit(run, running, steps, step_bd.total_s)
+        run.now = now + span_bd.total_s
+
+    def _commit_span(
+        self,
+        run: "EngineRun",
+        running: list[GenerationRequest],
+        steps: int,
+        step_s: float,
+    ) -> None:
+        """Advance every running request ``steps`` tokens in one pass.
+
+        The span rule (``steps <= min_remaining``) guarantees no request
+        finishes mid-span, so each finisher's last token lands at the span
+        end — the same float expression :meth:`_commit_tokens` gives it.
+        """
+        last_time = run.now + step_s * steps
+        if self.tracer.enabled:
+            self.tracer.advance(last_time)
+        for request in running:
+            generated = request.generated_tokens + steps
+            request.generated_tokens = generated
+            if generated == request.output_tokens:
                 request.finish_time = last_time
                 request.state = RequestState.FINISHED
-            run._outstanding -= batch * steps
-        else:
-            active = list(running)
-            for i in range(steps):
-                token_time = now + step_bd.total_s * (i + 1)
-                if traced:
-                    self.tracer.advance(token_time)
-                for request in list(active):
-                    if request not in active:
-                        continue  # preempted earlier within this step
-                    if self.optimistic:
-                        self._append_or_preempt(run, active, request)
-                    request.record_token(token_time)
-                    run._outstanding -= 1
-        run.now = now + span_bd.total_s
+        run._outstanding -= len(running) * steps
+
+    def _commit_tokens(
+        self,
+        run: "EngineRun",
+        running: list[GenerationRequest],
+        steps: int,
+        step_s: float,
+    ) -> None:
+        """Commit a span token by token.
+
+        The engine uses this only under optimistic admission, where each
+        token grows its request's KV allocation and may preempt newer
+        requests mid-span when the pool runs dry.
+        """
+        now = run.now
+        traced = self.tracer.enabled
+        active = list(running)
+        for i in range(steps):
+            token_time = now + step_s * (i + 1)
+            if traced:
+                self.tracer.advance(token_time)
+            for request in list(active):
+                if request not in active:
+                    continue  # preempted earlier within this step
+                if self.optimistic:
+                    self._append_or_preempt(run, active, request)
+                request.record_token(token_time)
+                run._outstanding -= 1
 
     def _append_or_preempt(
         self,
@@ -598,19 +578,15 @@ class EngineRun:
 
         admitted = scheduler.admit(self.now)
         if admitted:
-            if scheduler.table is not None:
-                riders = len(scheduler.running) - len(admitted)
-                engine._run_prefill(self, admitted, None, riders)
-            else:
-                admitted_ids = {id(r) for r in admitted}
-                decoding = [
-                    r
-                    for r in scheduler.running
-                    if id(r) not in admitted_ids
-                    and r.state == RequestState.DECODING
-                    and r.generated_tokens < r.output_tokens
-                ]
-                engine._run_prefill(self, admitted, decoding, len(decoding))
+            admitted_ids = {id(r) for r in admitted}
+            decoding = [
+                r
+                for r in scheduler.running
+                if id(r) not in admitted_ids
+                and r.state == RequestState.DECODING
+                and r.generated_tokens < r.output_tokens
+            ]
+            engine._run_prefill(self, admitted, decoding)
             retired = scheduler.retire_finished()  # 1-token requests
             self._observe_retired(retired)
             return retired
@@ -649,11 +625,6 @@ class EngineRun:
         self, requests: list[GenerationRequest] | None = None
     ) -> EngineResult:
         """Finalize the run (close gauge series) and assemble the result."""
-        table = self.scheduler.table
-        if table is not None:
-            # Lazily-synced rows (requests still mid-decode, e.g. on a
-            # crashed replica) write their progress back to the objects.
-            table.flush(self.scheduler.running)
         if self._traced:
             self._sample_state(False)  # close the gauge series
         telemetry_snapshot: TelemetrySnapshot | None = None
@@ -696,9 +667,6 @@ class EngineRun:
 
     def outstanding_tokens_scan(self) -> int:
         """Reference O(n) recomputation of :attr:`outstanding_tokens`."""
-        table = self.scheduler.table
-        if table is not None:
-            table.flush(self.scheduler.running)
         total = 0
         for r in self.scheduler.waiting:
             total += r.prefill_tokens_needed + r.output_tokens - r.generated_tokens
@@ -723,8 +691,7 @@ class EngineRun:
     def _coalesced_steps(self, horizon: float | None) -> int:
         """How many decode steps to commit as one span.
 
-        Both cores share this rule (their spans must be bit-identical):
-        bound the span by the next *scheduling event* —
+        Bound the span by the next *scheduling event* —
         the caller's ``horizon`` and the next future arrival.  An
         arrived-but-blocked head is no bound: FIFO admission stays blocked
         until a retirement, and a retirement ends the span anyway.  The
@@ -737,13 +704,8 @@ class EngineRun:
         """
         scheduler = self.scheduler
         engine = self.engine
-        table = scheduler.table
-        if table is not None:
-            min_remaining = table.min_remaining()
-        else:
-            min_remaining = min(
-                r.output_tokens - r.generated_tokens for r in scheduler.running
-            )
+        running = scheduler.running
+        min_remaining = min(r.output_tokens - r.generated_tokens for r in running)
         if min_remaining <= 1 or not engine.coalesce:
             return 1
         if self._pressure is not None and self._pressure():
@@ -755,11 +717,8 @@ class EngineRun:
                 limit = at
         if limit is None:
             return min_remaining
-        batch = len(scheduler.running)
-        if table is not None:
-            ctx_sum = table.context_sum()
-        else:
-            ctx_sum = sum(r.context_length for r in scheduler.running)
+        batch = len(running)
+        ctx_sum = sum(r.context_length for r in running)
         est = engine.kernel.decode_step(
             batch, max(1, round(ctx_sum / batch))
         ).total_s

@@ -7,17 +7,13 @@ times or have different input context lengths".  Static batching
 (llama.cpp) admits a full batch only when the engine is idle and holds it
 to completion.
 
-Two auxiliary structures keep the engine's per-iteration bookkeeping
-O(log n) instead of O(n):
-
-* a sorted list of waiting arrival times (``next_arrival`` is its head,
-  ``arrived_count`` a bisect) — submissions arrive in nondecreasing order
-  so maintenance is an O(1) append in the common case, and preemptions
-  re-insert via ``insort``;
-* an optional :class:`~repro.runtime.soa.RequestTable` mirroring the
-  running set as numpy columns for the vectorized engine core
-  (``track_soa=True``); every running-list mutation updates the table so
-  row ``i`` always describes ``running[i]``.
+The running set is a plain list of request objects in admission order;
+the engine reads and commits progress on those objects directly.  A
+sorted list of waiting arrival times keeps the engine's per-iteration
+queue questions O(log n) instead of O(n): ``next_arrival`` is its head,
+``arrived_count`` a bisect.  Submissions arrive in nondecreasing order
+so maintenance is an O(1) append in the common case, and preemptions
+re-insert via ``insort``.
 """
 
 from __future__ import annotations
@@ -26,12 +22,9 @@ from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.request import GenerationRequest, RequestState
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.runtime.paged_kv import KVAllocator
-from repro.runtime.soa import RequestTable
 
 __all__ = ["SchedulerStats", "Scheduler", "ContinuousBatchingScheduler", "StaticBatchingScheduler"]
 
@@ -58,7 +51,6 @@ class Scheduler:
         max_concurrency: int,
         optimistic: bool = False,
         tracer: Tracer = NULL_TRACER,
-        track_soa: bool = False,
     ) -> None:
         if max_concurrency < 1:
             raise ValueError(f"max_concurrency must be >= 1, got {max_concurrency}")
@@ -77,7 +69,6 @@ class Scheduler:
         # multiset, not parallel order): submissions arrive nondecreasing
         # so the common-case update is an O(1) append.
         self._arrivals: list[float] = []
-        self.table: RequestTable | None = RequestTable() if track_soa else None
 
     def submit(self, request: GenerationRequest) -> None:
         if request.state != RequestState.QUEUED:
@@ -149,8 +140,6 @@ class Scheduler:
         if request.admit_time is None:
             request.admit_time = now
         self.running.append(request)
-        if self.table is not None:
-            self.table.append(request)
         self.stats.admitted += 1
         if self.tracer.enabled:
             self.tracer.instant(
@@ -169,8 +158,6 @@ class Scheduler:
         if request not in self.running:
             raise ValueError(f"request {request.request_id} is not running")
         self.allocator.free(request.request_id)
-        if self.table is not None:
-            self.table.drop(self.running.index(request))
         self.running.remove(request)
         request.mark_preempted()
         self.waiting.appendleft(request)
@@ -191,27 +178,11 @@ class Scheduler:
 
     def retire_finished(self) -> list[GenerationRequest]:
         """Remove finished requests from the running set and free their KV."""
-        table = self.table
-        if table is None:
-            done = [r for r in self.running if r.is_finished]
-            for request in done:
-                self.allocator.free(request.request_id)
-                self.stats.finished += 1
-            self.running = [r for r in self.running if not r.is_finished]
-            return done
-        finished = table.finished_rows()
-        if len(finished) == 0:
-            return []
-        running = self.running
-        done = [running[i] for i in finished.tolist()]
+        done = [r for r in self.running if r.is_finished]
         for request in done:
             self.allocator.free(request.request_id)
             self.stats.finished += 1
-        keep = np.setdiff1d(
-            np.arange(table.n, dtype=np.intp), finished, assume_unique=True
-        )
-        self.running = [running[i] for i in keep.tolist()]
-        table.compact(keep)
+        self.running = [r for r in self.running if not r.is_finished]
         return done
 
 

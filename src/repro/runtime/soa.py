@@ -1,27 +1,16 @@
-"""Struct-of-arrays request state for the vectorized engine core.
+"""Struct-of-arrays request columns (retired; nothing in ``repro`` imports it).
 
-:class:`RequestTable` mirrors a scheduler's ``running`` list as parallel
-numpy columns (input tokens, output budget, generated so far), row ``i``
-always describing ``running[i]``.  The vectorized engine core
-(``ServingEngine(core="vector")``) commits whole decode spans and prefill
-rider chunks against these columns — one array operation instead of a
-Python loop over request objects — and syncs objects back lazily:
+:class:`RequestTable` once mirrored a scheduler's ``running`` list as
+parallel int64 numpy columns (input tokens, output budget, generated so
+far) so the engine could commit decode spans as array operations.  The
+engine now commits each span in one pass over the request objects
+themselves, which keeps one copy of the running-set state and measured
+faster than maintaining the mirror.
 
-* **finishers eagerly** — a request that completes inside a committed
-  span has its ``generated_tokens``/``finish_time``/``state`` written
-  immediately, so retirement, metrics observation and cluster stitching
-  see exactly what the scalar reference core would have written;
-* **everything else at flush points** — ``EngineRun.result()`` and the
-  reference ``outstanding_tokens_scan()`` call :meth:`flush`, which
-  writes ``generated_tokens`` back to requests still owned by the
-  scheduler (state PREFILLING/DECODING).  Requests that left the
-  engine's custody mid-run (cluster crash victims wound back by the
-  control plane) are deliberately skipped so the flush cannot clobber
-  control-plane resets.
-
-All columns are int64 and all commits are integer arithmetic, so the
-table is exact — equivalence with the scalar core is bit-identity, not
-tolerance (enforced by ``tests/test_vector_core.py``).
+The module stays importable only because the end-to-end benchmark
+harness (``benchmarks/e2e/layers.py``) still lists
+``repro.runtime.soa.RequestTable`` as a timed layer; its ``soa.calls``
+metric now reads 0.  Delete this file together with that harness target.
 """
 
 from __future__ import annotations

@@ -407,6 +407,45 @@ class TestUnknownNames:
         assert captured.err.count("\n") == 1
 
 
+class TestFleetSizeFlags:
+    """``--replicas`` and ``--max-concurrency`` below 1 are usage errors
+    (exit 2), not a silent default or a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv,flag,value",
+        [
+            (["cluster", "--model", "Mistral-7B", "--hardware", "A100",
+              "--framework", "vLLM", "--max-concurrency", "0"],
+             "--max-concurrency", "0"),
+            (["cluster", "--model", "Mistral-7B", "--hardware", "A100",
+              "--framework", "vLLM", "--max-concurrency", "-3"],
+             "--max-concurrency", "-3"),
+            (["cluster", "--model", "Mistral-7B", "--hardware", "A100",
+              "--framework", "vLLM", "--replicas", "0"], "--replicas", "0"),
+            (["scenario", "run", "chat-sharegpt", "--replicas", "0"],
+             "--replicas", "0"),
+            (["scenario", "run", "chat-sharegpt", "--max-concurrency", "0"],
+             "--max-concurrency", "0"),
+        ],
+        ids=["cluster-concurrency-0", "cluster-concurrency-neg",
+             "cluster-replicas-0", "scenario-replicas-0",
+             "scenario-concurrency-0"],
+    )
+    def test_exit_2_usage_error(self, capsys, argv, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: argument {flag}: must be >= 1, got {value}" in captured.err
+
+    def test_non_integer_keeps_int_message(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["cluster", "--model", "Mistral-7B", "--hardware", "A100",
+                  "--framework", "vLLM", "--replicas", "x"])
+        assert "argument --replicas: invalid int value: 'x'" in capsys.readouterr().err
+
+
 class TestWroteLines:
     def test_each_artifact_announced_once(self, capsys, tmp_path):
         trace = tmp_path / "trace.json"

@@ -167,6 +167,11 @@ class TestClusterSimulator:
         with pytest.raises(ValueError, match="num_replicas"):
             ClusterSimulator(_dep(), 0)
 
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_validates_max_concurrency(self, value):
+        with pytest.raises(ValueError, match="max_concurrency"):
+            ClusterSimulator(_dep(), 2, max_concurrency=value)
+
     def test_empty_trace_raises(self):
         with pytest.raises(ValueError, match="empty"):
             ClusterSimulator(_dep(), 2).run([])

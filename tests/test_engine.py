@@ -46,6 +46,15 @@ class TestBasicRuns:
         with pytest.raises(ValueError, match="empty"):
             _engine().run([])
 
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_max_concurrency_below_one_rejected(self, value):
+        with pytest.raises(ValueError, match="max_concurrency"):
+            _engine(max_concurrency=value)
+
+    def test_max_concurrency_none_means_1024(self):
+        assert _engine().max_concurrency == 1024
+        assert _engine(max_concurrency=None).max_concurrency == 1024
+
     def test_power_reported(self):
         result = _engine().run(fixed_batch_trace(2, 64, 64))
         spec = get_hardware("A100")

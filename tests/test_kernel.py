@@ -35,6 +35,7 @@ from repro.analysis.sweeps import find_peak_batch, throughput_curve
 from repro.cluster.simulator import ClusterSimulator
 from repro.runtime.engine import ServingEngine
 from repro.runtime.workload import fixed_batch_trace, open_loop_trace
+from tests.test_vector_core import random_trace
 
 REL_TOL = 1e-12
 
@@ -317,19 +318,47 @@ class TestEngineEquivalence:
             optimistic=True,
         )
 
-    def test_outstanding_counter_matches_scan(self):
+    @pytest.mark.parametrize(
+        "optimistic", [True, False], ids=["optimistic", "reserved"]
+    )
+    @pytest.mark.parametrize(
+        "model, make_trace, max_concurrency",
+        [
+            pytest.param(
+                "LLaMA-2-7B", lambda: fixed_batch_trace(24, 1800, 2200), 24,
+                id="fixed-batch",
+            ),
+            *(
+                pytest.param(
+                    "LLaMA-3-8B", lambda seed=seed: random_trace(seed), 6,
+                    id=f"random-{seed}",
+                )
+                for seed in (1, 2, 3)
+            ),
+        ],
+    )
+    def test_outstanding_counter_matches_scan(
+        self, model, make_trace, max_concurrency, optimistic
+    ):
         """The O(1) outstanding-token counter equals the O(n) reference scan
-        after every iteration — including preemption-heavy runs, where
-        recompute restores prefill debt."""
-        dep = _deployment("LLaMA-2-7B", "A100", "vLLM")
-        engine = ServingEngine(dep, max_concurrency=24, optimistic=True)
+        after every iteration, under both admission policies — including
+        preemption-heavy runs, where recompute restores prefill debt, and
+        random traces with chunked-prefill riders and single-token outputs.
+        No running request ever holds more tokens than its budget."""
+        dep = _deployment(model, "A100", "vLLM")
+        engine = ServingEngine(
+            dep, max_concurrency=max_concurrency, optimistic=optimistic
+        )
         run = engine.start()
-        for request in fixed_batch_trace(24, 1800, 2200):
+        for request in make_trace():
             run.submit(request)
             assert run.outstanding_tokens == run.outstanding_tokens_scan()
         while run.has_work:
             run.step()
             assert run.outstanding_tokens == run.outstanding_tokens_scan()
+            assert all(
+                r.generated_tokens <= r.output_tokens for r in run.scheduler.running
+            )
         assert run.outstanding_tokens == 0
 
     def test_cluster_run_matches_direct(self):

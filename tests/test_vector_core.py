@@ -1,14 +1,20 @@
-"""Scalar ↔ vectorized bit-identity for the event core (ISSUE 8).
+"""Engine and cluster against their per-token and linear-scan references.
 
-The vectorized core (``ServingEngine(core="vector")``) commits whole
-decode spans and rider chunks against a struct-of-arrays request table;
-the scalar core (``core="scalar"``) walks the same spans one token at a
-time through request objects.  Everything observable — ``EngineResult``
-numbers, per-request timestamps, trace events, profile reports, and the
-cluster's seed-deterministic control-plane JSON — must be *bit-identical*
-between the two, across the corner matrix (MI250 saturation, SN40L,
-MoE EP, disaggregation, faults, autoscaling, scenarios) and across a
-seeded randomized trace generator.
+The engine commits each decode span in one pass over the running
+requests (``ServingEngine._commit_span``).  The reference engine below
+commits the same spans one token at a time through
+``ServingEngine._commit_tokens``, and the reference cluster picks the
+next replica to step by a linear scan over the fleet instead of the
+masked argmin over the fleet arrays, running reference-engine replicas.
+Everything observable — ``EngineResult`` numbers, per-request
+timestamps, trace events, profile reports, and the cluster's
+seed-deterministic control-plane JSON — must be *bit-identical* between
+the two, across the corner matrix (MI250 saturation, SN40L, MoE EP,
+disaggregation, faults, autoscaling, scenarios) and across a seeded
+randomized trace generator.
+
+The file keeps the name it had when the engine shipped two cores, so the
+test IDs stay stable.
 """
 
 from __future__ import annotations
@@ -16,10 +22,12 @@ from __future__ import annotations
 import json
 import math
 import random
+from unittest import mock
 
 import pytest
 
 from repro.cluster import ClusterSimulator, DisaggregationSpec
+from repro.cluster import simulator as simulator_module
 from repro.control import (
     ControlPlane,
     FaultEvent,
@@ -34,7 +42,7 @@ from repro.models.zoo import get_model
 from repro.obs.tracer import EventTracer
 from repro.perf.parallelism import ParallelismPlan
 from repro.perf.phases import Deployment
-from repro.runtime.engine import ServingEngine, resolve_core
+from repro.runtime.engine import ServingEngine
 from repro.runtime.loadgen import summarize_requests
 from repro.runtime.workload import fixed_batch_trace, open_loop_trace, poisson_trace
 from repro.scenarios import get_scenario
@@ -82,10 +90,39 @@ def _assert_results_identical(a, b) -> None:
         assert x.preemptions == y.preemptions
 
 
+class _PerTokenEngine(ServingEngine):
+    """Reference engine: commits every decode span token by token."""
+
+    _commit_span = ServingEngine._commit_tokens
+
+
+class _ScanCluster(ClusterSimulator):
+    """Reference cluster: linear-scan replica selection over
+    per-token reference replicas."""
+
+    def _select(self, bound):
+        candidates = [
+            r
+            for r in self._replicas
+            if r.alive and r.has_work and (bound is None or r.now < bound)
+        ]
+        if not candidates:
+            return None
+        return min(candidates, key=lambda r: (r.now, r.index))
+
+    def run(self, trace):
+        with mock.patch.object(simulator_module, "ServingEngine", _PerTokenEngine):
+            return super().run(trace)
+
+
+ENGINES = {"reference": _PerTokenEngine, "engine": ServingEngine}
+CLUSTERS = {"reference": _ScanCluster, "engine": ClusterSimulator}
+
+
 def _run_pair(dep: Deployment, trace, **engine_kwargs):
-    scalar = ServingEngine(dep, core="scalar", **engine_kwargs).run(_clone(trace))
-    vector = ServingEngine(dep, core="vector", **engine_kwargs).run(_clone(trace))
-    return scalar, vector
+    reference = _PerTokenEngine(dep, **engine_kwargs).run(_clone(trace))
+    engine = ServingEngine(dep, **engine_kwargs).run(_clone(trace))
+    return reference, engine
 
 
 # ----------------------------------------------------------------------
@@ -131,27 +168,27 @@ ENGINE_CASES = [
 class TestEngineEquivalence:
     @pytest.mark.parametrize("make_trace, kwargs", ENGINE_CASES)
     def test_workload_bit_identity(self, make_trace, kwargs):
-        scalar, vector = _run_pair(_dep(), make_trace(), **kwargs)
-        _assert_results_identical(scalar, vector)
+        reference, engine = _run_pair(_dep(), make_trace(), **kwargs)
+        _assert_results_identical(reference, engine)
 
     def test_static_batching(self):
         dep = _dep("LLaMA-2-7B", "A100", "llama.cpp")
-        scalar, vector = _run_pair(
+        reference, engine = _run_pair(
             dep, fixed_batch_trace(6, 64, 24), max_concurrency=2
         )
-        _assert_results_identical(scalar, vector)
-        assert vector.scheduler_stats.admission_rounds == 3
+        _assert_results_identical(reference, engine)
+        assert engine.scheduler_stats.admission_rounds == 3
 
     def test_optimistic_preemption_path(self):
-        """Optimistic (vLLM preempt-and-recompute) always runs scalar
-        commits, so ``core="vector"`` must be a strict no-op there."""
+        """Optimistic (vLLM preempt-and-recompute) always commits token by
+        token, so the reference's override must be a strict no-op there."""
         dep = _dep("LLaMA-2-7B")
         trace = fixed_batch_trace(24, 1800, 2200)  # overpacks the KV pool
-        scalar, vector = _run_pair(
+        reference, engine = _run_pair(
             dep, trace, optimistic=True, max_concurrency=24
         )
-        _assert_results_identical(scalar, vector)
-        assert vector.scheduler_stats.preemptions > 0
+        _assert_results_identical(reference, engine)
+        assert engine.scheduler_stats.preemptions > 0
 
 
 class TestCornerDeployments:
@@ -175,24 +212,22 @@ class TestCornerDeployments:
     def test_corner_bit_identity(self, model, hw, fw, plan):
         dep = _dep(model, hw, fw, plan=plan)
         trace = open_loop_trace(20, 3.0, 320, 96, seed=17)
-        scalar, vector = _run_pair(dep, trace, max_concurrency=8)
-        _assert_results_identical(scalar, vector)
+        reference, engine = _run_pair(dep, trace, max_concurrency=8)
+        _assert_results_identical(reference, engine)
 
 
 class TestObservabilityEquivalence:
     def test_trace_events_identical(self):
         trace = open_loop_trace(16, 5.0, 256, 64, seed=21)
         events = {}
-        for core in ("scalar", "vector"):
+        for name, cls in ENGINES.items():
             tracer = EventTracer()
             clone = _clone(trace)
-            ServingEngine(
-                _dep(), max_concurrency=8, tracer=tracer, core=core
-            ).run(clone)
+            cls(_dep(), max_concurrency=8, tracer=tracer).run(clone)
             # request_id is a process-global counter: normalize to trace
             # position so the two runs compare on structure and timing.
             remap = {r.request_id: i for i, r in enumerate(clone)}
-            events[core] = [
+            events[name] = [
                 (
                     e.name,
                     e.category,
@@ -206,32 +241,30 @@ class TestObservabilityEquivalence:
                 )
                 for e in tracer.events
             ]
-        assert events["scalar"] == events["vector"]
+        assert events["reference"] == events["engine"]
 
     def test_profile_reports_identical(self):
         trace = open_loop_trace(16, 5.0, 256, 64, seed=23)
         reports = {}
-        for core in ("scalar", "vector"):
-            result = ServingEngine(
-                _dep(), max_concurrency=8, profile=True, core=core
-            ).run(_clone(trace))
-            reports[core] = result.profile.to_json_dict()
-        assert json.dumps(reports["scalar"], sort_keys=True) == json.dumps(
-            reports["vector"], sort_keys=True
+        for name, cls in ENGINES.items():
+            result = cls(_dep(), max_concurrency=8, profile=True).run(_clone(trace))
+            reports[name] = result.profile.to_json_dict()
+        assert json.dumps(reports["reference"], sort_keys=True) == json.dumps(
+            reports["engine"], sort_keys=True
         )
 
     def test_metrics_gauges_identical(self):
         trace = open_loop_trace(16, 5.0, 256, 64, seed=25)
         snapshots = {}
-        for core in ("scalar", "vector"):
-            result = ServingEngine(
-                _dep(), max_concurrency=8, tracer=EventTracer(), core=core
-            ).run(_clone(trace))
+        for name, cls in ENGINES.items():
+            result = cls(_dep(), max_concurrency=8, tracer=EventTracer()).run(
+                _clone(trace)
+            )
             assert result.metrics is not None
-            snapshots[core] = json.dumps(
+            snapshots[name] = json.dumps(
                 result.metrics.to_json_dict(), sort_keys=True
             )
-        assert snapshots["scalar"] == snapshots["vector"]
+        assert snapshots["reference"] == snapshots["engine"]
 
 
 # ----------------------------------------------------------------------
@@ -269,58 +302,50 @@ class TestRandomizedEquivalence:
     @pytest.mark.parametrize("seed", range(8))
     def test_random_trace_bit_identity(self, seed):
         trace = random_trace(seed)
-        scalar, vector = _run_pair(
+        reference, engine = _run_pair(
             _dep(), trace, max_concurrency=4 + seed % 13
         )
-        _assert_results_identical(scalar, vector)
+        _assert_results_identical(reference, engine)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_trace_cluster_bit_identity(self, seed):
         trace = random_trace(100 + seed, n=32)
         out = {}
-        for core in ("scalar", "vector"):
-            result = ClusterSimulator(
-                _dep(), 3, max_concurrency=6, core=core
-            ).run(_clone(trace))
-            out[core] = json.dumps(result.to_json_dict(), sort_keys=True)
-        assert out["scalar"] == out["vector"]
+        for name, cls in CLUSTERS.items():
+            result = cls(_dep(), 3, max_concurrency=6).run(_clone(trace))
+            out[name] = json.dumps(result.to_json_dict(), sort_keys=True)
+        assert out["reference"] == out["engine"]
 
 
 # ----------------------------------------------------------------------
 # Cluster matrix: routing, disagg, faults, autoscale, scenarios
 
 
-def _cluster_json(core: str, *, trace, replicas=2, **kwargs) -> str:
-    result = ClusterSimulator(_dep(), replicas, core=core, **kwargs).run(
-        _clone(trace)
-    )
+def _cluster_json(name: str, *, trace, replicas=2, **kwargs) -> str:
+    result = CLUSTERS[name](_dep(), replicas, **kwargs).run(_clone(trace))
     return json.dumps(result.to_json_dict(), sort_keys=True)
 
 
 class TestClusterEquivalence:
     def test_multi_replica(self):
         trace = open_loop_trace(48, 6.0, 256, 96, seed=11)
-        assert _cluster_json("scalar", trace=trace, replicas=3) == _cluster_json(
-            "vector", trace=trace, replicas=3
+        assert _cluster_json("reference", trace=trace, replicas=3) == _cluster_json(
+            "engine", trace=trace, replicas=3
         )
 
     def test_single_replica_matches_engine(self):
         """A 1-replica cluster steps its engine through the same event
         horizons the standalone engine computes for itself."""
         trace = open_loop_trace(24, 4.0, 256, 64, seed=31)
-        cluster = ClusterSimulator(_dep(), 1, max_concurrency=8, core="vector").run(
-            _clone(trace)
-        )
-        engine = ServingEngine(_dep(), max_concurrency=8, core="vector").run(
-            _clone(trace)
-        )
+        cluster = ClusterSimulator(_dep(), 1, max_concurrency=8).run(_clone(trace))
+        engine = ServingEngine(_dep(), max_concurrency=8).run(_clone(trace))
         assert cluster.makespan_s == engine.total_time_s
 
     def test_disaggregated(self):
         trace = open_loop_trace(32, 5.0, 512, 64, seed=19)
         kwargs = dict(disaggregation=DisaggregationSpec(num_prefill_replicas=1))
-        assert _cluster_json("scalar", trace=trace, **kwargs) == _cluster_json(
-            "vector", trace=trace, **kwargs
+        assert _cluster_json("reference", trace=trace, **kwargs) == _cluster_json(
+            "engine", trace=trace, **kwargs
         )
 
     def test_crash_faults_with_retry(self):
@@ -332,12 +357,12 @@ class TestClusterEquivalence:
             retry=RetryPolicy(max_retries=3),
         )
         assert _cluster_json(
-            "scalar", trace=trace, control=control
-        ) == _cluster_json("vector", trace=trace, control=control)
+            "reference", trace=trace, control=control
+        ) == _cluster_json("engine", trace=trace, control=control)
 
     def test_all_replicas_crash_failed_conventions(self):
         """All-failed runs keep summarize_requests NaN/0 conventions
-        identical across cores (the NaN-safety audit)."""
+        identical to the reference (the NaN-safety audit)."""
         trace = open_loop_trace(16, 8.0, 256, 64, seed=3)
         control = ControlPlane(
             faults=FaultSchedule(
@@ -349,13 +374,11 @@ class TestClusterEquivalence:
             retry=RetryPolicy(max_retries=1),
         )
         out = {}
-        for core in ("scalar", "vector"):
-            result = ClusterSimulator(_dep(), 2, core=core, control=control).run(
-                _clone(trace)
-            )
+        for name, cls in CLUSTERS.items():
+            result = cls(_dep(), 2, control=control).run(_clone(trace))
             assert result.failed_requests > 0
-            out[core] = json.dumps(result.to_json_dict(), sort_keys=True)
-        assert out["scalar"] == out["vector"]
+            out[name] = json.dumps(result.to_json_dict(), sort_keys=True)
+        assert out["reference"] == out["engine"]
 
     def test_autoscale(self):
         trace = open_loop_trace(40, 8.0, 256, 64, seed=3)
@@ -364,10 +387,10 @@ class TestClusterEquivalence:
             tick_interval_s=0.25,
         )
         a = _cluster_json(
-            "scalar", trace=trace, replicas=1, max_concurrency=4, control=control
+            "reference", trace=trace, replicas=1, max_concurrency=4, control=control
         )
         b = _cluster_json(
-            "vector", trace=trace, replicas=1, max_concurrency=4, control=control
+            "engine", trace=trace, replicas=1, max_concurrency=4, control=control
         )
         assert a == b
 
@@ -375,28 +398,16 @@ class TestClusterEquivalence:
     def test_scenario_traces(self, name):
         trace = get_scenario(name).build(seed=5)[:64]
         kwargs = dict(replicas=2, max_concurrency=8, prefix_cache_slots=32)
-        assert _cluster_json("scalar", trace=trace, **kwargs) == _cluster_json(
-            "vector", trace=trace, **kwargs
+        assert _cluster_json("reference", trace=trace, **kwargs) == _cluster_json(
+            "engine", trace=trace, **kwargs
         )
 
 
 # ----------------------------------------------------------------------
-# Core selection plumbing, cached aggregates, NaN safety
+# Scheduler bookkeeping, cached aggregates, NaN safety
 
 
 class TestCoreSelection:
-    def test_resolve_core_default_and_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE_CORE", raising=False)
-        assert resolve_core(None) == "vector"
-        monkeypatch.setenv("REPRO_ENGINE_CORE", "scalar")
-        assert resolve_core(None) == "scalar"
-        assert resolve_core("vector") == "vector"  # explicit beats env
-
-    def test_invalid_core_rejected(self):
-        for core in ("simd", "legacy"):
-            with pytest.raises(ValueError, match="core"):
-                ServingEngine(_dep(), core=core)
-
     def test_scheduler_arrival_index_tracks_waiting(self):
         """The sorted arrival multiset stays equal to the waiting set's
         arrival times through admission and preemption churn."""
@@ -430,20 +441,20 @@ class TestResultCaching:
 
 class TestNaNSafety:
     def test_empty_trace_rejected_both_cores(self):
-        for core in ("scalar", "vector"):
+        for cls in ENGINES.values():
             with pytest.raises(ValueError, match="empty"):
-                ServingEngine(_dep(), core=core).run([])
+                cls(_dep()).run([])
 
     def test_single_token_outputs_no_decode_span(self):
-        scalar, vector = _run_pair(_dep(), fixed_batch_trace(4, 64, 1))
-        _assert_results_identical(scalar, vector)
-        assert vector.decode_steps == 0
-        assert vector.mean_itl_s == 0.0
-        assert not math.isnan(vector.mean_ttft_s)
+        reference, engine = _run_pair(_dep(), fixed_batch_trace(4, 64, 1))
+        _assert_results_identical(reference, engine)
+        assert engine.decode_steps == 0
+        assert engine.mean_itl_s == 0.0
+        assert not math.isnan(engine.mean_ttft_s)
 
     def test_summary_conventions_match(self):
         trace = open_loop_trace(12, 4.0, 256, 64, seed=29)
-        scalar, vector = _run_pair(_dep(), trace, max_concurrency=8)
-        a = summarize_requests(scalar.requests, scalar.total_time_s, 4.0)
-        b = summarize_requests(vector.requests, vector.total_time_s, 4.0)
+        reference, engine = _run_pair(_dep(), trace, max_concurrency=8)
+        a = summarize_requests(reference.requests, reference.total_time_s, 4.0)
+        b = summarize_requests(engine.requests, engine.total_time_s, 4.0)
         assert repr(a) == repr(b)  # dataclass repr covers NaN fields exactly
