@@ -63,6 +63,7 @@ from repro.obs.metrics import (
 )
 from repro.obs.profiler import ProfileReport, merge_profiles
 from repro.obs.telemetry import (
+    FAST_WINDOW_S,
     NULL_TELEMETRY,
     TelemetryHub,
     TelemetrySnapshot,
@@ -330,7 +331,7 @@ class ClusterSimulator:
     :class:`~repro.control.autoscale.BurnRateAutoscaler`, which consumes
     its burn-rate signal); ``None`` keeps the null bus and results
     bit-identical.  Pass a fresh :class:`Router` (and hub) per run —
-    both carry state (cursors, prefix homes, ring buffers).
+    both carry state (cursors, prefix homes, telemetry series).
     """
 
     def __init__(
@@ -559,9 +560,7 @@ class ClusterSimulator:
             else self.telemetry.tick_interval_s
         )
         self._telemetry_view = (
-            TelemetryFleetView(
-                self.telemetry, window_s=self.telemetry.budget.fast_window_s
-            )
+            TelemetryFleetView(self.telemetry, window_s=FAST_WINDOW_S)
             if (self._telemetry_on and self.profiled)
             else None
         )
@@ -1005,7 +1004,7 @@ class ClusterSimulator:
         hub.sample(f"{prefix}.bytes", ts, totals["bytes"], unit="bytes")
         hub.sample(f"{prefix}.energy_j", ts, totals["energy_j"], unit="J")
         hub.sample(f"{prefix}.tokens", ts, totals["tokens"], unit="tokens")
-        window = hub.budget.fast_window_s
+        window = FAST_WINDOW_S
         # A freshly scaled replica has existed for less than a full
         # window; normalize by its actual lifetime inside the window.
         elapsed = min(window, ts - replica.created_s)

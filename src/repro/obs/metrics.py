@@ -74,43 +74,66 @@ class Counter:
 
 
 class Gauge:
-    """Sampled value over time (queue depth, KV occupancy, batch size)."""
+    """Sampled value over time (queue depth, KV occupancy, batch size).
 
-    __slots__ = ("name", "samples")
+    Keeps the statistics a snapshot reports, not the samples: last,
+    minimum, maximum, the time-weighted area and the count.  Each is
+    updated in the order a scan of the samples would visit them, so the
+    results equal the built-ins ``min``/``max``/``sum`` over the full
+    sample list bit for bit (NaN placement and int-valued stats
+    included).
+    """
+
+    __slots__ = (
+        "name", "last", "minimum", "maximum", "count",
+        "_first_ts", "_last_ts", "_area", "_tied",
+    )
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self.samples: list[tuple[float, float]] = []  # (ts_s, value)
+        self.last = self.minimum = self.maximum = float("nan")
+        self.count = 0
+        self._first_ts = self._last_ts = 0.0
+        self._area = 0.0  # sum of value * interval it was held
+        self._tied: list[float] = []  # values set at the first timestamp
 
     def set(self, value: float, ts_s: float = 0.0) -> None:
         # Samples must arrive in time order: the time-weighted mean and
         # hold-last semantics silently corrupt on a rewound clock, so an
         # out-of-order set fails loudly (equal timestamps are fine — the
         # engine samples several gauges at the same instant).
-        if self.samples and ts_s < self.samples[-1][0]:
-            raise ValueError(
-                f"out-of-order sample on gauge {self.name!r}: "
-                f"ts {ts_s} < last ts {self.samples[-1][0]}"
-            )
-        self.samples.append((ts_s, value))
-
-    @property
-    def last(self) -> float:
-        return self.samples[-1][1] if self.samples else float("nan")
+        if not self.count:
+            self.minimum = self.maximum = value
+            self._first_ts = ts_s
+        else:
+            if ts_s < self._last_ts:
+                raise ValueError(
+                    f"out-of-order sample on gauge {self.name!r}: "
+                    f"ts {ts_s} < last ts {self._last_ts}"
+                )
+            self._area += self.last * (ts_s - self._last_ts)
+            if value < self.minimum:
+                self.minimum = value
+            if value > self.maximum:
+                self.maximum = value
+        if ts_s == self._first_ts:
+            self._tied.append(value)
+        self.last = value
+        self._last_ts = ts_s
+        self.count += 1
 
     def time_weighted_mean(self) -> float:
         """Mean weighted by the interval each sample was in effect."""
-        if not self.samples:
+        if not self.count:
             return float("nan")
-        if len(self.samples) == 1:
-            return self.samples[0][1]
-        total = 0.0
-        span = self.samples[-1][0] - self.samples[0][0]
+        if self.count == 1:
+            return self.last
+        span = self._last_ts - self._first_ts
         if span <= 0.0:
-            return sum(v for _, v in self.samples) / len(self.samples)
-        for (t0, v), (t1, _) in zip(self.samples, self.samples[1:]):
-            total += v * (t1 - t0)
-        return total / span
+            # Timestamps are monotone: a zero span means every sample
+            # was set at the first timestamp.
+            return sum(self._tied) / len(self._tied)
+        return self._area / span
 
 
 class Histogram:
@@ -348,19 +371,18 @@ class MetricsRegistry:
         return inst
 
     def snapshot(self) -> MetricsSnapshot:
-        gauges = {}
-        for name, g in self._gauges.items():
-            values = [v for _, v in g.samples]
-            gauges[name] = GaugeStats(
-                last=g.last,
-                minimum=min(values) if values else float("nan"),
-                maximum=max(values) if values else float("nan"),
-                time_weighted_mean=g.time_weighted_mean(),
-                num_samples=len(values),
-            )
         return MetricsSnapshot(
             counters={name: c.value for name, c in self._counters.items()},
-            gauges=gauges,
+            gauges={
+                name: GaugeStats(
+                    last=g.last,
+                    minimum=g.minimum,
+                    maximum=g.maximum,
+                    time_weighted_mean=g.time_weighted_mean(),
+                    num_samples=g.count,
+                )
+                for name, g in self._gauges.items()
+            },
             histograms={
                 name: HistogramStats(
                     count=h.count,

@@ -5,8 +5,9 @@ a production fleet is operated on *streaming* signals — windowed rates,
 error budgets, burn-rate alerts.  This module gives the simulator that
 live telemetry plane:
 
-* :class:`TimeSeries` — numpy-backed ring buffers with windowed
-  aggregations (sliding-window rate/delta, EWMA, time-weighted mean);
+* :class:`TimeSeries` — bounded sample lists with the two windowed
+  reads the hub and the autoscaler use (sliding-window ``delta`` of a
+  cumulative counter, the raw ``window`` behind a quantile);
 * :class:`QuantileSketch` — a deterministic fixed-bucket sketch for
   windowed p95 TTFT/ITL (no data-dependent rebalancing, so same-seed
   runs produce byte-identical series);
@@ -24,7 +25,7 @@ this module.
 
 Determinism contract: completions can be *recorded* slightly out of
 order (replicas retire past the control tick they straddle), so the hub
-buffers them and flushes into the ring buffers sorted by
+buffers them and flushes into the series sorted by
 ``(timestamp, arrival order)`` at each tick — only events at or before
 the tick are flushed, which keeps every series monotone in time and
 makes the exported JSON a pure function of the seed.
@@ -33,6 +34,7 @@ makes the exported JSON a pure function of the seed.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -56,93 +58,65 @@ __all__ = [
 
 #: Seconds between telemetry control ticks.
 TICK_INTERVAL_S = 0.5
-#: Samples each :class:`TimeSeries` channel keeps (ring-buffer capacity).
+#: Samples each :class:`TimeSeries` channel keeps (oldest dropped first).
 SERIES_CAPACITY = 4096
+#: :class:`QuantileSketch` bucket range (seconds) and bucket count.
+SKETCH_LO = 1e-4
+SKETCH_HI = 1e4
+SKETCH_BUCKETS = 128
+SKETCH_EDGES = np.geomspace(SKETCH_LO, SKETCH_HI, SKETCH_BUCKETS + 1)
+#: :class:`SloBudget` burn windows (simulated seconds) and alert thresholds.
+FAST_WINDOW_S = 5.0
+SLOW_WINDOW_S = 30.0
+PAGE_THRESHOLD = 8.0
+TICKET_THRESHOLD = 2.0
+#: ``(alert name, severity, threshold)`` of each burn-rate rule.
+BURN_RULES = (
+    ("slo-burn-page", "page", PAGE_THRESHOLD),
+    ("slo-burn-ticket", "ticket", TICKET_THRESHOLD),
+)
 
 
 class TimeSeries:
-    """Fixed-capacity ring buffer of ``(ts_s, value)`` samples.
+    """Bounded list of ``(ts_s, value)`` samples, oldest first.
 
     Timestamps must be non-decreasing (``append`` fails loudly
-    otherwise); when the buffer is full the oldest samples are dropped,
-    which is safe for the windowed aggregations because windows are
-    always much shorter than the buffer at control-tick sampling rates.
+    otherwise); past :data:`SERIES_CAPACITY` samples the oldest is
+    dropped, which is safe for the windowed reads because windows are
+    always much shorter than the series at control-tick sampling rates.
     """
 
-    __slots__ = ("name", "unit", "capacity", "_ts", "_values", "_size", "_head")
+    __slots__ = ("name", "unit", "_ts", "_values")
 
-    def __init__(self, name: str, unit: str = "", capacity: int = SERIES_CAPACITY):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
+    def __init__(self, name: str, unit: str = ""):
         self.name = name
         self.unit = unit
-        self.capacity = capacity
-        self._ts = np.empty(capacity, dtype=np.float64)
-        self._values = np.empty(capacity, dtype=np.float64)
-        self._size = 0
-        self._head = 0  # next write slot
-
-    def __len__(self) -> int:
-        return self._size
+        self._ts: list[float] = []
+        self._values: list[float] = []
 
     def append(self, ts_s: float, value: float) -> None:
         ts_s = float(ts_s)
-        if self._size:
-            last = float(self._ts[(self._head - 1) % self.capacity])
-            if ts_s < last:
-                raise ValueError(
-                    f"out-of-order sample on series {self.name!r}: "
-                    f"ts {ts_s} < last ts {last}"
-                )
-        self._ts[self._head] = ts_s
-        self._values[self._head] = value
-        self._head = (self._head + 1) % self.capacity
-        self._size = min(self._size + 1, self.capacity)
-
-    def timestamps(self) -> np.ndarray:
-        """Samples' timestamps, oldest first (contiguous copy)."""
-        if self._size < self.capacity:
-            return self._ts[: self._size].copy()
-        return np.concatenate((self._ts[self._head :], self._ts[: self._head]))
-
-    def values(self) -> np.ndarray:
-        """Samples' values, oldest first (contiguous copy)."""
-        if self._size < self.capacity:
-            return self._values[: self._size].copy()
-        return np.concatenate(
-            (self._values[self._head :], self._values[: self._head])
-        )
-
-    @property
-    def last(self) -> float:
-        if not self._size:
-            return float("nan")
-        return float(self._values[(self._head - 1) % self.capacity])
-
-    @property
-    def last_ts(self) -> float:
-        if not self._size:
-            return float("nan")
-        return float(self._ts[(self._head - 1) % self.capacity])
+        if self._ts and ts_s < self._ts[-1]:
+            raise ValueError(
+                f"out-of-order sample on series {self.name!r}: "
+                f"ts {ts_s} < last ts {self._ts[-1]}"
+            )
+        self._ts.append(ts_s)
+        self._values.append(float(value))  # exported JSON prints floats
+        if len(self._ts) > SERIES_CAPACITY:
+            del self._ts[0]
+            del self._values[0]
 
     def value_at(self, ts_s: float, default: float = float("nan")) -> float:
         """Value of the last sample at or before ``ts_s`` (hold-last)."""
-        if not self._size:
-            return default
-        ts = self.timestamps()
-        idx = int(np.searchsorted(ts, ts_s, side="right")) - 1
-        if idx < 0:
-            return default
-        return float(self.values()[idx])
+        idx = bisect_right(self._ts, ts_s) - 1
+        return self._values[idx] if idx >= 0 else default
 
-    def window(self, window_s: float, now_s: float) -> np.ndarray:
+    def window(self, window_s: float, now_s: float) -> list[float]:
         """Values of samples with ``now_s - window_s < ts <= now_s``."""
-        if not self._size:
-            return np.empty(0, dtype=np.float64)
-        ts = self.timestamps()
-        lo = int(np.searchsorted(ts, now_s - window_s, side="right"))
-        hi = int(np.searchsorted(ts, now_s, side="right"))
-        return self.values()[lo:hi]
+        lo = bisect_right(self._ts, now_s - window_s)
+        hi = bisect_right(self._ts, now_s)
+        return self._values[lo:hi]
 
     def delta(self, window_s: float, now_s: float) -> float:
         """Change of a cumulative counter over the trailing window.
@@ -151,90 +125,36 @@ class TimeSeries:
         window opening before the series started measures growth since
         the start — the standard convention for monotone counters.
         """
-        if not self._size:
+        if not self._ts:
             return float("nan")
         end = self.value_at(now_s, default=0.0)
         start = self.value_at(now_s - window_s, default=0.0)
         return end - start
 
-    def rate(self, window_s: float, now_s: float) -> float:
-        """Sliding-window rate of a cumulative counter (per second)."""
-        if window_s <= 0:
-            raise ValueError("window_s must be positive")
-        d = self.delta(window_s, now_s)
-        if math.isnan(d):
-            return float("nan")
-        return d / window_s
-
-    def ewma(self, tau_s: float) -> float:
-        """Exponentially weighted moving average with time constant
-        ``tau_s`` (irregular sampling: ``alpha = 1 - exp(-dt/tau)``)."""
-        if tau_s <= 0:
-            raise ValueError("tau_s must be positive")
-        if not self._size:
-            return float("nan")
-        ts = self.timestamps()
-        values = self.values()
-        acc = float(values[0])
-        for i in range(1, len(values)):
-            dt = float(ts[i] - ts[i - 1])
-            alpha = 1.0 - math.exp(-dt / tau_s)
-            acc += alpha * (float(values[i]) - acc)
-        return acc
-
-    def time_weighted_mean(self, now_s: float | None = None) -> float:
-        """Hold-last time-weighted mean from the first sample to
-        ``now_s`` (default: the last sample's timestamp).  A series with
-        a single sample reports that value."""
-        if not self._size:
-            return float("nan")
-        ts = self.timestamps()
-        values = self.values()
-        if now_s is None:
-            now_s = float(ts[-1])
-        span = now_s - float(ts[0])
-        if self._size == 1 or span <= 0:
-            return float(np.mean(values))
-        bounds = np.append(ts, now_s)
-        weights = np.diff(bounds)
-        return float(np.dot(values, weights) / span)
-
     def to_json_dict(self) -> dict:
         return {
             "unit": self.unit,
-            "ts_s": [json_num(float(t)) for t in self.timestamps()],
-            "values": [json_num(float(v)) for v in self.values()],
+            "ts_s": [json_num(t) for t in self._ts],
+            "values": [json_num(v) for v in self._values],
         }
-
-    @classmethod
-    def from_json_dict(cls, name: str, payload: dict) -> "TimeSeries":
-        ts = [from_json_num(t) for t in payload["ts_s"]]
-        series = cls(name, unit=payload["unit"], capacity=max(len(ts), 1))
-        for t, v in zip(ts, (from_json_num(v) for v in payload["values"])):
-            series.append(t, v)
-        return series
 
 
 class QuantileSketch:
     """Deterministic fixed-bucket quantile sketch.
 
-    Log-spaced bucket edges (default 1e-4 .. 1e4, suited to latencies
-    in seconds); quantiles interpolate linearly within a bucket and are
-    clamped to the observed min/max.  Accuracy is bounded by bucket
+    :data:`SKETCH_BUCKETS` log-spaced buckets over :data:`SKETCH_LO` ..
+    :data:`SKETCH_HI` (1e-4 .. 1e4, suited to latencies in seconds);
+    quantiles interpolate linearly within a bucket and are clamped to
+    the observed min/max.  Accuracy is bounded by bucket
     width; determinism is exact — no data-dependent restructuring, so
     same-seed runs produce identical sketches.
     """
 
-    __slots__ = ("_edges", "_counts", "_count", "_min", "_max")
+    __slots__ = ("_counts", "_count", "_min", "_max")
 
-    def __init__(self, lo: float = 1e-4, hi: float = 1e4, buckets: int = 128):
-        if not (0 < lo < hi):
-            raise ValueError("need 0 < lo < hi")
-        if buckets < 1:
-            raise ValueError("need at least one bucket")
-        self._edges = np.geomspace(lo, hi, buckets + 1)
+    def __init__(self):
         # underflow + buckets + overflow
-        self._counts = np.zeros(buckets + 2, dtype=np.int64)
+        self._counts = np.zeros(SKETCH_BUCKETS + 2, dtype=np.int64)
         self._count = 0
         self._min = float("inf")
         self._max = float("-inf")
@@ -247,12 +167,12 @@ class QuantileSketch:
         value = float(value)
         if math.isnan(value):
             raise ValueError("cannot add NaN to a quantile sketch")
-        if value < self._edges[0]:
+        if value < SKETCH_EDGES[0]:
             idx = 0
-        elif value >= self._edges[-1]:
+        elif value >= SKETCH_EDGES[-1]:
             idx = len(self._counts) - 1
         else:
-            idx = int(np.searchsorted(self._edges, value, side="right"))
+            idx = int(np.searchsorted(SKETCH_EDGES, value, side="right"))
         self._counts[idx] += 1
         self._count += 1
         self._min = min(self._min, value)
@@ -273,8 +193,8 @@ class QuantileSketch:
                     return self._min
                 if idx == len(self._counts) - 1:
                     return self._max
-                lo = float(self._edges[idx - 1])
-                hi = float(self._edges[idx])
+                lo = float(SKETCH_EDGES[idx - 1])
+                hi = float(SKETCH_EDGES[idx])
                 frac = (rank - cum + 1.0) / (bucket_count + 1.0)
                 value = lo + frac * (hi - lo)
                 return min(max(value, self._min), self._max)
@@ -289,7 +209,7 @@ def windowed_quantile(
     sketch (deterministic; NaN when the window is empty)."""
     sketch = QuantileSketch()
     for value in series.window(window_s, now_s):
-        sketch.add(float(value))
+        sketch.add(value)
     return sketch.quantile(q)
 
 
@@ -347,33 +267,17 @@ class SloBudget:
     its threshold and resolves when the fast window drops back under;
     NaN burn (no traffic in the window) never transitions state.
 
-    Windows default to 5 s / 30 s of simulated time — the scaled-down
-    analogue of the 5 m / 1 h pair used for wall-clock fleets.
+    The windows are 5 s / 30 s of simulated time — the scaled-down
+    analogue of the 5 m / 1 h pair used for wall-clock fleets — and the
+    page/ticket thresholds 8x / 2x (the module constants above).
     """
 
-    def __init__(
-        self,
-        attainment_target: float = 0.95,
-        fast_window_s: float = 5.0,
-        slow_window_s: float = 30.0,
-        page_threshold: float = 8.0,
-        ticket_threshold: float = 2.0,
-    ):
+    def __init__(self, attainment_target: float = 0.95):
         if not 0.0 < attainment_target < 1.0:
             raise ValueError("attainment_target must be in (0, 1)")
-        if not 0.0 < fast_window_s < slow_window_s:
-            raise ValueError("need 0 < fast_window_s < slow_window_s")
-        if not 0.0 < ticket_threshold <= page_threshold:
-            raise ValueError("need 0 < ticket_threshold <= page_threshold")
         self.attainment_target = attainment_target
         self.error_budget = 1.0 - attainment_target
-        self.fast_window_s = fast_window_s
-        self.slow_window_s = slow_window_s
-        self.rules = (
-            ("slo-burn-page", "page", page_threshold),
-            ("slo-burn-ticket", "ticket", ticket_threshold),
-        )
-        self._firing: dict[str, bool] = {name: False for name, _, _ in self.rules}
+        self._firing: dict[str, bool] = {name: False for name, _, _ in BURN_RULES}
 
     def burn_rate(
         self, good: TimeSeries, total: TimeSeries, window_s: float, now_s: float
@@ -392,12 +296,12 @@ class SloBudget:
         self, now_s: float, good: TimeSeries, total: TimeSeries
     ) -> tuple[float, float, list[Alert]]:
         """Evaluate both windows; return ``(fast, slow, transitions)``."""
-        fast = self.burn_rate(good, total, self.fast_window_s, now_s)
-        slow = self.burn_rate(good, total, self.slow_window_s, now_s)
+        fast = self.burn_rate(good, total, FAST_WINDOW_S, now_s)
+        slow = self.burn_rate(good, total, SLOW_WINDOW_S, now_s)
         transitions: list[Alert] = []
         if math.isnan(fast):
             return fast, slow, transitions
-        for name, severity, threshold in self.rules:
+        for name, severity, threshold in BURN_RULES:
             firing = self._firing[name]
             if (
                 not firing
@@ -408,13 +312,13 @@ class SloBudget:
                 self._firing[name] = True
                 transitions.append(
                     Alert(name, severity, "firing", now_s,
-                          self.fast_window_s, fast, threshold)
+                          FAST_WINDOW_S, fast, threshold)
                 )
             elif firing and fast <= threshold:
                 self._firing[name] = False
                 transitions.append(
                     Alert(name, severity, "resolved", now_s,
-                          self.fast_window_s, fast, threshold)
+                          FAST_WINDOW_S, fast, threshold)
                 )
         return fast, slow, transitions
 
@@ -531,7 +435,7 @@ class TelemetryHub:
 
         Completions may arrive slightly out of order (replicas retire
         past the tick they straddle); the buffer is flushed sorted by
-        ``(ts, arrival order)`` so the ring buffers stay monotone.
+        ``(ts, arrival order)`` so the series stay monotone.
         """
         self._pending.append(
             _PendingCompletion(float(ts_s), self._seq, ttft_s, itl_s, bool(good), tenant)
@@ -641,23 +545,23 @@ class TelemetryHub:
         self.sample(
             "slo.attainment",
             now_s,
-            self.windowed_attainment(self.budget.fast_window_s, now_s),
+            self.windowed_attainment(FAST_WINDOW_S, now_s),
         )
         self.sample(
             "slo.ttft_p95_s",
             now_s,
-            self.windowed_ttft_p95(self.budget.fast_window_s, now_s),
+            self.windowed_ttft_p95(FAST_WINDOW_S, now_s),
             unit="s",
         )
         for tenant in sorted(self._tenant_counts):
             total = self.series(f"tenant.{tenant}.requests_total").delta(
-                self.budget.fast_window_s, now_s
+                FAST_WINDOW_S, now_s
             )
             if math.isnan(total) or total <= 0:
                 attainment = float("nan")
             else:
                 good = self.series(f"tenant.{tenant}.good_total").delta(
-                    self.budget.fast_window_s, now_s
+                    FAST_WINDOW_S, now_s
                 )
                 attainment = (0.0 if math.isnan(good) else good) / total
             self.sample(f"tenant.{tenant}.attainment", now_s, attainment)
@@ -681,10 +585,10 @@ class TelemetryHub:
         return TelemetrySnapshot(
             config={
                 "attainment_target": json_num(self.budget.attainment_target),
-                "fast_window_s": json_num(self.budget.fast_window_s),
-                "slow_window_s": json_num(self.budget.slow_window_s),
-                "page_threshold": json_num(self.budget.rules[0][2]),
-                "ticket_threshold": json_num(self.budget.rules[1][2]),
+                "fast_window_s": json_num(FAST_WINDOW_S),
+                "slow_window_s": json_num(SLOW_WINDOW_S),
+                "page_threshold": json_num(PAGE_THRESHOLD),
+                "ticket_threshold": json_num(TICKET_THRESHOLD),
                 "tick_interval_s": json_num(self.tick_interval_s),
             },
             series={
