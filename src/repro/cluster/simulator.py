@@ -982,9 +982,11 @@ class ClusterSimulator:
                 unit="tokens",
             )
             hub.sample(f"{prefix}.kv_occupancy", ts, replica.kv_used_fraction)
-            totals = replica.run.profiler.running_totals()
-            if totals is not None:
-                self._sample_profiler_totals(prefix, ts, replica, totals)
+            profiler = replica.run.profiler
+            if profiler is not None:
+                self._sample_profiler_totals(
+                    prefix, ts, replica, profiler.running_totals()
+                )
         trace_alerts(self._ctl_tracer, hub.tick(ts))
         if self._telemetry_view is not None and len(serving) > 1:
             scales = self._telemetry_view.routing_scales(

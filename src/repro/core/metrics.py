@@ -18,6 +18,7 @@ __all__ = [
     "perf_per_watt",
     "COMPONENT_FIELDS",
     "CostComponents",
+    "component_partition",
     "LatencyBreakdown",
     "InferenceMetrics",
 ]
@@ -145,7 +146,7 @@ class LatencyBreakdown:
 
 #: Field order of a :class:`CostComponents` partition.  Fixed so every
 #: summation over components (``total_s``, the remainder trick in
-#: ``from_breakdown``, renderers, JSON export) associates identically.
+#: ``component_partition``, renderers, JSON export) associates identically.
 COMPONENT_FIELDS = (
     "compute_s",
     "weight_s",
@@ -154,6 +155,34 @@ COMPONENT_FIELDS = (
     "communication_s",
     "overhead_s",
 )
+
+
+def component_partition(bd: LatencyBreakdown) -> tuple[float, ...]:
+    """The six :class:`CostComponents` terms of ``bd`` as plain floats, in
+    :data:`COMPONENT_FIELDS` order (the partition the class documents)."""
+    legs = (
+        bd.compute_s,
+        bd.weight_memory_s,
+        bd.kv_memory_s,
+        bd.activation_memory_s,
+        bd.communication_s,
+        bd.overhead_s,
+    )
+    total = bd.total_s
+    raw = 0.0
+    for leg in legs:
+        raw += leg
+    if total <= 0.0:
+        return (0.0,) * len(legs)
+    if raw <= 0.0:
+        return (0.0,) * (len(legs) - 1) + (total,)
+    scale = total / raw
+    parts = [leg * scale for leg in legs[:-1]]
+    partial = 0.0
+    for part in parts:
+        partial += part
+    parts.append(total - partial)  # overhead absorbs the rounding slack
+    return tuple(parts)
 
 
 @dataclass(frozen=True)
@@ -184,29 +213,7 @@ class CostComponents:
     @classmethod
     def from_breakdown(cls, bd: LatencyBreakdown) -> "CostComponents":
         """Partition ``bd.total_s`` across its raw legs pro-rata."""
-        legs = (
-            bd.compute_s,
-            bd.weight_memory_s,
-            bd.kv_memory_s,
-            bd.activation_memory_s,
-            bd.communication_s,
-            bd.overhead_s,
-        )
-        total = bd.total_s
-        raw = 0.0
-        for leg in legs:
-            raw += leg
-        if total <= 0.0:
-            return cls()
-        if raw <= 0.0:
-            return cls(overhead_s=total)
-        scale = total / raw
-        parts = [leg * scale for leg in legs[:-1]]
-        partial = 0.0
-        for part in parts:
-            partial += part
-        parts.append(total - partial)  # overhead absorbs the rounding slack
-        return cls(*parts)
+        return cls(*component_partition(bd))
 
     @property
     def total_s(self) -> float:
@@ -215,26 +222,6 @@ class CostComponents:
         for name in COMPONENT_FIELDS:
             total += getattr(self, name)
         return total
-
-    @property
-    def memory_s(self) -> float:
-        """All bandwidth-attributed time (weights + KV + activations)."""
-        return self.weight_s + self.kv_s + self.activation_s
-
-    def scaled(self, factor: float) -> "CostComponents":
-        if factor < 0.0:
-            raise ValueError(f"factor must be >= 0, got {factor}")
-        return CostComponents(
-            *(getattr(self, name) * factor for name in COMPONENT_FIELDS)
-        )
-
-    def __add__(self, other: "CostComponents") -> "CostComponents":
-        return CostComponents(
-            *(
-                getattr(self, name) + getattr(other, name)
-                for name in COMPONENT_FIELDS
-            )
-        )
 
     def fractions(self) -> dict[str, float]:
         """Each term's share of the total (all zeros on an empty partition)."""

@@ -92,10 +92,6 @@ class ComparisonReport:
             c.metric for c in self.comparisons if c.significant(self.alpha)
         )
 
-    @property
-    def any_significant(self) -> bool:
-        return any(c.significant(self.alpha) for c in self.comparisons)
-
     def to_json_dict(self) -> dict[str, object]:
         return {
             "name_a": self.name_a,

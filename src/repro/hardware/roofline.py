@@ -13,8 +13,6 @@ plus fixed overheads.  This module supplies:
 
 from __future__ import annotations
 
-import math
-
 from repro.hardware.spec import HardwareSpec
 
 __all__ = [
@@ -101,8 +99,3 @@ def roofline_time(
     lo, hi = min(t_compute, t_memory), max(t_compute, t_memory)
     # overlap blends between max (hi) and sum (hi + lo).
     return hi + (1.0 - overlap) * lo
-
-
-def _check_finite(value: float, name: str) -> None:
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")

@@ -28,8 +28,6 @@ from repro.obs.metrics import (
     percentile,
 )
 from repro.obs.profiler import (
-    NULL_PROFILER,
-    NullProfiler,
     PhaseProfile,
     ProfileReport,
     RequestProfile,
@@ -68,8 +66,6 @@ __all__ = [
     "MetricsRegistry",
     "MetricsSnapshot",
     "percentile",
-    "NULL_PROFILER",
-    "NullProfiler",
     "PhaseProfile",
     "ProfileReport",
     "RequestProfile",

@@ -196,10 +196,6 @@ class HistogramStats:
     buckets: tuple[float, ...]
     bucket_counts: tuple[int, ...]
 
-    def as_row(self) -> dict[str, float]:
-        return {"count": self.count, "mean": self.mean,
-                "p50": self.p50, "p90": self.p90, "p99": self.p99}
-
 
 @dataclass(frozen=True)
 class MetricsSnapshot:

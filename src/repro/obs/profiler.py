@@ -19,10 +19,10 @@ Two invariants keep the attribution honest (both enforced by
 * **exact sums** — every recorded step's component times sum to the
   kernel's committed step cost to <= 1e-12 relative (the
   :class:`~repro.core.metrics.CostComponents` remainder construction);
-* **zero overhead** — the engine default is the no-op
-  :data:`NULL_PROFILER` (mirroring ``NULL_TRACER``), and with profiling
-  disabled engine and cluster results are bit-identical to an unprofiled
-  build.
+* **zero overhead** — the engine default is no profiler at all
+  (``EngineRun.profiler is None``, checked before every ``record_*``
+  call), and with profiling disabled engine and cluster results are
+  bit-identical to an unprofiled build.
 
 MFU and MBU are *model* utilizations: modeled FLOPs (and modeled stream
 bytes, including the framework's KV read multiplier) divided by datasheet
@@ -39,11 +39,16 @@ rates over the step, viewable alongside the engine's span tracks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.analysis.bottleneck import Bottleneck, PhaseAttribution
 from repro.core.jsonio import from_json_num, json_num
-from repro.core.metrics import COMPONENT_FIELDS, CostComponents, LatencyBreakdown
+from repro.core.metrics import (
+    COMPONENT_FIELDS,
+    CostComponents,
+    LatencyBreakdown,
+    component_partition,
+)
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.perf.kernel import get_kernel
 from repro.perf.phases import Deployment
@@ -53,8 +58,6 @@ __all__ = [
     "RequestProfile",
     "ProfileReport",
     "StepProfiler",
-    "NullProfiler",
-    "NULL_PROFILER",
     "merge_profiles",
 ]
 
@@ -238,10 +241,11 @@ class ProfileReport:
 
     @property
     def components(self) -> CostComponents:
-        total = CostComponents()
+        totals = [0.0] * len(COMPONENT_FIELDS)
         for phase in self.phases:
-            total = total + phase.components
-        return total
+            for i, value in enumerate(phase.components.as_dict().values()):
+                totals[i] += value
+        return CostComponents(*totals)
 
     # -- derived utilization / efficiency (all NaN-safe: 0.0 on empty) --
 
@@ -405,7 +409,8 @@ class ProfileReport:
 
 
 class _PhaseAcc:
-    """Mutable accumulator behind one :class:`PhaseProfile`."""
+    """Mutable accumulator behind one :class:`PhaseProfile`; the six
+    component seconds are plain floats in :data:`COMPONENT_FIELDS` order."""
 
     __slots__ = (
         "time_s", "events", "steps", "tokens", "flops", "bytes_moved",
@@ -420,7 +425,49 @@ class _PhaseAcc:
         self.flops = 0.0
         self.bytes_moved = 0.0
         self.energy_j = 0.0
-        self.components = CostComponents()
+        self.components = [0.0] * len(COMPONENT_FIELDS)
+
+    def add(
+        self,
+        time_s: float,
+        events: int,
+        steps: int,
+        tokens: int,
+        flops: float,
+        bytes_moved: float,
+        energy_j: float,
+        components,  # noqa: ANN001 - six floats in COMPONENT_FIELDS order
+    ) -> None:
+        self.time_s += time_s
+        self.events += events
+        self.steps += steps
+        self.tokens += tokens
+        self.flops += flops
+        self.bytes_moved += bytes_moved
+        self.energy_j += energy_j
+        totals = self.components
+        for i, value in enumerate(components):
+            totals[i] += value
+
+    def profile(self, phase: str) -> PhaseProfile:
+        return PhaseProfile(
+            phase=phase,
+            time_s=self.time_s,
+            events=self.events,
+            steps=self.steps,
+            tokens=self.tokens,
+            flops=self.flops,
+            bytes_moved=self.bytes_moved,
+            energy_j=self.energy_j,
+            components=CostComponents(*self.components),
+        )
+
+
+def _phase_profiles(accs: dict[str, _PhaseAcc]) -> tuple[PhaseProfile, ...]:
+    """The accumulated phases as profiles, in :data:`_PHASE_ORDER`."""
+    return tuple(
+        accs[phase].profile(phase) for phase in _PHASE_ORDER if phase in accs
+    )
 
 
 class _RequestAcc:
@@ -431,43 +478,10 @@ class _RequestAcc:
     def __init__(self) -> None:
         self.time_s = 0.0
         self.energy_j = 0.0
-        self.components = CostComponents()
+        self.components = [0.0] * len(COMPONENT_FIELDS)
 
 
-class NullProfiler:
-    """No-op profiler: the engine default (mirrors ``NULL_TRACER``).
-
-    Every method returns immediately; ``enabled`` lets the engine skip
-    argument construction entirely, keeping the unprofiled hot path
-    bit-identical to a build without the profiler."""
-
-    enabled: bool = False
-
-    def record_prefill(self, ts_s, breakdown, batch_size, chunk_tokens,
-                       energy_j, requests) -> None:  # noqa: ANN001
-        """Ignore one prefill chunk."""
-
-    def record_decode(self, ts_s, step_breakdown, batch_size, span_ctx,
-                      steps, energy_j, requests) -> None:  # noqa: ANN001
-        """Ignore one decode span."""
-
-    def record_idle(self, ts_s, span_s, energy_j) -> None:  # noqa: ANN001
-        """Ignore an idle gap."""
-
-    def report(self, total_time_s, requests, name="engine"):  # noqa: ANN001
-        """The null profiler has nothing to report."""
-        return None
-
-    def running_totals(self) -> dict[str, float] | None:
-        """The null profiler has no mid-run state."""
-        return None
-
-
-#: Shared disabled profiler — stateless, one instance serves every engine.
-NULL_PROFILER = NullProfiler()
-
-
-class StepProfiler(NullProfiler):
+class StepProfiler:
     """Recording profiler: accumulates per-step roofline attribution.
 
     The engine calls ``record_*`` with the *committed* breakdown (after
@@ -475,10 +489,9 @@ class StepProfiler(NullProfiler):
     the participating requests; the profiler derives the component
     partition, fetches the step's modeled FLOPs/bytes from the kernel's
     traffic accessors (O(1), memoized) and charges each participant its
-    equal share.
+    equal share.  Recording only adds floats in place; the frozen
+    :class:`CostComponents` are built by :meth:`report`.
     """
-
-    enabled = True
 
     def __init__(
         self,
@@ -513,7 +526,7 @@ class StepProfiler(NullProfiler):
         requests,  # noqa: ANN001 - list[GenerationRequest]
     ) -> None:
         """Attribute one prefill chunk (committed cost ``breakdown``)."""
-        components = CostComponents.from_breakdown(breakdown)
+        components = component_partition(breakdown)
         flops, bytes_moved = self.kernel.prefill_traffic(batch_size, chunk_tokens)
         self._record(
             "prefill", ts_s, breakdown.total_s, components,
@@ -532,9 +545,8 @@ class StepProfiler(NullProfiler):
         requests,  # noqa: ANN001 - list[GenerationRequest]
     ) -> None:
         """Attribute one coalesced decode span (``steps`` iterations)."""
-        components = CostComponents.from_breakdown(step_breakdown).scaled(
-            float(steps)
-        )
+        scale = float(steps)
+        components = [value * scale for value in component_partition(step_breakdown)]
         flops, bytes_moved = self.kernel.decode_step_traffic(batch_size, span_ctx)
         self._record(
             "decode", ts_s, step_breakdown.total_s * steps, components,
@@ -561,7 +573,7 @@ class StepProfiler(NullProfiler):
         phase: str,
         ts_s: float,
         total_s: float,
-        components: CostComponents,
+        components,  # noqa: ANN001 - six floats in COMPONENT_FIELDS order
         tokens: int,
         flops: float,
         bytes_moved: float,
@@ -572,25 +584,23 @@ class StepProfiler(NullProfiler):
         acc = self._phases.get(phase)
         if acc is None:
             acc = self._phases[phase] = _PhaseAcc()
-        acc.time_s += total_s
-        acc.events += 1
-        acc.steps += steps
-        acc.tokens += tokens
-        acc.flops += flops
-        acc.bytes_moved += bytes_moved
-        acc.energy_j += energy_j
-        acc.components = acc.components + components
+        acc.add(total_s, 1, steps, tokens, flops, bytes_moved, energy_j, components)
 
         if requests:
             share = 1.0 / len(requests)
-            shared = components.scaled(share)
+            time_share = total_s * share
+            energy_share = energy_j * share
+            shared = [value * share for value in components]
+            accs = self._requests
             for request in requests:
-                req = self._requests.get(id(request))
+                req = accs.get(id(request))
                 if req is None:
-                    req = self._requests[id(request)] = _RequestAcc()
-                req.time_s += total_s * share
-                req.energy_j += energy_j * share
-                req.components = req.components + shared
+                    req = accs[id(request)] = _RequestAcc()
+                req.time_s += time_share
+                req.energy_j += energy_share
+                totals = req.components
+                for i, value in enumerate(shared):
+                    totals[i] += value
 
         if self.tracer.enabled and total_s > 0.0:
             self.tracer.counter(
@@ -621,7 +631,9 @@ class StepProfiler(NullProfiler):
         Cheap (two phase accumulators) and monotone, so sampling them on
         control ticks yields well-behaved cumulative series: windowed
         deltas give busy-normalized MFU/MBU, watts and joules/token over
-        any trailing window without touching the committed physics.
+        any trailing window without touching the committed physics.  An
+        unprofiled run has no profiler (``EngineRun.profiler is None``),
+        so the cluster checks for one before it samples.
         """
         busy_s = 0.0
         flops = 0.0
@@ -655,29 +667,10 @@ class StepProfiler(NullProfiler):
         OOM-rejected trace) appear with zero attribution.
         """
         dep = self.deployment
-        phases = []
-        for phase_name in _PHASE_ORDER:
-            acc = self._phases.get(phase_name)
-            if acc is None:
-                continue
-            phases.append(
-                PhaseProfile(
-                    phase=phase_name,
-                    time_s=acc.time_s,
-                    events=acc.events,
-                    steps=acc.steps,
-                    tokens=acc.tokens,
-                    flops=acc.flops,
-                    bytes_moved=acc.bytes_moved,
-                    energy_j=acc.energy_j,
-                    components=acc.components,
-                )
-            )
+        phases = _phase_profiles(self._phases)
         request_profiles = []
         for index, request in enumerate(requests):
-            acc = self._requests.get(id(request))
-            if acc is None:
-                acc = _RequestAcc()
+            acc = self._requests.get(id(request)) or _RequestAcc()
             request_profiles.append(
                 RequestProfile(
                     index=index,
@@ -685,7 +678,7 @@ class StepProfiler(NullProfiler):
                     output_tokens=request.output_tokens,
                     time_s=acc.time_s,
                     energy_j=acc.energy_j,
-                    components=acc.components,
+                    components=CostComponents(*acc.components),
                 )
             )
         busy_s = sum(p.time_s for p in phases)
@@ -705,7 +698,7 @@ class StepProfiler(NullProfiler):
             peak_bandwidth_bytes_s=self.peak_bandwidth_bytes_s,
             flop_capacity=total_time_s * self.peak_flops_per_s,
             byte_capacity=total_time_s * self.peak_bandwidth_bytes_s,
-            phases=tuple(phases),
+            phases=phases,
             requests=tuple(request_profiles),
         )
 
@@ -736,38 +729,13 @@ def merge_profiles(
             acc = phase_accs.get(phase.phase)
             if acc is None:
                 acc = phase_accs[phase.phase] = _PhaseAcc()
-            acc.time_s += phase.time_s
-            acc.events += phase.events
-            acc.steps += phase.steps
-            acc.tokens += phase.tokens
-            acc.flops += phase.flops
-            acc.bytes_moved += phase.bytes_moved
-            acc.energy_j += phase.energy_j
-            acc.components = acc.components + phase.components
-    phases = tuple(
-        PhaseProfile(
-            phase=phase_name,
-            time_s=acc.time_s,
-            events=acc.events,
-            steps=acc.steps,
-            tokens=acc.tokens,
-            flops=acc.flops,
-            bytes_moved=acc.bytes_moved,
-            energy_j=acc.energy_j,
-            components=acc.components,
-        )
-        for phase_name in _PHASE_ORDER
-        if (acc := phase_accs.get(phase_name)) is not None
-    )
+            acc.add(
+                phase.time_s, phase.events, phase.steps, phase.tokens,
+                phase.flops, phase.bytes_moved, phase.energy_j,
+                phase.components.as_dict().values(),
+            )
     requests = tuple(
-        RequestProfile(
-            index=index,
-            input_tokens=req.input_tokens,
-            output_tokens=req.output_tokens,
-            time_s=req.time_s,
-            energy_j=req.energy_j,
-            components=req.components,
-        )
+        replace(req, index=index)
         for index, req in enumerate(
             req for profile in profiles for req in profile.requests
         )
@@ -787,6 +755,6 @@ def merge_profiles(
         peak_bandwidth_bytes_s=sum(p.peak_bandwidth_bytes_s for p in profiles),
         flop_capacity=sum(p.flop_capacity for p in profiles),
         byte_capacity=sum(p.byte_capacity for p in profiles),
-        phases=phases,
+        phases=_phase_profiles(phase_accs),
         requests=requests,
     )

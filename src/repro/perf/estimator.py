@@ -67,9 +67,6 @@ class CapacityReport:
     def weights_fit(self) -> bool:
         return self.weight_bytes <= self.usable_bytes
 
-    def fits_batch(self, batch_size: int) -> bool:
-        return self.weights_fit and batch_size <= self.max_concurrency
-
 
 class InferenceEstimator:
     """Closed-form estimator for one deployment.

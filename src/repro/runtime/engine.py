@@ -42,7 +42,7 @@ from repro.core.metrics import InferenceMetrics, LatencyBreakdown
 from repro.core.request import GenerationRequest, RequestState
 from repro.hardware.power import PowerModel
 from repro.obs.metrics import MetricsRegistry, MetricsSnapshot, record_latencies
-from repro.obs.profiler import NULL_PROFILER, ProfileReport, StepProfiler
+from repro.obs.profiler import ProfileReport, StepProfiler
 from repro.obs.telemetry import (
     NULL_TELEMETRY,
     TelemetryHub,
@@ -192,8 +192,8 @@ class ServingEngine:
         :class:`~repro.obs.profiler.StepProfiler` to each run: every
         committed step is attributed to its roofline components and the
         result carries a :class:`~repro.obs.profiler.ProfileReport`.
-        Off (the default) the no-op ``NULL_PROFILER`` keeps the hot path
-        untouched and results bit-identical.
+        Off (the default) each run's ``profiler`` is ``None``, every
+        ``record_*`` call is skipped, and results are bit-identical.
 
         ``kernel`` supplies the per-iteration step costs; the default is
         the deployment's shared :class:`~repro.perf.kernel.StepCostKernel`
@@ -307,7 +307,7 @@ class ServingEngine:
                 breakdown = breakdown.scaled(run.cost_scale)
             power_w = self._phase_power(breakdown)
             run.energy_j += breakdown.total_s * power_w
-            if profiler.enabled:
+            if profiler is not None:
                 profiler.record_prefill(
                     now, breakdown, batch, chunk_len,
                     breakdown.total_s * power_w, admitted,
@@ -360,20 +360,20 @@ class ServingEngine:
         step_bd = self.kernel.decode_step(batch, span_ctx)
         if run.cost_scale != 1.0:  # fault-injected straggler multiplier
             step_bd = step_bd.scaled(run.cost_scale)
-        span_bd = step_bd.scaled(float(steps))
+        span_s = step_bd.total_s * float(steps)
         step_power_w = self._phase_power(step_bd)
-        run.energy_j += span_bd.total_s * step_power_w
-        if run.profiler.enabled:
+        run.energy_j += span_s * step_power_w
+        if run.profiler is not None:
             run.profiler.record_decode(
                 now, step_bd, batch, span_ctx, steps,
-                span_bd.total_s * step_power_w, running,
+                span_s * step_power_w, running,
             )
         if self.tracer.enabled:
             self.tracer.complete(
                 "decode_span",
                 "decode",
                 now,
-                span_bd.total_s,
+                span_s,
                 batch=batch,
                 steps=steps,
                 span_ctx=span_ctx,
@@ -383,7 +383,7 @@ class ServingEngine:
             )
         commit = self._commit_tokens if self.optimistic else self._commit_span
         commit(run, running, steps, step_bd.total_s)
-        run.now = now + span_bd.total_s
+        run.now = now + span_s
 
     def _commit_span(
         self,
@@ -522,12 +522,12 @@ class EngineRun:
         self._telemetry_on = engine.telemetry.enabled
         self._observed = self._traced or self._telemetry_on
         self._pressure = pressure
-        self.profiler = (
+        self.profiler: StepProfiler | None = (
             StepProfiler(
                 engine.deployment, kernel=engine.kernel, tracer=engine.tracer
             )
             if engine.profile
-            else NULL_PROFILER
+            else None
         )
         self.now = 0.0
         # Control-plane hook: every committed step cost is multiplied by
@@ -600,7 +600,7 @@ class EngineRun:
                 span = target - self.now
                 self.energy_j += span * engine._power.group_power_w(0.0)
                 self.idle_s += span
-                if self.profiler.enabled:
+                if self.profiler is not None:
                     self.profiler.record_idle(
                         self.now, span, span * engine._power.group_power_w(0.0)
                     )
@@ -644,7 +644,7 @@ class EngineRun:
             metrics=self._final_snapshot(),
             profile=(
                 self.profiler.report(self.now, resolved)
-                if self.profiler.enabled
+                if self.profiler is not None
                 else None
             ),
             telemetry=telemetry_snapshot,

@@ -31,7 +31,6 @@ from repro.frameworks.base import get_framework
 from repro.hardware.zoo import get_hardware
 from repro.models.zoo import get_model
 from repro.obs import EventTracer, StepProfiler, counter_series, merge_profiles
-from repro.obs.profiler import NULL_PROFILER
 from repro.perf.parallelism import ParallelismPlan
 from repro.perf.phases import (
     Deployment,
@@ -177,8 +176,13 @@ class TestZeroOverhead:
         dep = _deployment("LLaMA-3-8B", "A100", "vLLM")
         engine = ServingEngine(dep, max_concurrency=4)
         assert engine.profile is False
-        assert NULL_PROFILER.enabled is False
-        assert NULL_PROFILER.report(1.0, []) is None
+        run = engine.start()
+        assert run.profiler is None
+        for request in open_loop_trace(4, 4.0, 128, 16, seed=1):
+            run.submit(request)
+        while run.has_work:
+            run.step()
+        assert run.result().profile is None
 
     def test_disabled_cluster_is_bit_identical(self):
         dep = _deployment("LLaMA-3-8B", "A100", "vLLM")
