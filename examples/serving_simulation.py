@@ -43,8 +43,7 @@ def simulate(framework_name: str, seed: int = 0, tracer: EventTracer | None = No
     dep = Deployment(
         get_model("Mistral-7B"), get_hardware("A100"), get_framework(framework_name)
     )
-    kwargs = {"tracer": tracer} if tracer is not None else {}
-    engine = ServingEngine(dep, max_concurrency=32, **kwargs)
+    engine = ServingEngine(dep, max_concurrency=32, tracer=tracer)
     return engine.run(build_trace(seed))
 
 

@@ -35,7 +35,7 @@ from repro.core import GenerationConfig, InferenceMetrics, Precision, ResultTabl
 from repro.frameworks import get_framework, list_frameworks
 from repro.hardware import get_hardware, list_hardware
 from repro.models import get_model, list_models
-from repro.obs import EventTracer, MetricsRegistry, NULL_TRACER, Tracer
+from repro.obs import EventTracer, MetricsRegistry
 from repro.perf import Deployment, InferenceEstimator, ParallelismPlan
 from repro.runtime import ServingEngine, fixed_batch_trace
 from repro.scenarios import Scenario, get_scenario, list_scenarios
@@ -76,7 +76,5 @@ __all__ = [
     "list_scenarios",
     "EventTracer",
     "MetricsRegistry",
-    "NULL_TRACER",
-    "Tracer",
     "__version__",
 ]

@@ -5,35 +5,9 @@ from __future__ import annotations
 from repro.bench.runner import BenchmarkRunner
 from repro.core.request import GenerationConfig
 from repro.core.results import ResultTable
-from repro.models.kvcache import KVCacheSpec
 from repro.perf.parallelism import ParallelismPlan
-from repro.perf.quantization import QuantizationScheme
 
-__all__ = ["throughput_point", "sweep_batches", "GenerationConfig"]
-
-
-def throughput_point(
-    runner: BenchmarkRunner,
-    model: str,
-    hardware: str,
-    framework: str,
-    batch_size: int,
-    input_tokens: int,
-    output_tokens: int | None = None,
-    plan: ParallelismPlan | None = None,
-    quant: QuantizationScheme | None = None,
-    kv_spec: KVCacheSpec | None = None,
-) -> float:
-    """Throughput (tokens/s) of one benchmark point; 0.0 on OOM."""
-    dep = runner.deployment(
-        model, hardware, framework, plan=plan, quant=quant, kv_spec=kv_spec
-    )
-    config = GenerationConfig(
-        input_tokens,
-        output_tokens if output_tokens is not None else input_tokens,
-        batch_size,
-    )
-    return runner.run_point(dep, config).throughput_tokens_per_s
+__all__ = ["sweep_batches", "GenerationConfig"]
 
 
 def sweep_batches(

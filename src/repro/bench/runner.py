@@ -127,7 +127,7 @@ class BenchmarkRunner:
             engine = ServingEngine(
                 deployment,
                 max_concurrency=self.max_concurrency or config.batch_size,
-                **({"telemetry": hub} if hub is not None else {}),
+                telemetry=hub,
             )
             trace = fixed_batch_trace(
                 config.batch_size, config.input_tokens, config.output_tokens

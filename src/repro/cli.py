@@ -694,9 +694,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    from repro.obs import NULL_TRACER, EventTracer, write_chrome_trace
+    from repro.obs import EventTracer, write_chrome_trace
 
-    tracer = EventTracer() if args.trace_output else NULL_TRACER
+    tracer = EventTracer() if args.trace_output else None
     ran = _run_engine_workload(args, tracer, profile=True)
     if ran is None:
         return 1

@@ -13,12 +13,6 @@ mirror the llm-d / production serving literature:
   analogue of least-outstanding-requests.
 * **power-of-two-choices** — sample two replicas, pick the less loaded;
   near the balance of least-outstanding at O(1) state reads.
-
-Load reads are O(1) per replica: ``EngineRun`` maintains its
-outstanding-token tally incrementally at every submit/token/preemption
-event, so a routing instant costs O(replicas consulted) rather than
-O(resident requests) — the least-outstanding and power-of-two policies
-touch no per-request state at all.
 * **prefix-affinity** — send repeats of a shared prompt prefix to the
   replica already holding its KV blocks (KV-cache-aware routing); falls
   back to least-outstanding for first-seen prefixes.
@@ -26,6 +20,12 @@ touch no per-request state at all.
   (:mod:`repro.scenarios` sessions) to the replica that served its
   earlier turns, so the session's accumulated KV stays hot; re-pins
   gracefully when the home replica crashes or drains.
+
+Load reads are O(1) per replica: ``EngineRun`` maintains its
+outstanding-token tally incrementally at every submit/token/preemption
+event, so a routing instant costs O(replicas consulted) rather than
+O(resident requests) — the least-outstanding and power-of-two policies
+touch no per-request state at all.
 
 Routers are deterministic given their seed, so cluster simulations are
 reproducible end to end.

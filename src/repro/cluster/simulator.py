@@ -43,8 +43,6 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.cluster.disagg import DisaggregationSpec, kv_transfer_time
 from repro.cluster.router import LeastOutstandingTokensRouter, Router, _least_outstanding
 from repro.control.autoscale import (
@@ -64,7 +62,6 @@ from repro.obs.metrics import (
 from repro.obs.profiler import ProfileReport, merge_profiles
 from repro.obs.telemetry import (
     FAST_WINDOW_S,
-    NULL_TELEMETRY,
     TelemetryHub,
     TelemetrySnapshot,
     trace_alerts,
@@ -329,7 +326,7 @@ class ClusterSimulator:
     a :class:`~repro.obs.telemetry.TelemetryHub` sampled on control
     ticks (auto-created when the autoscaler is a
     :class:`~repro.control.autoscale.BurnRateAutoscaler`, which consumes
-    its burn-rate signal); ``None`` keeps the null bus and results
+    its burn-rate signal); ``None`` attaches no hub and keeps results
     bit-identical.  Pass a fresh :class:`Router` (and hub) per run —
     both carry state (cursors, prefix homes, telemetry series).
     """
@@ -401,9 +398,8 @@ class ClusterSimulator:
             and isinstance(control.autoscaler, BurnRateAutoscaler)
         ):
             telemetry = TelemetryHub(slo=control.autoscaler.slo)
-        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        self._telemetry_on = self.telemetry.enabled
-        # Run-scoped state (replicas, fleet arrays, event heap, counters)
+        self.telemetry = telemetry
+        # Run-scoped state (replicas, event heap, counters)
         # is set by run() and _build_replicas() before any read.
 
     # ------------------------------------------------------------------
@@ -428,7 +424,6 @@ class ClusterSimulator:
         start_s: float = 0.0,
         created_s: float = 0.0,
     ) -> Replica:
-        tracer = EventTracer() if self.traced else None
         kernel = (
             self.kernel
             if dep is self.deployment or dep == self.deployment
@@ -440,7 +435,7 @@ class ClusterSimulator:
             optimistic=self.optimistic,
             kernel=kernel,
             profile=self.profiled,
-            **({"tracer": tracer} if tracer is not None else {}),
+            tracer=EventTracer() if self.traced else None,
         )
         return Replica(
             index,
@@ -473,12 +468,6 @@ class ClusterSimulator:
             self._replicas.append(self._make_replica(index, name, dep, role))
         self._next_index = len(specs)
         self._prefill_fleet = [r for r in self._replicas if r.role == "prefill"]
-        # Fleet arrays, index-aligned with ``_replicas``: per-replica clock
-        # and step eligibility (alive and has work), so the next replica
-        # to step falls out of one masked argmin.
-        n = len(self._replicas)
-        self._clock = np.zeros(n, dtype=np.float64)
-        self._eligible = np.zeros(n, dtype=bool)
 
     def _pressure(self) -> bool:
         """More work may still arrive *before* the step horizon: hold
@@ -491,25 +480,21 @@ class ClusterSimulator:
         """
         return any(r.alive and r.has_work for r in self._prefill_fleet)
 
-    def _sync_replica(self, replica: Replica) -> None:
-        """Refresh one replica's row in the fleet arrays."""
-        i = replica.index
-        self._clock[i] = replica.run.now
-        self._eligible[i] = replica.alive and replica.run.has_work
-
     def _select(self, bound: float | None) -> Replica | None:
-        """Least-advanced eligible replica (clock < ``bound`` if given).
+        """Least-advanced replica that is alive and has work (clock <
+        ``bound`` if given).
 
-        One masked argmin over the fleet arrays: argmin returns the first
+        One pass over the fleet; the strict ``<`` keeps the first
         minimum, so clock ties go to the lowest replica index.
         """
-        eligible = self._eligible
-        mask = eligible if bound is None else eligible & (self._clock < bound)
-        masked = np.where(mask, self._clock, np.inf)
-        i = int(np.argmin(masked))
-        if masked[i] == np.inf:
-            return None
-        return self._replicas[i]
+        chosen = None
+        best = math.inf if bound is None else bound
+        for replica in self._replicas:
+            if replica.alive:
+                run = replica.run
+                if run.now < best and run.has_work:
+                    chosen, best = replica, run.now
+        return chosen
 
     # ------------------------------------------------------------------
 
@@ -535,7 +520,7 @@ class ClusterSimulator:
         self._last_scale_s = float("-inf")
         self._ctl_tracer = (
             EventTracer()
-            if (self.traced and (self._control_on or self._telemetry_on))
+            if (self.traced and (self._control_on or self.telemetry is not None))
             else None
         )
 
@@ -553,18 +538,19 @@ class ClusterSimulator:
             self._kv_windows = plane.faults.kv_loss_windows()
             self._control_ticks = not isinstance(plane.autoscaler, NullAutoscaler)
         # Control ticks drive autoscaling; the telemetry bus samples on the
-        # same tick train (and arms it alone on control-free runs).
-        self._tick_every = (
-            self.control.tick_interval_s
-            if self._control_ticks
-            else self.telemetry.tick_interval_s
-        )
+        # same tick train (and arms it alone on control-free runs), so the
+        # hub records the control interval it is ticked at.
+        hub = self.telemetry
+        if self._control_ticks:
+            self._tick_every = self.control.tick_interval_s
+            if hub is not None:
+                hub.tick_interval_s = self._tick_every
+        elif hub is not None:
+            self._tick_every = hub.tick_interval_s
         self._telemetry_view = (
-            TelemetryFleetView(self.telemetry, window_s=FAST_WINDOW_S)
-            if (self._telemetry_on and self.profiled)
-            else None
+            TelemetryFleetView(hub) if (hub is not None and self.profiled) else None
         )
-        if self._control_ticks or self._telemetry_on:
+        if self._control_ticks or hub is not None:
             self._push(self._tick_every, _TICK, None)
 
         while True:
@@ -602,11 +588,10 @@ class ClusterSimulator:
 
     def _step(self, replica: Replica, horizon: float | None) -> None:
         retired = replica.run.step(horizon=horizon)
-        self._sync_replica(replica)
         if (
             not self._orig_by_proxy
             and not self._control_on
-            and not self._telemetry_on
+            and self.telemetry is None
         ):
             return
         for proxy in retired:
@@ -621,7 +606,7 @@ class ClusterSimulator:
             if orig.state == RequestState.FINISHED:
                 if self._control_on:
                     self._completions.append(orig)
-                if self._telemetry_on:
+                if self.telemetry is not None:
                     self.telemetry.record_request(orig)
 
     def _complete_prefill(
@@ -724,7 +709,6 @@ class ClusterSimulator:
             if not retry:
                 request.cached_prefix_tokens = cached
                 chosen.run.submit(request)
-                self._sync_replica(chosen)
                 return
             # Retries run as full-lifecycle proxies: the proxy arrives at
             # the retry instant (so a lagging idle replica cannot serve it
@@ -740,7 +724,6 @@ class ClusterSimulator:
             )
             self._orig_by_proxy[proxy.request_id] = request
             chosen.run.submit(proxy)
-            self._sync_replica(chosen)
             return
         proxy = GenerationRequest(
             input_tokens=request.input_tokens,
@@ -752,7 +735,6 @@ class ClusterSimulator:
         )
         self._orig_by_proxy[proxy.request_id] = request
         chosen.run.submit(proxy)
-        self._sync_replica(chosen)
 
     def _dispatch_handoff(self, orig: GenerationRequest, ts: float) -> None:
         pool = self._route_pool(self._serving_role, ts, _HANDOFF, orig)
@@ -775,7 +757,6 @@ class ClusterSimulator:
         )
         self._orig_by_proxy[proxy.request_id] = orig
         chosen.run.submit(proxy)
-        self._sync_replica(chosen)
 
     # ------------------------------------------------------------------
     # Control plane: faults, retries, autoscaling.
@@ -800,7 +781,7 @@ class ClusterSimulator:
         self._reset(orig)
         orig.state = RequestState.FAILED
         self._failed += 1
-        if self._telemetry_on:
+        if self.telemetry is not None:
             self.telemetry.record_request(orig, failed_at_s=ts)
 
     def _requeue(self, orig: GenerationRequest, ts: float) -> None:
@@ -863,7 +844,6 @@ class ClusterSimulator:
         # (queued or mid-flight) re-enters the router under backoff.
         replica.alive = False
         replica.status = "crashed"
-        self._sync_replica(replica)
         victims = [r for r in replica.run.submitted if not r.is_finished]
         self._fault_log.append(
             {
@@ -906,7 +886,7 @@ class ClusterSimulator:
             ttft_p95 = percentile(sorted(r.ttft_s for r in recent), 95.0)
         else:
             attainment = ttft_p95 = float("nan")
-        if self._telemetry_on:
+        if self.telemetry is not None:
             # The telemetry tick runs first, so the burn rates the policy
             # sees are current as of this tick.
             burn_fast, burn_slow = self.telemetry.burn_rates()
@@ -926,7 +906,7 @@ class ClusterSimulator:
 
     def _autoscale_tick(self, ts: float) -> None:
         serving, warming = self._partition(self._serving_role, ts)
-        if self._telemetry_on:
+        if self.telemetry is not None:
             self._telemetry_tick(ts, serving, warming)
         if self._control_ticks:
             plane = self.control
@@ -1051,8 +1031,6 @@ class ClusterSimulator:
         )
         replica.status = "scaled"
         self._replicas.append(replica)
-        self._clock = np.append(self._clock, 0.0)
-        self._eligible = np.append(self._eligible, False)
         self._last_scale_s = ts
         self._scale_log.append(
             {"action": "up", "ts_s": ts, "replica": name, "ready_s": ts + warmup}
@@ -1110,7 +1088,7 @@ class ClusterSimulator:
         replicas = self._replicas
         makespan = max((r.now for r in replicas), default=0.0)
         telemetry_snapshot: TelemetrySnapshot | None = None
-        if self._telemetry_on:
+        if self.telemetry is not None:
             # Closeout tick at the horizon: flush completions recorded
             # past the last control tick and settle any firing alerts.
             trace_alerts(self._ctl_tracer, self.telemetry.finish(makespan))
@@ -1155,7 +1133,7 @@ class ClusterSimulator:
                 )
             )
             registry.counter("preemptions").inc(result.scheduler_stats.preemptions)
-            if self.traced and isinstance(replica.engine.tracer, EventTracer):
+            if replica.engine.tracer is not None:
                 events[replica.name] = replica.engine.tracer.events
         if self._ctl_tracer is not None and self._ctl_tracer.events:
             events["control"] = self._ctl_tracer.events

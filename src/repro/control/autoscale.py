@@ -27,6 +27,7 @@ import math
 from dataclasses import dataclass
 
 from repro.core import UnknownNameError
+from repro.obs.telemetry import FAST_WINDOW_S
 from repro.runtime.loadgen import ServiceLevelObjective
 
 __all__ = [
@@ -231,6 +232,14 @@ class BurnRateAutoscaler(AutoscalePolicy):
         return 0
 
 
+#: :class:`TelemetryFleetView` routing-scale clip range, and the busy
+#: time (seconds in the trailing window) below which a replica counts as
+#: unobserved.
+FLEET_VIEW_FLOOR = 0.5
+FLEET_VIEW_CEILING = 2.0
+FLEET_VIEW_MIN_BUSY_S = 1e-6
+
+
 class TelemetryFleetView:
     """Windowed per-replica utilization read from a telemetry hub.
 
@@ -243,37 +252,24 @@ class TelemetryFleetView:
     the least-loaded router steers traffic away *before* its queue
     visibly backs up.  Idle replicas are unaffected (busy-normalized, so
     idling does not read as slowness).  Replicas without enough signal
-    keep scale 1.0, and ratios are clipped to ``[floor, ceiling]`` so a
-    noisy window cannot blackhole a healthy replica.
+    keep scale 1.0, and ratios are clipped to
+    ``[FLEET_VIEW_FLOOR, FLEET_VIEW_CEILING]`` so a noisy window cannot
+    blackhole a healthy replica.
     """
 
-    def __init__(
-        self,
-        hub,  # noqa: ANN001 - TelemetryHub (duck-typed: obs may not be loaded)
-        window_s: float = 5.0,
-        floor: float = 0.5,
-        ceiling: float = 2.0,
-        min_busy_s: float = 1e-6,
-    ) -> None:
-        if window_s <= 0:
-            raise ValueError("window_s must be positive")
-        if not 0 < floor <= 1.0 <= ceiling:
-            raise ValueError("need 0 < floor <= 1 <= ceiling")
+    def __init__(self, hub) -> None:  # noqa: ANN001 - TelemetryHub
         self.hub = hub
-        self.window_s = window_s
-        self.floor = floor
-        self.ceiling = ceiling
-        self.min_busy_s = min_busy_s
 
     def effective_rate(self, replica_name: str, now_s: float) -> float:
-        """FLOPs per busy second over the trailing window (NaN = no signal)."""
+        """FLOPs per busy second over the trailing window (the hub's fast
+        burn window; NaN = no signal)."""
         busy = self.hub.series(f"replica.{replica_name}.busy_s").delta(
-            self.window_s, now_s
+            FAST_WINDOW_S, now_s
         )
-        if math.isnan(busy) or busy < self.min_busy_s:
+        if math.isnan(busy) or busy < FLEET_VIEW_MIN_BUSY_S:
             return float("nan")
         flops = self.hub.series(f"replica.{replica_name}.flops").delta(
-            self.window_s, now_s
+            FAST_WINDOW_S, now_s
         )
         if math.isnan(flops):
             return float("nan")
@@ -298,7 +294,9 @@ class TelemetryFleetView:
             if math.isnan(rate):
                 scales[name] = 1.0
             else:
-                scales[name] = min(max(rate / mean, self.floor), self.ceiling)
+                scales[name] = min(
+                    max(rate / mean, FLEET_VIEW_FLOOR), FLEET_VIEW_CEILING
+                )
         return scales
 
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 __all__ = [
     "inter_token_latency",
     "throughput_tokens_per_s",
-    "output_throughput_tokens_per_s",
     "perf_per_watt",
     "COMPONENT_FIELDS",
     "CostComponents",
@@ -65,17 +64,6 @@ def throughput_tokens_per_s(
     if input_tokens < 0 or output_tokens < 0:
         raise ValueError("token counts must be non-negative")
     return batch_size * (input_tokens + output_tokens) / end_to_end_latency_s
-
-
-def output_throughput_tokens_per_s(
-    batch_size: int, output_tokens: int, end_to_end_latency_s: float
-) -> float:
-    """Decode-only throughput (output tokens per second).
-
-    Not the paper's headline metric, but used internally when comparing
-    decode-phase behaviour (e.g. ITL discussions around Fig. 22).
-    """
-    return throughput_tokens_per_s(batch_size, 0, output_tokens, end_to_end_latency_s)
 
 
 def perf_per_watt(throughput_tokens_per_second: float, average_power_w: float) -> float:

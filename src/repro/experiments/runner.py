@@ -193,7 +193,7 @@ def run_seed(spec: ExperimentSpec, seed: int) -> SeedResult:
             optimistic=spec.optimistic,
             profile=spec.profiled,
             tracer=tracer,
-            **({"telemetry": hub} if hub is not None else {}),
+            telemetry=hub,
         )
         try:
             result = engine.run(trace)

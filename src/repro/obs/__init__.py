@@ -5,9 +5,9 @@ instant events as the serving engine runs (exported to Chrome
 ``trace_event`` JSON for Perfetto), ``MetricsRegistry`` accumulates
 counters/gauges/histograms (TTFT/ITL percentiles, queue depth, KV-pool
 occupancy), and ``RequestTimeline`` reconstructs each request's
-arrival → admit → prefill → decode → retire path.  The shared
-``NULL_TRACER`` default keeps every hot path allocation-free when tracing
-is off.
+arrival → admit → prefill → decode → retire path.  An absent observer
+is ``None``: components default to ``tracer=None`` and
+``telemetry=None``, and each hot-path site guards with ``is not None``.
 """
 
 from repro.obs.export import (
@@ -35,7 +35,6 @@ from repro.obs.profiler import (
     merge_profiles,
 )
 from repro.obs.telemetry import (
-    NULL_TELEMETRY,
     Alert,
     QuantileSketch,
     SloBudget,
@@ -44,20 +43,12 @@ from repro.obs.telemetry import (
     TimeSeries,
 )
 from repro.obs.timeline import RequestTimeline, build_timelines, timeline_table
-from repro.obs.tracer import (
-    CATEGORIES,
-    NULL_TRACER,
-    EventTracer,
-    TraceEvent,
-    Tracer,
-)
+from repro.obs.tracer import CATEGORIES, EventTracer, TraceEvent
 
 __all__ = [
     "CATEGORIES",
-    "NULL_TRACER",
     "EventTracer",
     "TraceEvent",
-    "Tracer",
     "Counter",
     "Gauge",
     "GaugeStats",
@@ -71,7 +62,6 @@ __all__ = [
     "RequestProfile",
     "StepProfiler",
     "merge_profiles",
-    "NULL_TELEMETRY",
     "Alert",
     "QuantileSketch",
     "SloBudget",

@@ -49,7 +49,7 @@ from repro.core.metrics import (
     LatencyBreakdown,
     component_partition,
 )
-from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.obs.tracer import EventTracer
 from repro.perf.kernel import get_kernel
 from repro.perf.phases import Deployment
 
@@ -497,7 +497,7 @@ class StepProfiler:
         self,
         deployment: Deployment,
         kernel=None,  # noqa: ANN001 - StepCostKernel | DirectStepCost
-        tracer: Tracer = NULL_TRACER,
+        tracer: EventTracer | None = None,
     ) -> None:
         self.deployment = deployment
         self.kernel = kernel if kernel is not None else get_kernel(deployment)
@@ -558,7 +558,7 @@ class StepProfiler:
         """Account an idle fast-forward (no components, idle power only)."""
         self.idle_s += span_s
         self.idle_energy_j += energy_j
-        if self.tracer.enabled and span_s > 0.0:
+        if self.tracer is not None and span_s > 0.0:
             self.tracer.counter("profile", "mfu", ts_s=ts_s, value=0.0)
             self.tracer.counter("profile", "mbu", ts_s=ts_s, value=0.0)
             self.tracer.counter("profile", "tokens_per_s", ts_s=ts_s, value=0.0)
@@ -602,7 +602,7 @@ class StepProfiler:
                 for i, value in enumerate(shared):
                     totals[i] += value
 
-        if self.tracer.enabled and total_s > 0.0:
+        if self.tracer is not None and total_s > 0.0:
             self.tracer.counter(
                 "profile", "mfu", ts_s=ts_s,
                 value=flops / (total_s * self.peak_flops_per_s),

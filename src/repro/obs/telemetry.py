@@ -18,10 +18,9 @@ live telemetry plane:
   per-tenant channels sampled on cluster control ticks (or engine
   steps for standalone runs).
 
-The null path is zero-overhead: every producer guards on
-``hub.enabled``, and :data:`NULL_TELEMETRY` is a stateless shared
-no-op, so telemetry-off runs stay bit-identical to a build without
-this module.
+Without a hub, a producer holds ``telemetry=None`` and guards each
+call with ``is not None``, so telemetry-off runs stay bit-identical to
+a build without this module.
 
 Determinism contract: completions can be *recorded* slightly out of
 order (replicas retire past the control tick they straddle), so the hub
@@ -47,7 +46,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "Alert",
-    "NULL_TELEMETRY",
     "QuantileSketch",
     "SloBudget",
     "TelemetryHub",
@@ -374,7 +372,10 @@ class TelemetryHub:
     byte-identical snapshots.
     """
 
-    enabled: bool = True
+    #: Seconds between budget ticks.  A caller that ticks the hub at
+    #: another cadence (a cluster follows its control plane's tick)
+    #: records that cadence here, so the snapshot reports the interval
+    #: the series were sampled at.
     tick_interval_s: float = TICK_INTERVAL_S
 
     def __init__(
@@ -599,48 +600,10 @@ class TelemetryHub:
         )
 
 
-class _NullTelemetry(TelemetryHub):
-    """Disabled hub: every producer call is a no-op.
-
-    Shared stateless instance — the ``enabled`` guard in the engine and
-    simulator means these methods are never on the hot path, but they
-    stay safe to call so callers need no None checks.
-    """
-
-    enabled = False  # the inherited tick_interval_s is read, never armed
-
-    def __init__(self):  # noqa: D107 - no state, no slo import
-        pass
-
-    def series(self, name: str, unit: str = "") -> TimeSeries:  # pragma: no cover
-        raise RuntimeError("null telemetry has no series")
-
-    def sample(self, name, ts_s, value, unit="") -> None:
-        return None
-
-    def record_completion(self, ts_s, ttft_s, itl_s, good, tenant=None) -> None:
-        return None
-
-    def record_request(self, request, failed_at_s=None) -> None:
-        return None
-
-    def tick(self, now_s: float) -> list[Alert]:
-        return []
-
-    def finish(self, now_s: float) -> list[Alert]:
-        return []
-
-    def snapshot(self) -> None:  # type: ignore[override]
-        return None
-
-
-NULL_TELEMETRY = _NullTelemetry()
-
-
 def trace_alerts(tracer, transitions: list[Alert]) -> None:
     """Land alert transitions as ``control``-category trace instants
-    (no-op without a recording tracer)."""
-    if tracer is None or not tracer.enabled:
+    (no-op when ``tracer`` is None)."""
+    if tracer is None:
         return
     for alert in transitions:
         tracer.instant(

@@ -7,16 +7,15 @@ KV-pool changes and power samples.  Events export to Chrome
 ``chrome://tracing`` / Perfetto, and aggregate into per-request timelines
 (:mod:`repro.obs.timeline`).
 
-Two implementations share one interface: :class:`EventTracer` records, and
-the module-level :data:`NULL_TRACER` (an instance of the base
-:class:`Tracer`) is a no-op whose methods return immediately without
-allocating — the engine's default, keeping hot paths free when tracing is
-off.  Emitters guard optional work with ``if tracer.enabled``.
+:class:`EventTracer` is the one tracer.  An untraced component holds
+``tracer=None`` and emitters guard each event with ``if tracer is not
+None``, so an untraced run builds no event arguments at all.
 
 Timestamps are simulation-clock **seconds** (the engine's ``now``).  The
-tracer also carries a monotonic clock (:meth:`Tracer.advance`) so emitters
-that do not track time themselves — the KV allocators, the schedulers'
-preemption path — can stamp events with the engine's current instant.
+tracer also carries a monotonic clock (:meth:`EventTracer.advance`) so
+emitters that do not track time themselves — the KV allocators, the
+schedulers' preemption path — can stamp events with the engine's current
+instant.
 """
 
 from __future__ import annotations
@@ -26,9 +25,7 @@ from dataclasses import dataclass, field
 __all__ = [
     "CATEGORIES",
     "TraceEvent",
-    "Tracer",
     "EventTracer",
-    "NULL_TRACER",
 ]
 
 #: Event categories emitted by the serving runtime.
@@ -70,42 +67,8 @@ class TraceEvent:
         return self.ts_s + self.dur_s
 
 
-class Tracer:
-    """No-op tracer; base class and the disabled default.
-
-    Every method is a stub so instrumented code can call unconditionally;
-    ``enabled`` lets emitters skip argument construction entirely when the
-    extra work (dict building, percentile samples) is itself non-trivial.
-    """
-
-    enabled: bool = False
-
-    @property
-    def now_s(self) -> float:
-        return 0.0
-
-    def advance(self, now_s: float) -> None:
-        """Move the tracer's clock forward to the engine's ``now``."""
-
-    def instant(self, category: str, name: str, ts_s: float | None = None, **args) -> None:
-        """Record a point-in-time event (at the clock if ``ts_s`` is None)."""
-
-    def complete(self, category: str, name: str, ts_s: float, dur_s: float, **args) -> None:
-        """Record a span ``[ts_s, ts_s + dur_s]``."""
-
-    def counter(self, category: str, name: str, ts_s: float | None = None, **values) -> None:
-        """Record a counter sample (numeric series over time)."""
-
-
-#: Shared disabled tracer — the engine default.  Stateless, so one
-#: instance serves every engine.
-NULL_TRACER = Tracer()
-
-
-class EventTracer(Tracer):
+class EventTracer:
     """Recording tracer: an append-only event list on a monotonic clock."""
-
-    enabled = True
 
     def __init__(self) -> None:
         self.events: list[TraceEvent] = []
@@ -116,6 +79,7 @@ class EventTracer(Tracer):
         return self._clock_s
 
     def advance(self, now_s: float) -> None:
+        """Move the tracer's clock forward to the engine's ``now``."""
         if now_s < self._clock_s:
             raise ValueError(
                 f"tracer clock cannot move backwards: {now_s} < {self._clock_s}"
@@ -126,11 +90,13 @@ class EventTracer(Tracer):
         return self._clock_s if ts_s is None else ts_s
 
     def instant(self, category: str, name: str, ts_s: float | None = None, **args) -> None:
+        """Record a point-in-time event (at the clock if ``ts_s`` is None)."""
         self.events.append(
             TraceEvent(name, category, PHASE_INSTANT, self._stamp(ts_s), 0.0, args)
         )
 
     def complete(self, category: str, name: str, ts_s: float, dur_s: float, **args) -> None:
+        """Record a span ``[ts_s, ts_s + dur_s]``."""
         if dur_s < 0.0:
             raise ValueError(f"span duration must be >= 0, got {dur_s}")
         self.events.append(
@@ -138,6 +104,7 @@ class EventTracer(Tracer):
         )
 
     def counter(self, category: str, name: str, ts_s: float | None = None, **values) -> None:
+        """Record a counter sample (numeric series over time)."""
         self.events.append(
             TraceEvent(name, category, PHASE_COUNTER, self._stamp(ts_s), 0.0, values)
         )

@@ -1,8 +1,9 @@
 """Serving runtime: engine, schedulers, KV allocators, memory, workloads.
 
-Observability: every component accepts a :class:`repro.obs.Tracer`
-(default no-op) and emits admit/prefill/decode/preempt/kv events plus
-TTFT/ITL histograms when given a recording ``EventTracer``.
+Observability: every component accepts an optional
+:class:`repro.obs.EventTracer` (``None`` by default, tracing nothing) and
+emits admit/prefill/decode/preempt/kv events plus TTFT/ITL histograms
+when given one.
 """
 
 from repro.runtime.engine import EngineResult, EngineRun, ServingEngine

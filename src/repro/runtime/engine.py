@@ -43,14 +43,9 @@ from repro.core.request import GenerationRequest, RequestState
 from repro.hardware.power import PowerModel
 from repro.obs.metrics import MetricsRegistry, MetricsSnapshot, record_latencies
 from repro.obs.profiler import ProfileReport, StepProfiler
-from repro.obs.telemetry import (
-    NULL_TELEMETRY,
-    TelemetryHub,
-    TelemetrySnapshot,
-    trace_alerts,
-)
+from repro.obs.telemetry import TelemetryHub, TelemetrySnapshot, trace_alerts
 from repro.obs.timeline import RequestTimeline, build_timelines
-from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.obs.tracer import EventTracer
 from repro.perf.estimator import phase_utilization
 from repro.perf.kernel import get_kernel
 from repro.perf.phases import Deployment
@@ -170,10 +165,10 @@ class ServingEngine:
         max_concurrency: int | None = None,
         coalesce: bool = True,
         optimistic: bool = False,
-        tracer: Tracer = NULL_TRACER,
+        tracer: EventTracer | None = None,
         kernel=None,
         profile: bool = False,
-        telemetry: TelemetryHub = NULL_TELEMETRY,
+        telemetry: TelemetryHub | None = None,
     ) -> None:
         """``max_concurrency`` caps the running batch; ``None`` means 1024
         and values below 1 raise ``ValueError``.
@@ -184,9 +179,10 @@ class ServingEngine:
         that policy grows each request's KV allocation token by token,
         optimistic runs commit decode spans token by token.
 
-        ``tracer`` (default the no-op :data:`~repro.obs.tracer.NULL_TRACER`)
-        records span/instant events and metric histograms as the run
-        executes; results are bit-identical either way.
+        ``tracer`` (an :class:`~repro.obs.tracer.EventTracer`; ``None``,
+        the default, traces nothing) records span/instant events and
+        metric histograms as the run executes; results are bit-identical
+        either way.
 
         ``profile=True`` attaches a
         :class:`~repro.obs.profiler.StepProfiler` to each run: every
@@ -201,8 +197,7 @@ class ServingEngine:
         :class:`~repro.perf.kernel.DirectStepCost` to force un-memoized
         ``phases.py`` evaluation (the test reference).
 
-        ``telemetry`` (default the no-op
-        :data:`~repro.obs.telemetry.NULL_TELEMETRY`) attaches a streaming
+        ``telemetry`` (default ``None``, no hub) attaches a streaming
         :class:`~repro.obs.telemetry.TelemetryHub`: runs sample
         queue/batch/KV gauges per iteration, record completions against
         the hub's SLO, and evaluate burn-rate alerts on the hub's tick
@@ -299,7 +294,7 @@ class ServingEngine:
         chunk_len = -(-max_input // chunks)
 
         now = run.now
-        traced = self.tracer.enabled
+        tracer = self.tracer
         profiler = run.profiler
         for chunk in range(chunks):
             breakdown = self.kernel.prefill(batch, chunk_len)
@@ -312,8 +307,8 @@ class ServingEngine:
                     now, breakdown, batch, chunk_len,
                     breakdown.total_s * power_w, admitted,
                 )
-            if traced:
-                self.tracer.complete(
+            if tracer is not None:
+                tracer.complete(
                     "prefill",
                     "prefill" if chunks == 1 else f"prefill_chunk_{chunk}",
                     now,
@@ -322,12 +317,12 @@ class ServingEngine:
                     tokens=chunk_len,
                     riders=riders,
                 )
-                self.tracer.counter(
+                tracer.counter(
                     "power_sample", "power_w", ts_s=now, watts=round(power_w, 3)
                 )
             now += breakdown.total_s
-            if traced:
-                self.tracer.advance(now)
+            if tracer is not None:
+                tracer.advance(now)
             # Decoding streams ride along with the chunk (their token is
             # folded into the fused chunk's batch at negligible marginal
             # cost — the SplitFuse effect).
@@ -368,7 +363,7 @@ class ServingEngine:
                 now, step_bd, batch, span_ctx, steps,
                 span_s * step_power_w, running,
             )
-        if self.tracer.enabled:
+        if self.tracer is not None:
             self.tracer.complete(
                 "decode_span",
                 "decode",
@@ -399,7 +394,7 @@ class ServingEngine:
         end — the same float expression :meth:`_commit_tokens` gives it.
         """
         last_time = run.now + step_s * steps
-        if self.tracer.enabled:
+        if self.tracer is not None:
             self.tracer.advance(last_time)
         for request in running:
             generated = request.generated_tokens + steps
@@ -423,12 +418,12 @@ class ServingEngine:
         requests mid-span when the pool runs dry.
         """
         now = run.now
-        traced = self.tracer.enabled
+        tracer = self.tracer
         active = list(running)
         for i in range(steps):
             token_time = now + step_s * (i + 1)
-            if traced:
-                self.tracer.advance(token_time)
+            if tracer is not None:
+                tracer.advance(token_time)
             for request in list(active):
                 if request not in active:
                     continue  # preempted earlier within this step
@@ -514,13 +509,10 @@ class EngineRun:
         self.engine = engine
         self.scheduler = engine._make_scheduler()
         self.tracer = engine.tracer
-        self._traced = engine.tracer.enabled
         self._registry: MetricsRegistry | None = (
-            MetricsRegistry() if self._traced else None
+            MetricsRegistry() if engine.tracer is not None else None
         )
         self.telemetry = engine.telemetry
-        self._telemetry_on = engine.telemetry.enabled
-        self._observed = self._traced or self._telemetry_on
         self._pressure = pressure
         self.profiler: StepProfiler | None = (
             StepProfiler(
@@ -573,8 +565,8 @@ class EngineRun:
         self.iterations += 1
         if self.iterations > _MAX_ITERATIONS:
             raise RuntimeError("engine exceeded the iteration safeguard")
-        if self._observed:
-            self._sample_state(self._telemetry_on)
+        if self.tracer is not None or self.telemetry is not None:
+            self._sample_state(self.telemetry)
 
         admitted = scheduler.admit(self.now)
         if admitted:
@@ -604,7 +596,7 @@ class EngineRun:
                     self.profiler.record_idle(
                         self.now, span, span * engine._power.group_power_w(0.0)
                     )
-                if self._traced:
+                if self.tracer is not None:
                     self.tracer.complete("engine", "idle", self.now, span)
                 self.now = target
                 return []
@@ -625,10 +617,10 @@ class EngineRun:
         self, requests: list[GenerationRequest] | None = None
     ) -> EngineResult:
         """Finalize the run (close gauge series) and assemble the result."""
-        if self._traced:
-            self._sample_state(False)  # close the gauge series
+        if self.tracer is not None:
+            self._sample_state(None)  # close the gauge series
         telemetry_snapshot: TelemetrySnapshot | None = None
-        if self._telemetry_on:
+        if self.telemetry is not None:
             # Closeout: flush buffered completions and settle alerts at
             # the run's horizon.
             trace_alerts(self.tracer, self.telemetry.finish(self.now))
@@ -733,11 +725,11 @@ class EngineRun:
     # Observability helpers: the gauge registry on traced runs, the
     # telemetry hub when one is attached.
 
-    def _sample_state(self, telemetry: bool) -> None:
+    def _sample_state(self, hub: TelemetryHub | None) -> None:
         """One sample of queue depth, batch size and KV occupancy.
 
-        Written to the gauge registry on traced runs and, when
-        ``telemetry``, to the hub followed by a throttled budget tick.
+        Written to the gauge registry on traced runs and, given a
+        ``hub``, to the hub followed by a throttled budget tick.
         """
         now = self.now
         scheduler = self.scheduler
@@ -753,8 +745,7 @@ class EngineRun:
             registry.gauge("batch_size").set(batch, ts_s=now)
             if kv is not None:
                 registry.gauge("kv_occupancy").set(kv, ts_s=now)
-        if telemetry:
-            hub = self.telemetry
+        if hub is not None:
             hub.sample("engine.queue_depth", now, float(queue))
             hub.sample("engine.batch_size", now, float(batch))
             if kv is not None:
@@ -768,7 +759,7 @@ class EngineRun:
             return
         if self._registry is not None:
             record_latencies(self._registry, done)
-        if self._telemetry_on:
+        if self.telemetry is not None:
             for request in done:
                 self.telemetry.record_request(request)
 

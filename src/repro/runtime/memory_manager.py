@@ -10,7 +10,7 @@ do not fit — e.g. a 70B fp16 model on the 4x40 GB A100 node (Fig. 32).
 from __future__ import annotations
 
 from repro.models.kvcache import kv_bytes_per_token
-from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.obs.tracer import EventTracer
 from repro.perf.phases import Deployment
 from repro.runtime.paged_kv import (
     ContiguousKVAllocator,
@@ -28,7 +28,9 @@ class OutOfMemoryError(RuntimeError):
 class MemoryManager:
     """Capacity accounting plus allocator construction for one deployment."""
 
-    def __init__(self, deployment: Deployment, tracer: Tracer = NULL_TRACER) -> None:
+    def __init__(
+        self, deployment: Deployment, tracer: EventTracer | None = None
+    ) -> None:
         self.deployment = deployment
         self.tracer = tracer
         self._mem = deployment.memory_model()
@@ -68,7 +70,7 @@ class MemoryManager:
                 f"{self.weight_bytes / 1024**3:.1f} GiB of weights"
             )
         kv_spec = self.deployment.kv_spec
-        if self.tracer.enabled:
+        if self.tracer is not None:
             self.tracer.instant(
                 "kv_alloc",
                 "kv_budget",

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.obs.tracer import EventTracer
 
 __all__ = ["AllocationError", "KVAllocator", "PagedKVAllocator", "ContiguousKVAllocator"]
 
@@ -25,12 +25,12 @@ class AllocationError(RuntimeError):
 class KVAllocator:
     """Interface shared by both allocator flavours.
 
-    Allocators optionally carry a :class:`~repro.obs.tracer.Tracer` and
-    emit ``kv_alloc`` counter samples on admit/free (pool occupancy over
-    time, stamped at the tracer's clock).  Per-token appends are not
+    Allocators optionally carry an :class:`~repro.obs.tracer.EventTracer`
+    and emit ``kv_alloc`` counter samples on admit/free (pool occupancy
+    over time, stamped at the tracer's clock).  Per-token appends are not
     traced — that path is the simulator's hottest."""
 
-    tracer: Tracer = NULL_TRACER
+    tracer: EventTracer | None = None
 
     def _trace_pool(self, name: str) -> None:
         self.tracer.counter(
@@ -82,7 +82,7 @@ class PagedKVAllocator(KVAllocator):
     """
 
     def __init__(
-        self, total_blocks: int, block_size: int, tracer: Tracer = NULL_TRACER
+        self, total_blocks: int, block_size: int, tracer: EventTracer | None = None
     ) -> None:
         if total_blocks < 1:
             raise ValueError(f"total_blocks must be >= 1, got {total_blocks}")
@@ -141,7 +141,7 @@ class PagedKVAllocator(KVAllocator):
             growable=optimistic,
         )
         self._reserved_blocks += needed
-        if self.tracer.enabled:
+        if self.tracer is not None:
             self._trace_pool("admit")
 
     def append_token(self, seq_id: int) -> None:
@@ -171,7 +171,7 @@ class PagedKVAllocator(KVAllocator):
         if seq is None:
             raise AllocationError(f"sequence {seq_id} not admitted")
         self._reserved_blocks -= seq.reserved_blocks
-        if self.tracer.enabled:
+        if self.tracer is not None:
             self._trace_pool("free")
 
     def context_tokens(self, seq_id: int) -> int:
@@ -213,7 +213,7 @@ class _ContiguousSequence:
 class ContiguousKVAllocator(KVAllocator):
     """Whole-context up-front reservation (llama.cpp / Gaudi2 / SambaFlow)."""
 
-    def __init__(self, capacity_tokens: int, tracer: Tracer = NULL_TRACER) -> None:
+    def __init__(self, capacity_tokens: int, tracer: EventTracer | None = None) -> None:
         if capacity_tokens < 1:
             raise ValueError(f"capacity_tokens must be >= 1, got {capacity_tokens}")
         self._capacity = capacity_tokens
@@ -246,7 +246,7 @@ class ContiguousKVAllocator(KVAllocator):
             reserved_tokens=final_context_tokens, context_tokens=prompt_tokens
         )
         self._reserved += final_context_tokens
-        if self.tracer.enabled:
+        if self.tracer is not None:
             self._trace_pool("admit")
 
     def append_token(self, seq_id: int) -> None:
@@ -262,7 +262,7 @@ class ContiguousKVAllocator(KVAllocator):
         if seq is None:
             raise AllocationError(f"sequence {seq_id} not admitted")
         self._reserved -= seq.reserved_tokens
-        if self.tracer.enabled:
+        if self.tracer is not None:
             self._trace_pool("free")
 
     def context_tokens(self, seq_id: int) -> int:

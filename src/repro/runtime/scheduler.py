@@ -23,7 +23,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from repro.core.request import GenerationRequest, RequestState
-from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.obs.tracer import EventTracer
 from repro.runtime.paged_kv import KVAllocator
 
 __all__ = ["SchedulerStats", "Scheduler", "ContinuousBatchingScheduler", "StaticBatchingScheduler"]
@@ -43,14 +43,19 @@ class Scheduler:
     ``optimistic=True`` switches paged admission to vLLM's real policy:
     reserve only the prompt's blocks and grow on demand; the engine then
     handles pool exhaustion by preempting (recompute) via :meth:`preempt`.
+
+    ``hold_batch`` makes admission wait for an empty running set, so a
+    batch is admitted whole and held to completion (static batching).
     """
+
+    hold_batch = False
 
     def __init__(
         self,
         allocator: KVAllocator,
         max_concurrency: int,
         optimistic: bool = False,
-        tracer: Tracer = NULL_TRACER,
+        tracer: EventTracer | None = None,
     ) -> None:
         if max_concurrency < 1:
             raise ValueError(f"max_concurrency must be >= 1, got {max_concurrency}")
@@ -141,7 +146,7 @@ class Scheduler:
             request.admit_time = now
         self.running.append(request)
         self.stats.admitted += 1
-        if self.tracer.enabled:
+        if self.tracer is not None:
             self.tracer.instant(
                 "admit",
                 "admit" if request.preemptions == 0 else "readmit",
@@ -163,7 +168,7 @@ class Scheduler:
         self.waiting.appendleft(request)
         insort(self._arrivals, request.arrival_time)
         self.stats.preemptions += 1
-        if self.tracer.enabled:
+        if self.tracer is not None:
             self.tracer.instant(
                 "preempt",
                 "preempt",
@@ -173,23 +178,13 @@ class Scheduler:
             )
 
     def admit(self, now: float) -> list[GenerationRequest]:
-        """Move admissible requests from waiting to running; returns them."""
-        raise NotImplementedError
+        """Move admissible requests from waiting to running; returns them.
 
-    def retire_finished(self) -> list[GenerationRequest]:
-        """Remove finished requests from the running set and free their KV."""
-        done = [r for r in self.running if r.is_finished]
-        for request in done:
-            self.allocator.free(request.request_id)
-            self.stats.finished += 1
-        self.running = [r for r in self.running if not r.is_finished]
-        return done
-
-
-class ContinuousBatchingScheduler(Scheduler):
-    """Admit whenever capacity allows, up to ``max_concurrency`` running."""
-
-    def admit(self, now: float) -> list[GenerationRequest]:
+        FIFO: admission stops at the first waiting request that has not
+        arrived or does not fit, and at ``max_concurrency`` running.
+        """
+        if self.hold_batch and self.running:
+            return []
         admitted: list[GenerationRequest] = []
         while self.waiting and len(self.running) < self.max_concurrency:
             request = self.waiting[0]
@@ -204,23 +199,21 @@ class ContinuousBatchingScheduler(Scheduler):
             self.stats.admission_rounds += 1
         return admitted
 
+    def retire_finished(self) -> list[GenerationRequest]:
+        """Remove finished requests from the running set and free their KV."""
+        done = [r for r in self.running if r.is_finished]
+        for request in done:
+            self.allocator.free(request.request_id)
+            self.stats.finished += 1
+        self.running = [r for r in self.running if not r.is_finished]
+        return done
+
+
+class ContinuousBatchingScheduler(Scheduler):
+    """Admit whenever capacity allows, up to ``max_concurrency`` running."""
+
 
 class StaticBatchingScheduler(Scheduler):
     """Admit a batch only when idle; hold it until every member finishes."""
 
-    def admit(self, now: float) -> list[GenerationRequest]:
-        if self.running:
-            return []
-        admitted: list[GenerationRequest] = []
-        while self.waiting and len(admitted) < self.max_concurrency:
-            request = self.waiting[0]
-            if request.arrival_time > now:
-                break
-            if not self._can_admit(request):
-                break
-            self._pop_head()
-            self._admit_one(request, now)
-            admitted.append(request)
-        if admitted:
-            self.stats.admission_rounds += 1
-        return admitted
+    hold_batch = True

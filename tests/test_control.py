@@ -25,12 +25,14 @@ from repro.control import (
     QueueDepthAutoscaler,
     RetryPolicy,
     SLOAutoscaler,
+    TelemetryFleetView,
     get_autoscaler,
     list_autoscalers,
 )
 from repro.frameworks.base import get_framework
 from repro.hardware.zoo import get_hardware
 from repro.models.zoo import get_model
+from repro.obs import TelemetryHub
 from repro.perf.phases import Deployment
 from repro.runtime.loadgen import ServiceLevelObjective
 from repro.runtime.workload import open_loop_trace
@@ -227,6 +229,53 @@ class TestAutoscalers:
         view = _view(queue_depth=9, num_serving=2, num_warming=1)
         assert view.num_provisioned == 3
         assert view.queue_per_replica == pytest.approx(3.0)
+
+
+class TestTelemetryFleetView:
+    """``routing_scales``: each replica's FLOPs per busy second over the
+    fleet mean, clipped to [0.5, 2.0]; replicas without signal keep 1.0."""
+
+    @staticmethod
+    def _hub(**counters: tuple[float, float]) -> TelemetryHub:
+        """A hub whose replica ``name`` accumulated ``(busy_s, flops)``
+        between t=0 and t=4."""
+        hub = TelemetryHub()
+        for name, (busy_s, flops) in counters.items():
+            for ts, share in ((0.0, 0.0), (4.0, 1.0)):
+                hub.sample(f"replica.{name}.busy_s", ts, busy_s * share)
+                hub.sample(f"replica.{name}.flops", ts, flops * share)
+        return hub
+
+    def _scales(self, names: list[str], **counters) -> dict[str, float]:
+        return TelemetryFleetView(self._hub(**counters)).routing_scales(names, 4.0)
+
+    def test_scale_is_rate_over_fleet_mean(self):
+        # Rates 5 and 3 FLOPs per busy second around a mean of 4.
+        scales = self._scales(["a", "b"], a=(1.0, 5.0), b=(2.0, 6.0))
+        assert scales == {"a": 1.25, "b": 0.75}
+
+    def test_scales_clip_to_floor_and_ceiling(self):
+        # Rates 1000, 1 and 1: the mean is 334, so the raw ratios are
+        # ~2.99 and ~0.003.
+        scales = self._scales(
+            ["fast", "slow", "mid"],
+            fast=(1.0, 1000.0), slow=(1.0, 1.0), mid=(1.0, 1.0),
+        )
+        assert scales == {"fast": 2.0, "slow": 0.5, "mid": 0.5}
+
+    def test_replica_without_busy_signal_keeps_unit_scale(self):
+        # ``idle`` was busy below the 1e-6 s minimum and ``absent`` has no
+        # series (NaN busy time); neither enters the mean.
+        scales = self._scales(
+            ["a", "b", "idle", "absent"],
+            a=(1.0, 5.0), b=(1.0, 3.0), idle=(1e-9, 1.0),
+        )
+        assert scales == {"a": 1.25, "b": 0.75, "idle": 1.0, "absent": 1.0}
+
+    def test_fewer_than_two_observed_replicas_means_no_adjustment(self):
+        names = ["a", "idle", "absent"]
+        scales = self._scales(names, a=(1.0, 100.0), idle=(0.0, 0.0))
+        assert scales == {name: 1.0 for name in names}
 
 
 # ----------------------------------------------------------------------

@@ -2,29 +2,65 @@
 
 import pytest
 
-from repro.obs.tracer import CATEGORIES, NULL_TRACER, EventTracer, TraceEvent, Tracer
+import repro.obs
+from repro.frameworks.base import get_framework
+from repro.hardware.zoo import get_hardware
+from repro.models.zoo import get_model
+from repro.obs import tracer as tracer_module
+from repro.obs.tracer import CATEGORIES, EventTracer, TraceEvent
+from repro.perf.phases import Deployment
+from repro.runtime.engine import ServingEngine
+from repro.runtime.paged_kv import KVAllocator
+from repro.runtime.workload import fixed_batch_trace
+
+
+def _untraced_run(optimistic: bool = False):
+    """A default (untraced) engine run that admits, decodes and, when
+    ``optimistic``, preempts."""
+    dep = Deployment(
+        get_model("LLaMA-2-7B"), get_hardware("A100"), get_framework("vLLM")
+    )
+    engine = ServingEngine(dep, max_concurrency=24, optimistic=optimistic)
+    run = engine.start()
+    for request in fixed_batch_trace(24, 1800, 2200):
+        run.submit(request)
+    while run.has_work:
+        run.step()
+    return engine, run, run.result()
 
 
 class TestNullTracer:
+    """An absent tracer is ``None``: there is no no-op tracer object."""
+
     def test_disabled(self):
-        assert NULL_TRACER.enabled is False
-        assert isinstance(NULL_TRACER, Tracer)
+        engine, run, _ = _untraced_run()
+        scheduler = run.scheduler
+        assert engine.tracer is None and run.tracer is None
+        assert engine.memory.tracer is None
+        assert scheduler.tracer is None and scheduler.allocator.tracer is None
+        for module in (repro, repro.obs, tracer_module):
+            assert not hasattr(module, "NULL_TRACER")
+            assert not hasattr(module, "Tracer")
 
     def test_methods_are_noops(self):
-        NULL_TRACER.advance(5.0)
-        NULL_TRACER.instant("admit", "x", request_id=1)
-        NULL_TRACER.complete("prefill", "x", 0.0, 1.0)
-        NULL_TRACER.counter("kv_alloc", "x", used=3)
-        assert NULL_TRACER.now_s == 0.0
+        # Every emitter (admit, prefill, decode span, preempt, KV pool)
+        # runs without a tracer; nothing is recorded anywhere.
+        _, _, result = _untraced_run(optimistic=True)
+        assert result.scheduler_stats.preemptions > 0
+        assert result.metrics is None
 
     def test_no_event_storage(self):
-        # The null tracer must stay allocation-free: no event list at all.
-        assert not hasattr(NULL_TRACER, "events")
+        # Allocators built outside an engine default to no tracer too.
+        assert KVAllocator.tracer is None
 
     def test_shared_instance_is_stateless(self):
-        # advance() on the singleton must not leak state between engines.
-        NULL_TRACER.advance(100.0)
-        assert NULL_TRACER.now_s == 0.0
+        # No tracer object is shared between engines, so back-to-back
+        # untraced runs are bit-identical.
+        first, second = _untraced_run()[2], _untraced_run()[2]
+        assert first.total_time_s == second.total_time_s
+        assert [r.finish_time for r in first.requests] == [
+            r.finish_time for r in second.requests
+        ]
 
 
 class TestEventTracer:

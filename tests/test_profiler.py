@@ -305,10 +305,11 @@ class TestCounterTracks:
 
     def test_untraced_profiled_run_emits_nothing(self):
         dep = _deployment("LLaMA-3-8B", "A100", "vLLM")
-        profiler = StepProfiler(dep)  # NULL_TRACER default
+        profiler = StepProfiler(dep)  # no tracer by default
         bd = prefill_breakdown(dep, 2, 128)
         profiler.record_prefill(0.0, bd, 2, 128, 1.0, [])
-        assert profiler.tracer.enabled is False
+        profiler.record_decode(1.0, bd, 2, 128, 4, 1.0, [])
+        assert profiler.tracer is None
 
 
 class TestMergeAndDeterminism:

@@ -19,8 +19,9 @@ from repro.core.jsonio import dumps
 from repro.frameworks.base import get_framework
 from repro.hardware.zoo import get_hardware
 from repro.models.zoo import get_model
+import repro.obs
+from repro.obs import telemetry as telemetry_module
 from repro.obs.telemetry import (
-    NULL_TELEMETRY,
     SERIES_CAPACITY,
     Alert,
     QuantileSketch,
@@ -298,16 +299,19 @@ class TestTelemetryHub:
         assert json.dumps(back.to_json_dict(), sort_keys=True, indent=1) == blob
 
     def test_null_hub_is_disabled_and_inert(self):
-        assert NULL_TELEMETRY.enabled is False
-        NULL_TELEMETRY.sample("x", 0.0, 1.0)
-        NULL_TELEMETRY.record_completion(0.0, 0.1, 0.01, True)
-        NULL_TELEMETRY.record_request(object())
-        NULL_TELEMETRY.record_request(object(), failed_at_s=1.0)
-        assert NULL_TELEMETRY.tick(1.0) == []
-        assert NULL_TELEMETRY.finish(1.0) == []
-        assert NULL_TELEMETRY.snapshot() is None
-        with pytest.raises(RuntimeError):
-            NULL_TELEMETRY.series("x")
+        # An absent hub is ``None``: engines and clusters default to it,
+        # their results carry no snapshot, and no null hub object exists.
+        from repro.cluster.simulator import ClusterSimulator
+        from repro.runtime.engine import ServingEngine
+        from repro.runtime.workload import fixed_batch_trace
+
+        engine = ServingEngine(deployment(), max_concurrency=2)
+        assert engine.telemetry is None
+        assert engine.run(fixed_batch_trace(2, 64, 8)).telemetry is None
+        assert ClusterSimulator(deployment(), 2).telemetry is None
+        for module in (repro.obs, telemetry_module):
+            assert not hasattr(module, "NULL_TELEMETRY")
+            assert not hasattr(module, "_NullTelemetry")
 
 
 class TestEngineIdentity:
@@ -369,17 +373,17 @@ class TestClusterIdentity:
         return sim.run(open_loop_trace(32, 8.0, 256, 96, seed=5))
 
     def test_off_is_bit_identical(self):
-        # The default (no hub) and an explicit NULL_TELEMETRY must walk
-        # the exact same code path: no control ticks, no sampling, and
-        # byte-for-byte identical result JSON.  (An *attached* hub arms
-        # 0.5s control ticks, which legitimately chop decode spans at
-        # different boundaries — that path is covered by the
-        # determinism tests below, not by bit-identity with "off".)
+        # The default and an explicit ``telemetry=None`` are one code
+        # path: no control ticks, no sampling, and byte-for-byte
+        # identical result JSON.  (An *attached* hub arms 0.5s control
+        # ticks, which legitimately chop decode spans at different
+        # boundaries — that path is covered by the determinism tests
+        # below, not by bit-identity with "off".)
         plain = self._run()
-        nulled = self._run(NULL_TELEMETRY)
+        nulled = self._run(None)
         assert plain.telemetry is None
         assert nulled.telemetry is None
-        assert plain.to_json_dict() == nulled.to_json_dict()
+        assert dumps(plain.to_json_dict()) == dumps(nulled.to_json_dict())
 
     def test_off_json_has_no_telemetry_key(self):
         # Old-bundle compatibility: the key appears only when attached.
@@ -407,6 +411,43 @@ class TestClusterIdentity:
         names = set(result.telemetry.series)
         assert any(name.endswith(".mfu") for name in names)
         assert any(name.endswith(".joules_per_token") for name in names)
+
+
+class TestTickInterval:
+    """The snapshot reports the interval the hub was actually ticked at."""
+
+    @staticmethod
+    def _snapshot(tick_interval_s: float) -> dict:
+        from repro.cluster.simulator import ClusterSimulator
+        from repro.control import BurnRateAutoscaler, ControlPlane
+        from repro.runtime.workload import open_loop_trace
+
+        control = ControlPlane(
+            autoscaler=BurnRateAutoscaler(max_replicas=3),
+            tick_interval_s=tick_interval_s,
+        )
+        sim = ClusterSimulator(deployment(), 2, max_concurrency=8, control=control)
+        result = sim.run(open_loop_trace(24, 8.0, 256, 64, seed=2))
+        return result.telemetry.to_json_dict()
+
+    @pytest.mark.parametrize("tick_interval_s", [0.25, 0.5])
+    def test_auto_created_hub_reports_control_tick(self, tick_interval_s):
+        snapshot = self._snapshot(tick_interval_s)
+        assert snapshot["config"]["tick_interval_s"] == tick_interval_s
+        ticks = snapshot["series"]["slo.burn_rate_fast"]["ts_s"]
+        # Every tick but the closeout at the horizon is on the control
+        # tick train.
+        assert ticks[:-1] == [
+            tick_interval_s * (i + 1) for i in range(len(ticks) - 1)
+        ]
+
+    def test_engine_hub_keeps_default_interval(self):
+        from repro.runtime.engine import ServingEngine
+        from repro.runtime.workload import open_loop_trace
+
+        engine = ServingEngine(deployment(), max_concurrency=8, telemetry=TelemetryHub())
+        result = engine.run(open_loop_trace(8, 6.0, 256, 32, seed=3))
+        assert result.telemetry.config["tick_interval_s"] == 0.5
 
 
 class TestFlashCrowdControlLoop:
