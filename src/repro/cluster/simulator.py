@@ -169,10 +169,6 @@ class Replica:
     def queue_depth(self) -> int:
         return self.run.queue_depth
 
-    @property
-    def kv_used_fraction(self) -> float:
-        return self.run.kv_used_fraction
-
 
 @dataclass(frozen=True)
 class ReplicaReport:
@@ -695,7 +691,6 @@ class ClusterSimulator:
         if not pool:
             self._fail(request, now)
             return
-        self._sample_gauges(self._replicas, now)
         chosen = self.router.route(request, pool, now)
         cached = 0
         if request.prefix_id is not None:
@@ -878,7 +873,7 @@ class ClusterSimulator:
         self, ts: float, serving: list[Replica], warming: list[Replica]
     ) -> FleetView:
         assert self.control is not None
-        window = self.control.metrics_window_s
+        window = FAST_WINDOW_S
         recent = [r for r in self._completions if r.finish_time >= ts - window]
         slo = getattr(self.control.autoscaler, "slo", None) or ServiceLevelObjective()
         if recent:
@@ -961,7 +956,7 @@ class ClusterSimulator:
                 float(replica.outstanding_tokens),
                 unit="tokens",
             )
-            hub.sample(f"{prefix}.kv_occupancy", ts, replica.kv_used_fraction)
+            hub.sample(f"{prefix}.kv_occupancy", ts, replica.run.kv_used_fraction)
             profiler = replica.run.profiler
             if profiler is not None:
                 self._sample_profiler_totals(
@@ -1017,7 +1012,7 @@ class ClusterSimulator:
     def _scale_up(self, ts: float) -> None:
         plane = self.control
         assert plane is not None
-        dep = plane.scale_deployment or self.deployment
+        dep = self.deployment
         index = self._next_index
         self._next_index += 1
         name = (
@@ -1066,22 +1061,6 @@ class ClusterSimulator:
             )
 
     # ------------------------------------------------------------------
-
-    def _sample_gauges(self, replicas: list[Replica], now: float) -> None:
-        """Per-replica fleet gauges at each routing instant."""
-        registry = self._registry
-        for replica in replicas:
-            if not replica.alive:
-                continue
-            registry.gauge(f"{replica.name}.queue_depth").set(
-                replica.queue_depth, ts_s=now
-            )
-            registry.gauge(f"{replica.name}.outstanding_tokens").set(
-                replica.outstanding_tokens, ts_s=now
-            )
-            registry.gauge(f"{replica.name}.kv_occupancy").set(
-                replica.kv_used_fraction, ts_s=now
-            )
 
     def _finalize(self, trace: list[GenerationRequest]) -> ClusterResult:
         registry = self._registry

@@ -32,10 +32,8 @@ class ControlPlane:
     """Configuration + pricing for fault/autoscale co-simulation.
 
     ``tick_interval_s`` spaces the autoscaler's observation points on the
-    simulation clock.  ``warmup_extra_s`` adds a fixed process-start cost
-    (container pull, engine compile) on top of the interconnect-priced
-    weight load.  ``scale_deployment`` is the shape new replicas come up
-    with; it defaults to the cluster's base deployment.
+    simulation clock.  Scaled-up replicas come up as the cluster's base
+    deployment.
     """
 
     def __init__(
@@ -44,29 +42,15 @@ class ControlPlane:
         autoscaler: AutoscalePolicy | None = None,
         retry: RetryPolicy | None = None,
         tick_interval_s: float = 0.5,
-        metrics_window_s: float = 5.0,
-        warmup_extra_s: float = 0.0,
-        scale_deployment: Deployment | None = None,
     ) -> None:
         if tick_interval_s <= 0:
             raise ValueError(
                 f"tick_interval_s must be positive, got {tick_interval_s}"
             )
-        if metrics_window_s <= 0:
-            raise ValueError(
-                f"metrics_window_s must be positive, got {metrics_window_s}"
-            )
-        if warmup_extra_s < 0:
-            raise ValueError(
-                f"warmup_extra_s must be >= 0, got {warmup_extra_s}"
-            )
         self.faults = faults or FaultSchedule()
         self.autoscaler = autoscaler or NullAutoscaler()
         self.retry = retry or RetryPolicy()
         self.tick_interval_s = tick_interval_s
-        self.metrics_window_s = metrics_window_s
-        self.warmup_extra_s = warmup_extra_s
-        self.scale_deployment = scale_deployment
 
     @property
     def is_null(self) -> bool:
@@ -83,8 +67,7 @@ class ControlPlane:
 
         Each device pulls its shard of the (framework-inflated) weight
         footprint over the node interconnect — the realistic floor for
-        loading from a weight cache or peer replica — plus any fixed
-        ``warmup_extra_s`` start cost.
+        loading from a weight cache or peer replica.
         """
         weight_bytes = (
             deployment.model.total_params
@@ -92,6 +75,4 @@ class ControlPlane:
             * deployment.framework.memory_overhead_factor
         )
         per_device = weight_bytes / deployment.num_devices
-        return p2p_time(deployment.hardware.interconnect, per_device) + (
-            self.warmup_extra_s
-        )
+        return p2p_time(deployment.hardware.interconnect, per_device)

@@ -145,6 +145,15 @@ class GenerationRequest:
             raise RuntimeError(f"request {self.request_id} has not finished")
         return self.finish_time - self.arrival_time
 
+    @property
+    def itl_s(self) -> float:
+        """Mean inter-token latency: the streaming time after the first
+        token over the remaining tokens.  Defined for finished requests
+        with more than one output token."""
+        if self.finish_time is None:
+            raise RuntimeError(f"request {self.request_id} has not finished")
+        return (self.finish_time - self.first_token_time) / (self.output_tokens - 1)
+
     def record_token(self, now: float) -> None:
         """Account one generated token at simulation time ``now``."""
         if self.generated_tokens >= self.output_tokens:

@@ -210,8 +210,8 @@ def cluster_section_html(
     Per-replica rows (role, status, requests served, busy time,
     utilization bar) followed by fault-injection and autoscale event
     tables when the control plane acted, then the cluster metrics
-    snapshot (fleet gauges sampled at every routing instant, TTFT/ITL
-    histograms) via :func:`metrics_section_html`.  Embeddable below the
+    snapshot (control-tick ``fleet.*`` gauges, TTFT/ITL histograms,
+    counters) via :func:`metrics_section_html`.  Embeddable below the
     experiment browser the same way the traced-engine metrics section is.
     """
     parts = [f"<h2>{html.escape(title)}</h2>"]

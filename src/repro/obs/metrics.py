@@ -320,20 +320,16 @@ def record_latencies(registry: "MetricsRegistry", requests) -> None:
     included, unlike ITL) and ITL only for finished ones.
     """
     for request in requests:
-        first = request.first_token_time
-        if first is None:
+        if request.first_token_time is None:
             continue
         registry.histogram("ttft_s").record(request.ttft_s)
-        finish = request.finish_time
-        if finish is None:
+        if request.finish_time is None:
             continue
         e2e = request.end_to_end_latency_s
         registry.histogram("e2e_s").record(e2e)
         registry.histogram("ntpot_s").record(e2e / request.output_tokens)
         if request.output_tokens > 1:
-            registry.histogram("itl_s").record(
-                (finish - first) / (request.output_tokens - 1)
-            )
+            registry.histogram("itl_s").record(request.itl_s)
 
 
 class MetricsRegistry:

@@ -455,12 +455,11 @@ class TelemetryHub:
         if failed_at_s is not None:
             self.record_completion(failed_at_s, nan, nan, False, tenant=request.tenant)
             return
-        first = request.first_token_time
         ttft = itl = nan
-        if first is not None:
+        if request.first_token_time is not None:
             ttft = request.ttft_s
             if request.output_tokens > 1:
-                itl = (request.finish_time - first) / (request.output_tokens - 1)
+                itl = request.itl_s
         self.record_completion(
             request.finish_time,
             ttft,

@@ -675,8 +675,7 @@ class EngineRun:
     @property
     def kv_used_fraction(self) -> float:
         allocator = self.scheduler.allocator
-        capacity = allocator.capacity_tokens
-        return allocator.used_tokens / capacity if capacity > 0 else 0.0
+        return allocator.used_tokens / allocator.capacity_tokens
 
     # ------------------------------------------------------------------
 
@@ -735,21 +734,17 @@ class EngineRun:
         scheduler = self.scheduler
         queue = scheduler.arrived_count(now)
         batch = len(scheduler.running)
-        allocator = scheduler.allocator
-        capacity = allocator.capacity_tokens
-        kv = allocator.used_tokens / capacity if capacity > 0 else None
+        kv = self.kv_used_fraction
         registry = self._registry
         if registry is not None:
             self.tracer.advance(now)
             registry.gauge("queue_depth").set(queue, ts_s=now)
             registry.gauge("batch_size").set(batch, ts_s=now)
-            if kv is not None:
-                registry.gauge("kv_occupancy").set(kv, ts_s=now)
+            registry.gauge("kv_occupancy").set(kv, ts_s=now)
         if hub is not None:
             hub.sample("engine.queue_depth", now, float(queue))
             hub.sample("engine.batch_size", now, float(batch))
-            if kv is not None:
-                hub.sample("engine.kv_occupancy", now, kv)
+            hub.sample("engine.kv_occupancy", now, kv)
             if now - hub.last_tick_s >= hub.tick_interval_s:
                 trace_alerts(self.tracer, hub.tick(now))
 

@@ -62,12 +62,8 @@ class ServiceLevelObjective:
             return False
         if self.e2e_s is not None and request.end_to_end_latency_s > self.e2e_s:
             return False
-        if request.output_tokens > 1:
-            itl = (request.finish_time - request.first_token_time) / (
-                request.output_tokens - 1
-            )
-            if itl > self.itl_s:
-                return False
+        if request.output_tokens > 1 and request.itl_s > self.itl_s:
+            return False
         return True
 
 

@@ -22,6 +22,7 @@ from repro.core.request import GenerationRequest
 from repro.frameworks.base import get_framework
 from repro.hardware.zoo import get_hardware
 from repro.models.zoo import get_model
+from repro.obs.telemetry import TelemetryHub
 from repro.perf.multinode import replicas_for_rate
 from repro.perf.phases import Deployment
 from repro.runtime.engine import ServingEngine
@@ -186,13 +187,25 @@ class TestClusterSimulator:
         )
 
     def test_fleet_gauges_and_counters(self):
-        trace = open_loop_trace(24, 8.0, 256, 64, seed=1)
-        result = ClusterSimulator(_dep(), 2).run(trace)
+        # Per-replica state is the telemetry hub's series; the registry
+        # keeps fleet-scope instruments only.
+        plain = ClusterSimulator(_dep(), 2).run(
+            open_loop_trace(24, 8.0, 256, 64, seed=1)
+        )
+        assert all(name.startswith("fleet.") for name in plain.metrics.gauges)
+        assert plain.metrics.counters["routed"] == 24
+        assert plain.metrics.histograms["ttft_s"].count == 24
+        observed = ClusterSimulator(_dep(), 2, telemetry=TelemetryHub()).run(
+            open_loop_trace(24, 8.0, 256, 64, seed=1)
+        )
         for name in ("replica0", "replica1"):
-            for gauge in ("queue_depth", "outstanding_tokens", "kv_occupancy"):
-                assert f"{name}.{gauge}" in result.metrics.gauges
-        assert result.metrics.counters["routed"] == 24
-        assert result.metrics.histograms["ttft_s"].count == 24
+            for channel in ("queue_depth", "outstanding_tokens", "kv_occupancy"):
+                assert f"replica.{name}.{channel}" in observed.telemetry.series
+        assert observed.metrics.gauges == plain.metrics.gauges
+        assert observed.metrics.counters == plain.metrics.counters
+        assert {
+            name: hist.count for name, hist in observed.metrics.histograms.items()
+        } == {name: hist.count for name, hist in plain.metrics.histograms.items()}
 
     def test_traced_run_collects_per_replica_events(self):
         trace = open_loop_trace(12, 8.0, 128, 32, seed=2)
@@ -231,7 +244,9 @@ class TestSaturatedFleet:
 
     def test_burst_queues_and_drains_completely(self):
         trace = self._burst()
-        result = ClusterSimulator(_dep(), 2, max_concurrency=2).run(trace)
+        result = ClusterSimulator(
+            _dep(), 2, max_concurrency=2, telemetry=TelemetryHub()
+        ).run(trace)
         assert all(r.state == "finished" for r in trace)
         assert sum(rep.requests_served for rep in result.replicas) == len(
             trace
@@ -239,7 +254,7 @@ class TestSaturatedFleet:
         # The backlog really queued: peak waiting depth well above the
         # admission limit on at least one replica.
         peaks = [
-            result.metrics.gauges[f"{name}.queue_depth"].maximum
+            max(result.telemetry.series[f"replica.{name}.queue_depth"]["values"])
             for name in ("replica0", "replica1")
         ]
         assert max(peaks) > 2
