@@ -30,7 +30,7 @@ from functools import partial
 from repro.cluster.planner import CapacityPlan, ClusterCapacityPlanner
 from repro.cluster.router import get_router
 from repro.control.autoscale import derive_autoscaler_bounds
-from repro.core.jsonio import from_json_float, json_float
+from repro.core import jsonio
 from repro.core.request import GenerationConfig
 from repro.experiments.spec import QUANT_SCHEMES
 from repro.frameworks.base import get_framework
@@ -110,54 +110,8 @@ class ScreenedConfig:
             f"{self.quant}/tp{self.tp}"
         )
 
-    def to_json_dict(self) -> dict[str, object]:
-        return {
-            "model": self.model,
-            "hardware": self.hardware,
-            "framework": self.framework,
-            "quant": self.quant,
-            "tp": self.tp,
-            "batch_size": self.batch_size,
-            "num_devices": self.num_devices,
-            "replicas": self.replicas,
-            "feasible": self.feasible,
-            "oom": self.oom,
-            "slo_ok": self.slo_ok,
-            "ttft_s": json_float(self.ttft_s),
-            "itl_s": json_float(self.itl_s),
-            "e2e_s": json_float(self.e2e_s),
-            "per_replica_rps": json_float(self.per_replica_rps),
-            "throughput_tokens_per_s": json_float(self.throughput_tokens_per_s),
-            "average_power_w": json_float(self.average_power_w),
-            "cost_per_token_usd": json_float(self.cost_per_token_usd),
-            "energy_per_token_j": json_float(self.energy_per_token_j),
-            "perplexity": json_float(self.perplexity),
-            "slo_headroom": json_float(self.slo_headroom),
-        }
-
-    @classmethod
-    def from_json_dict(cls, payload: dict[str, object]) -> "ScreenedConfig":
-        kwargs: dict[str, object] = {}
-        for label in ("model", "hardware", "framework", "quant"):
-            kwargs[label] = str(payload[label])
-        for label in ("tp", "batch_size", "num_devices", "replicas"):
-            kwargs[label] = int(payload[label])  # type: ignore[arg-type]
-        for label in ("feasible", "oom", "slo_ok"):
-            kwargs[label] = bool(payload[label])
-        for label in (
-            "ttft_s",
-            "itl_s",
-            "e2e_s",
-            "per_replica_rps",
-            "throughput_tokens_per_s",
-            "average_power_w",
-            "cost_per_token_usd",
-            "energy_per_token_j",
-            "perplexity",
-            "slo_headroom",
-        ):
-            kwargs[label] = from_json_float(payload[label])
-        return cls(**kwargs)  # type: ignore[arg-type]
+    to_json_dict = jsonio.to_json_dict
+    from_json_dict = classmethod(jsonio.from_json_dict)
 
 
 @dataclass(frozen=True)
@@ -169,13 +123,7 @@ class ScreeningStats:
     skipped_invalid: int  # configs rejected by deployment validation
     oom_lanes: int
 
-    def to_json_dict(self) -> dict[str, object]:
-        return {
-            "configs_nominal": self.configs_nominal,
-            "configs_screened": self.configs_screened,
-            "skipped_invalid": self.skipped_invalid,
-            "oom_lanes": self.oom_lanes,
-        }
+    to_json_dict = jsonio.to_json_dict
 
 
 def screen(space: SearchSpace) -> tuple[list[ScreenedConfig], ScreeningStats]:
@@ -304,15 +252,7 @@ class RefinedCandidate:
     autoscaler_max_replicas: int | None
     plan_ranking: tuple[PlanScore, ...]
 
-    def to_json_dict(self) -> dict[str, object]:
-        return {
-            "config": self.config.to_json_dict(),
-            "router": self.router,
-            "capacity_plan": self.capacity_plan.to_json_dict(),
-            "autoscaler_min_replicas": self.autoscaler_min_replicas,
-            "autoscaler_max_replicas": self.autoscaler_max_replicas,
-            "plan_ranking": [s.to_json_dict() for s in self.plan_ranking],
-        }
+    to_json_dict = jsonio.to_json_dict
 
 
 def refine(

@@ -31,7 +31,7 @@ from repro.analysis.optimize.evaluate import (
 )
 from repro.analysis.optimize.pareto import non_dominated_indices
 from repro.analysis.optimize.space import SearchSpace
-from repro.core.jsonio import dumps
+from repro.core import jsonio
 
 __all__ = ["FRONTIER_NAMES", "OptimizationReport", "extract_frontiers", "optimize"]
 
@@ -86,23 +86,11 @@ class OptimizationReport:
     frontiers: dict[str, tuple[ScreenedConfig, ...]]
     refined: tuple[RefinedCandidate, ...]
 
-    def to_json_dict(self) -> dict[str, object]:
-        return {
-            "space": self.space.to_json_dict(),
-            "objective": self.objective,
-            "seed": self.seed,
-            "stats": self.stats.to_json_dict(),
-            "best": None if self.best is None else self.best.to_json_dict(),
-            "frontiers": {
-                name: [c.to_json_dict() for c in members]
-                for name, members in self.frontiers.items()
-            },
-            "refined": [r.to_json_dict() for r in self.refined],
-        }
+    to_json_dict = jsonio.to_json_dict
 
     def to_json(self) -> str:
         """Canonical byte representation (:func:`repro.core.jsonio.dumps`)."""
-        return dumps(self.to_json_dict())
+        return jsonio.dumps(self.to_json_dict())
 
     def save(self, path: str | Path) -> Path:
         path = Path(path)

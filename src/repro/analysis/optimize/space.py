@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.cluster.router import ROUTER_NAMES
+from repro.core import jsonio
 from repro.experiments.spec import QUANT_SCHEMES
 from repro.frameworks.base import get_framework
 from repro.hardware.zoo import get_hardware
@@ -149,7 +150,7 @@ class SearchSpace:
             _reject_repeats(axis, getattr(self, axis))
         if self.input_tokens < 1 or self.output_tokens < 1:
             raise ValueError("input_tokens and output_tokens must be >= 1")
-        if self.target_rate_rps <= 0:
+        if not self.target_rate_rps > 0:  # NaN (a JSON null) included
             raise ValueError(
                 f"target_rate_rps must be positive, got {self.target_rate_rps}"
             )
@@ -202,51 +203,5 @@ class SearchSpace:
                             )
         return candidates, skipped
 
-    def to_json_dict(self) -> dict[str, object]:
-        """Deterministic JSON view (embedded in optimization reports)."""
-        return {
-            "models": list(self.models),
-            "hardware": list(self.hardware),
-            "frameworks": list(self.frameworks),
-            "quant_schemes": list(self.quant_schemes),
-            "tensor_parallel": list(self.tensor_parallel),
-            "batch_sizes": list(self.batch_sizes),
-            "routers": list(self.routers),
-            "input_tokens": self.input_tokens,
-            "output_tokens": self.output_tokens,
-            "target_rate_rps": self.target_rate_rps,
-            "max_replicas": self.max_replicas,
-            "slo": {
-                "ttft_s": self.slo.ttft_s,
-                "itl_s": self.slo.itl_s,
-                "e2e_s": self.slo.e2e_s,
-                "attainment_target": self.slo.attainment_target,
-            },
-        }
-
-    @classmethod
-    def from_json_dict(cls, payload: dict[str, object]) -> "SearchSpace":
-        slo = payload["slo"]
-        return cls(
-            models=tuple(payload["models"]),  # type: ignore[arg-type]
-            hardware=tuple(payload["hardware"]),  # type: ignore[arg-type]
-            frameworks=tuple(payload["frameworks"]),  # type: ignore[arg-type]
-            quant_schemes=tuple(payload["quant_schemes"]),  # type: ignore[arg-type]
-            tensor_parallel=tuple(int(t) for t in payload["tensor_parallel"]),  # type: ignore[union-attr]
-            batch_sizes=tuple(int(b) for b in payload["batch_sizes"]),  # type: ignore[union-attr]
-            routers=tuple(payload["routers"]),  # type: ignore[arg-type]
-            input_tokens=int(payload["input_tokens"]),  # type: ignore[arg-type]
-            output_tokens=int(payload["output_tokens"]),  # type: ignore[arg-type]
-            target_rate_rps=float(payload["target_rate_rps"]),  # type: ignore[arg-type]
-            max_replicas=int(payload["max_replicas"]),  # type: ignore[arg-type]
-            slo=ServiceLevelObjective(
-                ttft_s=float(slo["ttft_s"]),  # type: ignore[index]
-                itl_s=float(slo["itl_s"]),  # type: ignore[index]
-                e2e_s=(
-                    None
-                    if slo["e2e_s"] is None  # type: ignore[index]
-                    else float(slo["e2e_s"])  # type: ignore[index]
-                ),
-                attainment_target=float(slo["attainment_target"]),  # type: ignore[index]
-            ),
-        )
+    to_json_dict = jsonio.to_json_dict
+    from_json_dict = classmethod(jsonio.from_json_dict)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from repro.cluster.router import LeastOutstandingTokensRouter, Router
 from repro.cluster.simulator import ClusterSimulator
-from repro.core.jsonio import from_json_float, json_float
+from repro.core import jsonio
 from repro.core.request import GenerationRequest
 from repro.perf.kernel import get_kernel
 from repro.perf.multinode import replicas_for_rate
@@ -61,38 +61,8 @@ class CapacityPlan:
             f"{len(self.probes)} probes)\n{self.report.render()}"
         )
 
-    def to_json_dict(self) -> dict[str, object]:
-        """Deterministic JSON view (:func:`~repro.core.jsonio.json_float`).
-
-        Optimizer artifacts (:mod:`repro.analysis.optimize`) embed plans
-        losslessly; probe attainments on empty probe runs are NaN and
-        survive as ``null``.
-        """
-        return {
-            "target_rate_rps": json_float(self.target_rate_rps),
-            "num_replicas": self.num_replicas,
-            "analytic_replicas": self.analytic_replicas,
-            "feasible": self.feasible,
-            "report": self.report.to_json_dict(),
-            "probes": [
-                [replicas, json_float(attainment)]
-                for replicas, attainment in self.probes
-            ],
-        }
-
-    @classmethod
-    def from_json_dict(cls, payload: dict[str, object]) -> "CapacityPlan":
-        return cls(
-            target_rate_rps=from_json_float(payload["target_rate_rps"]),
-            num_replicas=int(payload["num_replicas"]),  # type: ignore[arg-type]
-            analytic_replicas=int(payload["analytic_replicas"]),  # type: ignore[arg-type]
-            feasible=bool(payload["feasible"]),
-            report=LoadReport.from_json_dict(payload["report"]),  # type: ignore[arg-type]
-            probes=tuple(
-                (int(replicas), from_json_float(attainment))
-                for replicas, attainment in payload["probes"]  # type: ignore[union-attr]
-            ),
-        )
+    to_json_dict = jsonio.to_json_dict
+    from_json_dict = classmethod(jsonio.from_json_dict)
 
 
 class ClusterCapacityPlanner:

@@ -143,37 +143,6 @@ class PowerOfTwoChoicesRouter(Router):
         return _least_outstanding([replicas[int(i)], replicas[int(j)]])
 
 
-class PrefixAffinityRouter(Router):
-    """KV-cache-aware routing: pin each shared prefix to one replica.
-
-    The first request of a prefix picks the least-loaded replica and
-    records it as the prefix's home; repeats follow, landing where the
-    prefix's KV blocks already live so their prefill covers only the
-    unique suffix.  Prefix-less requests fall back to least-outstanding.
-    """
-
-    name = "prefix-affinity"
-
-    def __init__(self, seed: int = 0) -> None:
-        super().__init__(seed)
-        self._home: dict[int, int] = {}  # prefix_id -> replica index
-
-    def route(self, request, replicas, now):
-        self._require(replicas)
-        prefix_id = request.prefix_id
-        if prefix_id is None:
-            return _least_outstanding(replicas)
-        home = self._home.get(prefix_id)
-        if home is not None:
-            for replica in replicas:
-                if replica.index == home:
-                    return replica
-            # Home replica not eligible (e.g. role change): re-pin below.
-        chosen = _least_outstanding(replicas)
-        self._home[prefix_id] = chosen.index
-        return chosen
-
-
 class SessionAffinityRouter(Router):
     """Session-sticky routing: a conversation's turns stay on one replica.
 
@@ -220,6 +189,26 @@ class SessionAffinityRouter(Router):
         chosen = _least_outstanding(replicas)
         self._home[key] = chosen.index
         return chosen
+
+
+class PrefixAffinityRouter(SessionAffinityRouter):
+    """KV-cache-aware routing: pin each shared prefix to one replica.
+
+    The first request of a prefix picks the least-loaded replica and
+    records it as the prefix's home; repeats follow, landing where the
+    prefix's KV blocks already live so their prefill covers only the
+    unique suffix.  Prefix-less requests fall back to least-outstanding.
+    Session ids are ignored: this is session affinity keyed on the
+    prefix alone.
+    """
+
+    name = "prefix-affinity"
+
+    @staticmethod
+    def _key(request: GenerationRequest) -> tuple[str, int] | None:
+        if request.prefix_id is not None:
+            return ("prefix", request.prefix_id)
+        return None
 
 
 ROUTER_NAMES: dict[str, type[Router]] = {

@@ -586,7 +586,7 @@ class ClusterSimulator:
         retired = replica.run.step(horizon=horizon)
         if (
             not self._orig_by_proxy
-            and not self._control_on
+            and not self._control_ticks
             and self.telemetry is None
         ):
             return
@@ -600,7 +600,7 @@ class ClusterSimulator:
             else:
                 orig = proxy  # submitted directly (no proxy)
             if orig.state == RequestState.FINISHED:
-                if self._control_on:
+                if self._control_ticks:
                     self._completions.append(orig)
                 if self.telemetry is not None:
                     self.telemetry.record_request(orig)
@@ -875,6 +875,9 @@ class ClusterSimulator:
         assert self.control is not None
         window = FAST_WINDOW_S
         recent = [r for r in self._completions if r.finish_time >= ts - window]
+        # Ticks are monotone, so a completion that left this window never
+        # re-enters a later one: keep only what the window still sees.
+        self._completions = recent
         slo = getattr(self.control.autoscaler, "slo", None) or ServiceLevelObjective()
         if recent:
             attainment = sum(1 for r in recent if slo.met_by(r)) / len(recent)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.jsonio import json_num
+from repro.core import jsonio
 
 __all__ = [
     "MetricSummary",
@@ -88,17 +88,7 @@ class MetricSummary:
             return float("nan")
         return (self.ci_hi - self.ci_lo) / 2.0
 
-    def to_json_dict(self) -> dict[str, object]:
-        return {
-            "name": self.name,
-            "n": self.n,
-            "mean": json_num(self.mean),
-            "std": json_num(self.std),
-            "ci_lo": json_num(self.ci_lo),
-            "ci_hi": json_num(self.ci_hi),
-            "confidence": self.confidence,
-            "method": self.method,
-        }
+    to_json_dict = jsonio.to_json_dict
 
     def render(self) -> str:
         if self.n == 0:
@@ -126,14 +116,7 @@ class TestResult:
         """True only on positive evidence: NaN p-values never flag."""
         return math.isfinite(self.p_value) and self.p_value < alpha
 
-    def to_json_dict(self) -> dict[str, object]:
-        return {
-            "test": self.test,
-            "statistic": json_num(self.statistic),
-            "p_value": json_num(self.p_value),
-            "n_a": self.n_a,
-            "n_b": self.n_b,
-        }
+    to_json_dict = jsonio.to_json_dict
 
 
 # ----------------------------------------------------------------------

@@ -39,7 +39,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.jsonio import from_json_num, json_num
+from repro.core import jsonio
+from repro.core.jsonio import json_num
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.loadgen import ServiceLevelObjective
@@ -228,28 +229,8 @@ class Alert:
     value: float
     threshold: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "severity": self.severity,
-            "state": self.state,
-            "ts_s": json_num(self.ts_s),
-            "window_s": json_num(self.window_s),
-            "value": json_num(self.value),
-            "threshold": json_num(self.threshold),
-        }
-
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "Alert":
-        return cls(
-            name=payload["name"],
-            severity=payload["severity"],
-            state=payload["state"],
-            ts_s=from_json_num(payload["ts_s"]),
-            window_s=from_json_num(payload["window_s"]),
-            value=from_json_num(payload["value"]),
-            threshold=from_json_num(payload["threshold"]),
-        )
+    to_json_dict = jsonio.to_json_dict
+    from_json_dict = classmethod(jsonio.from_json_dict)
 
 
 class SloBudget:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.jsonio import from_json_float, json_float
+from repro.core import jsonio
 from repro.core.request import GenerationConfig
 from repro.frameworks.base import FrameworkProfile
 from repro.hardware.spec import HardwareSpec
@@ -37,35 +37,8 @@ class PlanScore:
     def feasible(self) -> bool:
         return not self.oom and self.throughput_tokens_per_s > 0
 
-    def to_json_dict(self) -> dict[str, object]:
-        """Deterministic JSON view (:func:`~repro.core.jsonio.json_float`).
-
-        Optimizer artifacts embed plan rankings losslessly; the OOM sentinel
-        ``ttft_s=inf`` serialises as ``null`` (the ``oom`` flag carries
-        the information).
-        """
-        return {
-            "plan": {"tp": self.plan.tp, "pp": self.plan.pp, "ep": self.plan.ep},
-            "throughput_tokens_per_s": json_float(self.throughput_tokens_per_s),
-            "ttft_s": json_float(self.ttft_s),
-            "oom": self.oom,
-        }
-
-    @classmethod
-    def from_json_dict(cls, payload: dict[str, object]) -> "PlanScore":
-        plan = payload["plan"]
-        return cls(
-            plan=ParallelismPlan(
-                tp=int(plan["tp"]),  # type: ignore[index]
-                pp=int(plan["pp"]),  # type: ignore[index]
-                ep=int(plan["ep"]),  # type: ignore[index]
-            ),
-            throughput_tokens_per_s=from_json_float(
-                payload["throughput_tokens_per_s"]
-            ),
-            ttft_s=from_json_float(payload["ttft_s"]),
-            oom=bool(payload["oom"]),
-        )
+    to_json_dict = jsonio.to_json_dict
+    from_json_dict = classmethod(jsonio.from_json_dict)
 
 
 def _divisors(n: int) -> list[int]:

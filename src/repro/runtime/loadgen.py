@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.jsonio import from_json_float, json_float
+from repro.core import jsonio
 from repro.core.request import GenerationRequest
 from repro.perf.phases import Deployment
 from repro.runtime.engine import ServingEngine
@@ -48,9 +48,10 @@ class ServiceLevelObjective:
     attainment_target: float = 0.95  # fraction of requests that must meet it
 
     def __post_init__(self) -> None:
-        if self.ttft_s <= 0 or self.itl_s <= 0:
+        # ``not x > 0`` also rejects NaN, which a JSON ``null`` loads as.
+        if not (self.ttft_s > 0 and self.itl_s > 0):
             raise ValueError("SLO bounds must be positive")
-        if self.e2e_s is not None and self.e2e_s <= 0:
+        if self.e2e_s is not None and not self.e2e_s > 0:
             raise ValueError("SLO bounds must be positive")
         if not 0 < self.attainment_target <= 1:
             raise ValueError("attainment_target must be in (0, 1]")
@@ -94,29 +95,8 @@ class TenantReport:
             f"{self.failure_rate:.0%} failed"
         )
 
-    def to_json_dict(self) -> dict[str, object]:
-        """Deterministic JSON view (non-finite -> null, like snapshots)."""
-        return {
-            "tenant": self.tenant,
-            "requests": self.requests,
-            "completed_requests": self.completed_requests,
-            "slo_attainment": json_float(self.slo_attainment),
-            "ntpot_mean_s": json_float(self.ntpot_mean_s),
-            "ttft_p95_s": json_float(self.ttft_p95_s),
-            "failure_rate": json_float(self.failure_rate),
-        }
-
-    @classmethod
-    def from_json_dict(cls, payload: dict[str, object]) -> "TenantReport":
-        return cls(
-            tenant=str(payload["tenant"]),
-            requests=int(payload["requests"]),  # type: ignore[arg-type]
-            completed_requests=int(payload["completed_requests"]),  # type: ignore[arg-type]
-            slo_attainment=from_json_float(payload["slo_attainment"]),
-            ntpot_mean_s=from_json_float(payload["ntpot_mean_s"]),
-            ttft_p95_s=from_json_float(payload["ttft_p95_s"]),
-            failure_rate=from_json_float(payload["failure_rate"]),
-        )
+    to_json_dict = jsonio.to_json_dict
+    from_json_dict = classmethod(jsonio.from_json_dict)
 
 
 @dataclass(frozen=True)
@@ -161,53 +141,8 @@ class LoadReport:
             line = "\n".join([line, *(t.render() for t in self.tenants)])
         return line
 
-    def to_json_dict(self) -> dict[str, object]:
-        """Deterministic JSON view (:func:`~repro.core.jsonio.json_float`).
-
-        Capacity plans and optimizer artifacts embed load reports
-        losslessly; NaN lanes (empty completion sets) survive a
-        round-trip as NaN.
-        """
-        return {
-            "offered_rate_rps": json_float(self.offered_rate_rps),
-            "completed_requests": self.completed_requests,
-            "makespan_s": json_float(self.makespan_s),
-            "throughput_tokens_per_s": json_float(self.throughput_tokens_per_s),
-            "ttft_p50_s": json_float(self.ttft_p50_s),
-            "ttft_p95_s": json_float(self.ttft_p95_s),
-            "ttft_p99_s": json_float(self.ttft_p99_s),
-            "itl_mean_s": json_float(self.itl_mean_s),
-            "slo_attainment": json_float(self.slo_attainment),
-            "goodput_rps": json_float(self.goodput_rps),
-            "average_power_w": json_float(self.average_power_w),
-            "ntpot_mean_s": json_float(self.ntpot_mean_s),
-            "failure_rate": json_float(self.failure_rate),
-            "tenants": [t.to_json_dict() for t in self.tenants],
-        }
-
-    @classmethod
-    def from_json_dict(cls, payload: dict[str, object]) -> "LoadReport":
-        return cls(
-            offered_rate_rps=from_json_float(payload["offered_rate_rps"]),
-            completed_requests=int(payload["completed_requests"]),  # type: ignore[arg-type]
-            makespan_s=from_json_float(payload["makespan_s"]),
-            throughput_tokens_per_s=from_json_float(
-                payload["throughput_tokens_per_s"]
-            ),
-            ttft_p50_s=from_json_float(payload["ttft_p50_s"]),
-            ttft_p95_s=from_json_float(payload["ttft_p95_s"]),
-            ttft_p99_s=from_json_float(payload["ttft_p99_s"]),
-            itl_mean_s=from_json_float(payload["itl_mean_s"]),
-            slo_attainment=from_json_float(payload["slo_attainment"]),
-            goodput_rps=from_json_float(payload["goodput_rps"]),
-            average_power_w=from_json_float(payload["average_power_w"]),
-            ntpot_mean_s=from_json_float(payload["ntpot_mean_s"]),
-            failure_rate=from_json_float(payload["failure_rate"]),
-            tenants=tuple(
-                TenantReport.from_json_dict(t)
-                for t in payload.get("tenants", ())  # type: ignore[union-attr]
-            ),
-        )
+    to_json_dict = jsonio.to_json_dict
+    from_json_dict = classmethod(jsonio.from_json_dict)
 
 
 def _tenant_report(

@@ -33,6 +33,7 @@ from repro.frameworks.base import get_framework
 from repro.hardware.zoo import get_hardware
 from repro.models.zoo import get_model
 from repro.obs import TelemetryHub
+from repro.obs.telemetry import FAST_WINDOW_S
 from repro.perf.phases import Deployment
 from repro.runtime.loadgen import ServiceLevelObjective
 from repro.runtime.workload import open_loop_trace
@@ -502,6 +503,42 @@ class TestAutoscaling:
             ).run(_trace(n=40))
 
         assert run().to_json_dict() == run().to_json_dict()
+
+    def test_completion_history_keeps_only_the_window(self):
+        # The SLO view reads completions inside the fast window only, and
+        # the simulator drops older ones at each tick.  A reference that
+        # filters the window from the full history must decide the same.
+        class Unpruned(ClusterSimulator):
+            def _fleet_view(self, ts, serving, warming):
+                history = self._completions
+                view = super()._fleet_view(ts, serving, warming)
+                self._completions = history
+                return view
+
+        class Pruned(ClusterSimulator):
+            def _fleet_view(self, ts, serving, warming):
+                self.last_tick_s = ts
+                return super()._fleet_view(ts, serving, warming)
+
+        def run(cls):
+            slo = ServiceLevelObjective(ttft_s=0.2, attainment_target=0.95)
+            control = ControlPlane(
+                autoscaler=SLOAutoscaler(slo=slo, max_replicas=4),
+                tick_interval_s=0.25,
+            )
+            sim = cls(_dep(), 2, max_concurrency=8, control=control)
+            return sim, sim.run(_trace(n=400, rate=8.0))
+
+        pruned, result = run(Pruned)
+        reference, expected = run(Unpruned)
+        assert result.scale_log and result.scale_log == expected.scale_log
+        assert json.dumps(result.to_json_dict(), sort_keys=True) == json.dumps(
+            expected.to_json_dict(), sort_keys=True
+        )
+        kept = pruned._completions
+        assert len(reference._completions) == 400
+        assert 0 < len(kept) < 100
+        assert all(r.finish_time >= pruned.last_tick_s - FAST_WINDOW_S for r in kept)
 
 
 # ----------------------------------------------------------------------

@@ -206,11 +206,24 @@ class TestSearchSpace:
             {"output_tokens": 0},
             {"target_rate_rps": 0.0},
             {"max_replicas": 0},
+            {"target_rate_rps": math.nan},
         ],
     )
     def test_bad_numerics_raise(self, overrides):
         with pytest.raises(ValueError):
             _tiny_space(**overrides)
+
+    @pytest.mark.parametrize(
+        "field", [{"target_rate_rps": None}, {"slo": {"ttft_s": None}}]
+    )
+    def test_null_numerics_in_a_space_file_raise(self, field):
+        # A JSON null in a float field loads as NaN; validation rejects it.
+        payload = {
+            "models": ["llama-2-7b"], "hardware": ["A100"], "frameworks": ["vLLM"],
+            **field,
+        }
+        with pytest.raises(ValueError, match="positive"):
+            SearchSpace.from_json_dict(payload)
 
     def test_size_is_axis_product(self):
         space = _tiny_space()
