@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.request import GenerationConfig
+from repro.core.stats import mean
 from repro.frameworks.base import get_framework
 from repro.frameworks.support import supported_pairs
 from repro.hardware.zoo import get_hardware
@@ -63,7 +64,7 @@ class ValidationSummary:
     def mean_relative_error(self) -> float:
         if not self.points:
             return 0.0
-        return sum(p.relative_error for p in self.points) / len(self.points)
+        return mean(p.relative_error for p in self.points)
 
     def worst(self, n: int = 5) -> list[ValidationPoint]:
         return sorted(self.points, key=lambda p: p.relative_error, reverse=True)[:n]

@@ -53,12 +53,8 @@ from repro.control.autoscale import (
 )
 from repro.control.plane import ControlPlane
 from repro.core.request import GenerationRequest, RequestState
-from repro.obs.metrics import (
-    MetricsRegistry,
-    MetricsSnapshot,
-    percentile,
-    record_latencies,
-)
+from repro.core.stats import percentile
+from repro.obs.metrics import MetricsRegistry, MetricsSnapshot, record_latencies
 from repro.obs.profiler import ProfileReport, merge_profiles
 from repro.obs.telemetry import (
     FAST_WINDOW_S,
@@ -881,7 +877,7 @@ class ClusterSimulator:
         slo = getattr(self.control.autoscaler, "slo", None) or ServiceLevelObjective()
         if recent:
             attainment = sum(1 for r in recent if slo.met_by(r)) / len(recent)
-            ttft_p95 = percentile(sorted(r.ttft_s for r in recent), 95.0)
+            ttft_p95 = percentile((r.ttft_s for r in recent), 95.0)
         else:
             attainment = ttft_p95 = float("nan")
         if self.telemetry is not None:

@@ -17,7 +17,7 @@ Two real policies ship alongside the null one:
   trailing window drops below the :class:`~repro.runtime.loadgen
   .ServiceLevelObjective`'s ``attainment_target``, down only when
   attainment holds *and* the tail TTFT (p95, computed with
-  :func:`repro.obs.metrics.percentile`) sits comfortably inside the
+  :func:`repro.core.stats.percentile`) sits comfortably inside the
   bound with nothing queued.
 """
 
@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.core import UnknownNameError
+from repro.core import UnknownNameError, stats
 from repro.obs.telemetry import FAST_WINDOW_S
 from repro.runtime.loadgen import ServiceLevelObjective
 
@@ -285,7 +285,7 @@ class TelemetryFleetView:
         observed = [r for r in rates.values() if not math.isnan(r)]
         if len(observed) < 2:
             return {name: 1.0 for name in replica_names}
-        mean = sum(observed) / len(observed)
+        mean = stats.mean(observed)
         if mean <= 0:
             return {name: 1.0 for name in replica_names}
         scales = {}

@@ -11,7 +11,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-__all__ = ["GenerationConfig", "GenerationRequest", "RequestState"]
+from repro.core.stats import total
+
+__all__ = ["GenerationConfig", "GenerationRequest", "RequestState", "mean_itl_s"]
 
 _request_ids = itertools.count()
 
@@ -154,6 +156,12 @@ class GenerationRequest:
             raise RuntimeError(f"request {self.request_id} has not finished")
         return (self.finish_time - self.first_token_time) / (self.output_tokens - 1)
 
+    @property
+    def ntpot_s(self) -> float:
+        """Normalized time per output token: the end-to-end latency over
+        the output tokens, queueing and prefill included (unlike ITL)."""
+        return self.end_to_end_latency_s / self.output_tokens
+
     def record_token(self, now: float) -> None:
         """Account one generated token at simulation time ``now``."""
         if self.generated_tokens >= self.output_tokens:
@@ -195,3 +203,19 @@ class GenerationRequest:
         if self.restart_context > 0:
             return self.restart_context
         return max(1, self.input_tokens - self.cached_prefix_tokens)
+
+
+def mean_itl_s(requests: list[GenerationRequest]) -> float:
+    """Mean inter-token gap over every decode interval of the finished
+    requests (Eq. 1 analogue): their streaming time over their interval
+    count, ``0.0`` when no finished request has more than one token."""
+    streamed = [
+        r for r in requests
+        if r.finish_time is not None
+        and r.first_token_time is not None
+        and r.output_tokens > 1
+    ]
+    intervals = sum(r.output_tokens - 1 for r in streamed)
+    if not intervals:
+        return 0.0
+    return total(r.finish_time - r.first_token_time for r in streamed) / intervals

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 from repro.core.jsonio import json_num
 from repro.core.metrics import COMPONENT_FIELDS
+from repro.core.stats import mean
 from repro.experiments.stats import TestResult, paired_t_test, welch_t_test
 from repro.obs.profiler import ProfileReport
 
@@ -314,8 +315,8 @@ def diff_replicated_profiles(
     for name in _DIFF_METRICS:
         samples_a = [getattr(p, name) for p in a_profiles]
         samples_b = [getattr(p, name) for p in b_profiles]
-        mean_a = _finite_mean(samples_a)
-        mean_b = _finite_mean(samples_b)
+        mean_a = mean(s for s in samples_a if math.isfinite(s))
+        mean_b = mean(s for s in samples_b if math.isfinite(s))
         test = (
             paired_t_test(samples_a, samples_b)
             if paired
@@ -330,8 +331,3 @@ def diff_replicated_profiles(
         alpha=alpha,
         replicated=True,
     )
-
-
-def _finite_mean(samples: list[float]) -> float:
-    values = [s for s in samples if math.isfinite(s)]
-    return sum(values) / len(values) if values else float("nan")

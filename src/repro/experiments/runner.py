@@ -18,14 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.bench.runner import BenchmarkRunner
 from repro.cluster.router import get_router
 from repro.cluster.simulator import ClusterSimulator
 from repro.core.jsonio import from_json_num, json_num
 from repro.core.request import GenerationRequest
 from repro.core.results import ResultTable
+from repro.core.stats import percentile
 from repro.experiments.spec import ExperimentSpec
 from repro.experiments.stats import (
     DEFAULT_CONFIDENCE,
@@ -100,14 +99,6 @@ class SeedResult:
         )
 
 
-def _e2e_latencies(requests: list[GenerationRequest]) -> list[float]:
-    return [
-        r.finish_time - r.arrival_time
-        for r in requests
-        if r.finish_time is not None
-    ]
-
-
 def _extract_metrics(
     requests: list[GenerationRequest],
     makespan_s: float,
@@ -132,21 +123,15 @@ def _extract_metrics(
         average_power_w=average_power_w,
         tenant_slos=spec.workload.tenant_slos() or None,
     )
-    e2e = _e2e_latencies(requests)
-    if e2e:
-        e2e_arr = np.array(sorted(e2e))
-        e2e_p50 = float(np.percentile(e2e_arr, 50))
-        e2e_p99 = float(np.percentile(e2e_arr, 99))
-    else:
-        e2e_p50 = e2e_p99 = float("nan")
+    e2e = [r.end_to_end_latency_s for r in requests if r.finish_time is not None]
     metrics = {
         "ttft_p50_s": report.ttft_p50_s,
         "ttft_p95_s": report.ttft_p95_s,
         "ttft_p99_s": report.ttft_p99_s,
         "itl_mean_s": report.itl_mean_s,
         "ntpot_mean_s": report.ntpot_mean_s,
-        "e2e_p50_s": e2e_p50,
-        "e2e_p99_s": e2e_p99,
+        "e2e_p50_s": percentile(e2e, 50),
+        "e2e_p99_s": percentile(e2e, 99),
         "throughput_tokens_per_s": report.throughput_tokens_per_s,
         "goodput_rps": report.goodput_rps,
         "slo_attainment": report.slo_attainment,

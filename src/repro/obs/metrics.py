@@ -7,12 +7,6 @@ percentiles, queue depth over time, KV-pool occupancy, batch size per
 iteration.  A :class:`MetricsRegistry` snapshots into an immutable
 :class:`MetricsSnapshot` that rides on ``EngineResult`` and renders into
 the bench report and dashboard.
-
-Percentiles use linear interpolation between closest ranks — the same
-convention as ``numpy.percentile``'s default.  The two evaluate the
-interpolation with different float expressions, so they can differ in
-the last ulp; registry numbers agree with post-hoc numpy analysis to a
-relative 1e-12 (tested).
 """
 
 from __future__ import annotations
@@ -20,7 +14,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
+from repro.core import stats
 from repro.core.jsonio import from_json_num, json_num
+from repro.core.stats import percentile
 
 __all__ = [
     "Counter",
@@ -40,22 +36,6 @@ DEFAULT_BUCKETS_S = (
     0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
     0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0, 120.0,
 )
-
-
-def percentile(samples: list[float], q: float) -> float:
-    """Linear-interpolated percentile of ``samples`` (numpy-compatible)."""
-    if not samples:
-        return float("nan")
-    if not 0.0 <= q <= 100.0:
-        raise ValueError(f"percentile must be in [0, 100], got {q}")
-    ordered = sorted(samples)
-    if len(ordered) == 1:
-        return ordered[0]
-    rank = q / 100.0 * (len(ordered) - 1)
-    lo = int(rank)
-    hi = min(lo + 1, len(ordered) - 1)
-    frac = rank - lo
-    return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
 
 
 class Counter:
@@ -79,7 +59,7 @@ class Gauge:
     Keeps the statistics a snapshot reports, not the samples: last,
     minimum, maximum, the time-weighted area and the count.  Each is
     updated in the order a scan of the samples would visit them, so the
-    results equal the built-ins ``min``/``max``/``sum`` over the full
+    results equal ``min``/``max`` and a left-to-right sum over the full
     sample list bit for bit (NaN placement and int-valued stats
     included).
     """
@@ -132,7 +112,7 @@ class Gauge:
         if span <= 0.0:
             # Timestamps are monotone: a zero span means every sample
             # was set at the first timestamp.
-            return sum(self._tied) / len(self._tied)
+            return stats.mean(self._tied)
         return self._area / span
 
 
@@ -167,7 +147,7 @@ class Histogram:
         return len(self.samples)
 
     def mean(self) -> float:
-        return sum(self.samples) / len(self.samples) if self.samples else float("nan")
+        return stats.mean(self.samples)
 
     def percentile(self, q: float) -> float:
         return percentile(self.samples, q)
@@ -325,9 +305,8 @@ def record_latencies(registry: "MetricsRegistry", requests) -> None:
         registry.histogram("ttft_s").record(request.ttft_s)
         if request.finish_time is None:
             continue
-        e2e = request.end_to_end_latency_s
-        registry.histogram("e2e_s").record(e2e)
-        registry.histogram("ntpot_s").record(e2e / request.output_tokens)
+        registry.histogram("e2e_s").record(request.end_to_end_latency_s)
+        registry.histogram("ntpot_s").record(request.ntpot_s)
         if request.output_tokens > 1:
             registry.histogram("itl_s").record(request.itl_s)
 

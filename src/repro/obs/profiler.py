@@ -49,6 +49,7 @@ from repro.core.metrics import (
     LatencyBreakdown,
     component_partition,
 )
+from repro.core.stats import total
 from repro.obs.tracer import EventTracer
 from repro.perf.kernel import get_kernel
 from repro.perf.phases import Deployment
@@ -229,11 +230,11 @@ class ProfileReport:
 
     @property
     def flops(self) -> float:
-        return sum(p.flops for p in self.phases)
+        return total(p.flops for p in self.phases)
 
     @property
     def bytes_moved(self) -> float:
-        return sum(p.bytes_moved for p in self.phases)
+        return total(p.bytes_moved for p in self.phases)
 
     @property
     def tokens(self) -> int:
@@ -681,8 +682,8 @@ class StepProfiler:
                     components=CostComponents(*acc.components),
                 )
             )
-        busy_s = sum(p.time_s for p in phases)
-        energy_j = sum(p.energy_j for p in phases) + self.idle_energy_j
+        busy_s = total(p.time_s for p in phases)
+        energy_j = total(p.energy_j for p in phases) + self.idle_energy_j
         return ProfileReport(
             name=name,
             model=dep.model.name,
@@ -747,14 +748,14 @@ def merge_profiles(
         framework=label(p.framework for p in profiles),
         num_devices=sum(p.num_devices for p in profiles),
         total_time_s=max(p.total_time_s for p in profiles),
-        busy_s=sum(p.busy_s for p in profiles),
-        idle_s=sum(p.idle_s for p in profiles),
-        energy_j=sum(p.energy_j for p in profiles),
-        idle_energy_j=sum(p.idle_energy_j for p in profiles),
-        peak_flops_per_s=sum(p.peak_flops_per_s for p in profiles),
-        peak_bandwidth_bytes_s=sum(p.peak_bandwidth_bytes_s for p in profiles),
-        flop_capacity=sum(p.flop_capacity for p in profiles),
-        byte_capacity=sum(p.byte_capacity for p in profiles),
+        busy_s=total(p.busy_s for p in profiles),
+        idle_s=total(p.idle_s for p in profiles),
+        energy_j=total(p.energy_j for p in profiles),
+        idle_energy_j=total(p.idle_energy_j for p in profiles),
+        peak_flops_per_s=total(p.peak_flops_per_s for p in profiles),
+        peak_bandwidth_bytes_s=total(p.peak_bandwidth_bytes_s for p in profiles),
+        flop_capacity=total(p.flop_capacity for p in profiles),
+        byte_capacity=total(p.byte_capacity for p in profiles),
         phases=_phase_profiles(phase_accs),
         requests=requests,
     )

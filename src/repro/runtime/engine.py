@@ -39,7 +39,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from repro.core.metrics import InferenceMetrics, LatencyBreakdown
-from repro.core.request import GenerationRequest, RequestState
+from repro.core.request import GenerationRequest, RequestState, mean_itl_s
+from repro.core.stats import mean
 from repro.hardware.power import PowerModel
 from repro.obs.metrics import MetricsRegistry, MetricsSnapshot, record_latencies
 from repro.obs.profiler import ProfileReport, StepProfiler
@@ -102,10 +103,9 @@ class EngineResult:
         aggregation over mixed sweeps never raises; callers that need a
         hard failure can check ``math.isnan``.
         """
-        done = [r for r in self.requests if r.first_token_time is not None]
-        if not done:
-            return float("nan")
-        return sum(r.ttft_s for r in done) / len(done)
+        return mean(
+            r.ttft_s for r in self.requests if r.first_token_time is not None
+        )
 
     def timelines(self) -> list[RequestTimeline]:
         """Per-request milestone timelines (arrival order)."""
@@ -118,17 +118,7 @@ class EngineResult:
     @cached_property
     def mean_itl_s(self) -> float:
         """Mean inter-token gap over all decode intervals (Eq. 1 analogue)."""
-        total_gap = 0.0
-        intervals = 0
-        for r in self.requests:
-            if r.finish_time is None or r.first_token_time is None:
-                continue
-            if r.output_tokens > 1:
-                total_gap += r.finish_time - r.first_token_time
-                intervals += r.output_tokens - 1
-        if intervals == 0:
-            return 0.0
-        return total_gap / intervals
+        return mean_itl_s(self.requests)
 
     def to_metrics(self) -> InferenceMetrics:
         """Collapse to the paper's record shape for uniform workloads."""
@@ -427,8 +417,7 @@ class ServingEngine:
             for request in list(active):
                 if request not in active:
                     continue  # preempted earlier within this step
-                if self.optimistic:
-                    self._append_or_preempt(run, active, request)
+                self._append_or_preempt(run, active, request)
                 request.record_token(token_time)
                 run._outstanding -= 1
 

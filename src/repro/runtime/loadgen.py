@@ -12,10 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core import jsonio
-from repro.core.request import GenerationRequest
+from repro.core.request import GenerationRequest, mean_itl_s
+from repro.core.stats import mean, percentile
 from repro.perf.phases import Deployment
 from repro.runtime.engine import ServingEngine
 from repro.runtime.memory_manager import OutOfMemoryError
@@ -153,11 +152,6 @@ def _tenant_report(
     """One tenant's lane, NaN-safe when the tenant completed nothing."""
     completed = [r for r in requests if r.first_token_time is not None]
     finished = [r for r in completed if r.finish_time is not None]
-    if completed:
-        ttft_p95 = float(np.percentile(sorted(r.ttft_s for r in completed), 95))
-    else:
-        ttft_p95 = float("nan")
-    ntpots = [r.end_to_end_latency_s / r.output_tokens for r in finished]
     return TenantReport(
         tenant=tenant,
         requests=len(requests),
@@ -167,8 +161,8 @@ def _tenant_report(
             if requests
             else 0.0
         ),
-        ntpot_mean_s=sum(ntpots) / len(ntpots) if ntpots else float("nan"),
-        ttft_p95_s=ttft_p95,
+        ntpot_mean_s=mean(r.ntpot_s for r in finished),
+        ttft_p95_s=percentile((r.ttft_s for r in completed), 95),
         failure_rate=(
             1.0 - len(finished) / len(requests) if requests else 0.0
         ),
@@ -202,22 +196,7 @@ def summarize_requests(
     completed = [r for r in requests if r.first_token_time is not None]
     finished = [r for r in completed if r.finish_time is not None]
 
-    if completed:
-        ttfts = np.array(sorted(r.ttft_s for r in completed))
-        p50, p95, p99 = (float(np.percentile(ttfts, q)) for q in (50, 95, 99))
-    else:
-        p50 = p95 = p99 = float("nan")
-
-    total_gap = sum(
-        r.finish_time - r.first_token_time for r in finished if r.output_tokens > 1
-    )
-    intervals = sum(r.output_tokens - 1 for r in finished if r.output_tokens > 1)
-    itl_mean = total_gap / intervals if intervals else 0.0
-
-    # NTPOT (normalized time per output token): whole-request latency per
-    # generated token, queueing and prefill included.
-    ntpots = [r.end_to_end_latency_s / r.output_tokens for r in finished]
-    ntpot_mean = sum(ntpots) / len(ntpots) if ntpots else float("nan")
+    ttfts = [r.ttft_s for r in completed]
 
     tenant_names: list[str] = []
     for r in requests:
@@ -244,14 +223,14 @@ def summarize_requests(
         throughput_tokens_per_s=(
             total_tokens / makespan_s if makespan_s > 0 else 0.0
         ),
-        ttft_p50_s=p50,
-        ttft_p95_s=p95,
-        ttft_p99_s=p99,
-        itl_mean_s=itl_mean,
+        ttft_p50_s=percentile(ttfts, 50),
+        ttft_p95_s=percentile(ttfts, 95),
+        ttft_p99_s=percentile(ttfts, 99),
+        itl_mean_s=mean_itl_s(requests),
         slo_attainment=met / len(requests),
         goodput_rps=met / makespan_s if makespan_s > 0 else 0.0,
         average_power_w=average_power_w,
-        ntpot_mean_s=ntpot_mean,
+        ntpot_mean_s=mean(r.ntpot_s for r in finished),
         failure_rate=1.0 - len(finished) / len(requests),
         tenants=tenant_reports,
     )

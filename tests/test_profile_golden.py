@@ -11,10 +11,9 @@ committed ``ProfileReport.to_json_dict()``.  Two runs:
   :class:`~repro.cluster.simulator.ClusterSimulator` run, per-request
   components included.
 
-The fleet merge adds its scalar fields with the built-in ``sum``.  From
-Python 3.12 ``sum`` compensates float rounding, which leaves a sum of two
-floats unchanged but not one of three or more, so the cluster run keeps
-two replicas to stay byte-stable across interpreters.
+The fleet merge adds its scalar fields with
+:func:`repro.core.stats.total`, so the bytes do not depend on the
+interpreter.
 
 After an intended change to what the profiler records, regenerate with
     PYTHONPATH=src python -m tests.test_profile_golden

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.core.request import GenerationConfig, GenerationRequest, RequestState
+from repro.core.request import (
+    GenerationConfig,
+    GenerationRequest,
+    RequestState,
+    mean_itl_s,
+)
 
 
 class TestGenerationConfig:
@@ -79,3 +84,28 @@ class TestGenerationRequest:
     def test_rejects_negative_arrival(self):
         with pytest.raises(ValueError, match="arrival_time"):
             GenerationRequest(10, 10, arrival_time=-1.0)
+
+
+def _finished(output_tokens: int, first: float, last: float) -> GenerationRequest:
+    req = GenerationRequest(10, output_tokens, arrival_time=0.5)
+    req.record_token(first)
+    for _ in range(output_tokens - 1):
+        req.record_token(last)
+    return req
+
+
+class TestLatencyMetrics:
+    def test_ntpot_charges_queueing_to_every_token(self):
+        assert _finished(4, 1.5, 2.5).ntpot_s == 2.0 / 4
+
+    def test_mean_itl_pools_decode_intervals(self):
+        requests = [
+            _finished(3, 1.0, 2.0),  # 2 intervals over 1.0 s
+            _finished(5, 1.0, 4.0),  # 4 intervals over 3.0 s
+            _finished(1, 1.0, 1.0),  # no interval
+            GenerationRequest(10, 4),  # never started
+        ]
+        assert mean_itl_s(requests) == (1.0 + 3.0) / 6
+
+    def test_mean_itl_without_intervals_is_zero(self):
+        assert mean_itl_s([_finished(1, 1.0, 1.0), GenerationRequest(10, 4)]) == 0.0

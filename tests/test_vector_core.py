@@ -2,8 +2,8 @@
 
 The engine commits each decode span in one pass over the running
 requests (``ServingEngine._commit_span``).  The reference engine below
-commits the same spans one token at a time through
-``ServingEngine._commit_tokens``, and the reference cluster picks the
+commits the same spans one token at a time with
+``GenerationRequest.record_token``, and the reference cluster picks the
 next replica to step by a linear scan over the fleet instead of the
 masked argmin over the fleet arrays, running reference-engine replicas.
 Everything observable — ``EngineResult`` numbers, per-request
@@ -93,7 +93,14 @@ def _assert_results_identical(a, b) -> None:
 class _PerTokenEngine(ServingEngine):
     """Reference engine: commits every decode span token by token."""
 
-    _commit_span = ServingEngine._commit_tokens
+    def _commit_span(self, run, running, steps, step_s):
+        for i in range(steps):
+            token_time = run.now + step_s * (i + 1)
+            if self.tracer is not None:
+                self.tracer.advance(token_time)
+            for request in running:
+                request.record_token(token_time)
+                run._outstanding -= 1
 
 
 class _ScanCluster(ClusterSimulator):
