@@ -6,9 +6,9 @@ resumable :class:`~repro.runtime.engine.EngineRun`.  The simulator owns a
 global event heap (request arrivals, disaggregated KV handoffs, control-
 plane events) and interleaves replica iterations with routing decisions
 under a min-clock discipline: the least-advanced working replica always
-steps first, so every routing decision sees fleet state no more than one
-committed iteration stale — the same information horizon a real balancing
-tier has.
+steps first (a heap pop; clock ties go to the lowest index), so every
+routing decision sees fleet state no more than one committed iteration
+stale — the same information horizon a real balancing tier has.
 
 A 1-replica cluster reproduces a standalone ``ServingEngine.run`` bit-
 identically (tested): routing degenerates to submission in arrival order,
@@ -82,7 +82,12 @@ _CAPACITY_PROBE_CONTEXT = 1024
 
 
 class Replica:
-    """One serving engine plus the router-visible state around it."""
+    """One serving engine plus the router-visible state around it.
+
+    While it is alive and has work, the simulator keeps the replica on its
+    runnable heap under the key ``(run.now, index)``: the key is fixed
+    between steps because only a step moves ``run.now``.
+    """
 
     def __init__(
         self,
@@ -472,21 +477,38 @@ class ClusterSimulator:
         """
         return any(r.alive and r.has_work for r in self._prefill_fleet)
 
-    def _select(self, bound: float | None) -> Replica | None:
-        """Least-advanced replica that is alive and has work (clock <
-        ``bound`` if given).
+    def _wake(self, replica: Replica) -> None:
+        """Put ``replica`` on the runnable heap if it is alive, has work
+        and is not there already (called after every submit and step)."""
+        index = replica.index
+        if index not in self._queued and replica.alive and replica.run.has_work:
+            self._queued.add(index)
+            heapq.heappush(self._runnable, (replica.run.now, index, replica))
 
-        One pass over the fleet; the strict ``<`` keeps the first
-        minimum, so clock ties go to the lowest replica index.
+    def _select(self, bound: float | None) -> Replica | None:
+        """Pop the least-advanced replica that is alive and has work
+        (clock < ``bound`` if given); the caller steps it and wakes it.
+
+        The heap key ``(run.now, index)`` sends clock ties to the lowest
+        replica index.  Entries of replicas that crashed (or ran out of
+        work) since they were pushed are dropped on the way.
         """
-        chosen = None
-        best = math.inf if bound is None else bound
-        for replica in self._replicas:
-            if replica.alive:
-                run = replica.run
-                if run.now < best and run.has_work:
-                    chosen, best = replica, run.now
-        return chosen
+        runnable = self._runnable
+        while runnable:
+            now, index, replica = runnable[0]
+            if replica.alive and replica.run.has_work:
+                if bound is not None and now >= bound:
+                    return None
+                heapq.heappop(runnable)
+                self._queued.discard(index)
+                return replica
+            heapq.heappop(runnable)
+            self._queued.discard(index)
+        return None
+
+    def _submit(self, replica: Replica, request: GenerationRequest) -> None:
+        replica.run.submit(request)
+        self._wake(replica)
 
     # ------------------------------------------------------------------
 
@@ -496,6 +518,8 @@ class ClusterSimulator:
             raise ValueError("trace is empty")
         self._events = []
         self._seq = itertools.count()
+        self._runnable = []  # heap of (run.now, index, replica)
+        self._queued = set()  # indices of replicas on the runnable heap
         self._orig_by_proxy = {}
         self._registry = MetricsRegistry()
         self._prefix_hits = 0
@@ -580,6 +604,7 @@ class ClusterSimulator:
 
     def _step(self, replica: Replica, horizon: float | None) -> None:
         retired = replica.run.step(horizon=horizon)
+        self._wake(replica)
         if (
             not self._orig_by_proxy
             and not self._control_ticks
@@ -699,7 +724,7 @@ class ClusterSimulator:
         if self.disaggregation is None:
             if not retry:
                 request.cached_prefix_tokens = cached
-                chosen.run.submit(request)
+                self._submit(chosen, request)
                 return
             # Retries run as full-lifecycle proxies: the proxy arrives at
             # the retry instant (so a lagging idle replica cannot serve it
@@ -714,7 +739,7 @@ class ClusterSimulator:
                 cached_prefix_tokens=cached,
             )
             self._orig_by_proxy[proxy.request_id] = request
-            chosen.run.submit(proxy)
+            self._submit(chosen, proxy)
             return
         proxy = GenerationRequest(
             input_tokens=request.input_tokens,
@@ -725,7 +750,7 @@ class ClusterSimulator:
             cached_prefix_tokens=cached,
         )
         self._orig_by_proxy[proxy.request_id] = request
-        chosen.run.submit(proxy)
+        self._submit(chosen, proxy)
 
     def _dispatch_handoff(self, orig: GenerationRequest, ts: float) -> None:
         pool = self._route_pool(self._serving_role, ts, _HANDOFF, orig)
@@ -747,7 +772,7 @@ class ClusterSimulator:
             cached_prefix_tokens=context - 1,
         )
         self._orig_by_proxy[proxy.request_id] = orig
-        chosen.run.submit(proxy)
+        self._submit(chosen, proxy)
 
     # ------------------------------------------------------------------
     # Control plane: faults, retries, autoscaling.

@@ -18,10 +18,12 @@ bundle are file-identical.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
 from repro.core.jsonio import dumps, write_json
+from repro.experiments.diff import json_differences
 from repro.experiments.runner import (
     ReplicationReport,
     SeedResult,
@@ -41,6 +43,9 @@ __all__ = [
 
 #: Bundle format version; bump on any incompatible JSON layout change.
 BUNDLE_VERSION = 1
+
+#: Differing fields a replay mismatch names per seed.
+_FIELDS_SHOWN = 3
 
 
 @dataclass(frozen=True)
@@ -149,14 +154,24 @@ def verify_replay(
 ) -> tuple[bool, list[str]]:
     """Replay ``bundle`` and byte-compare per-seed results.
 
-    Returns ``(ok, mismatches)`` where each mismatch names the seed whose
-    replayed JSON differs from the stored one.  Pass ``replayed`` to
-    verify an already-executed replay instead of running one here.
+    Returns ``(ok, mismatches)`` with one line per seed whose replayed
+    JSON differs from the stored one.  The line names the first three
+    differing fields with both values (and the ulp distance of two
+    floats), then how many more differ.  Pass ``replayed`` to verify an
+    already-executed replay instead of running one here.
     """
     if replayed is None:
         replayed = replay(bundle)
     mismatches = []
     for original, fresh in zip(bundle.seed_results, replayed.seed_results):
-        if dumps(original.to_json_dict()) != dumps(fresh.to_json_dict()):
-            mismatches.append(f"seed {original.seed}: replayed result differs")
+        stored, again = original.to_json_dict(), fresh.to_json_dict()
+        if dumps(stored) == dumps(again):
+            continue
+        differences = json_differences(stored, again)
+        shown = list(itertools.islice(differences, _FIELDS_SHOWN))
+        more = sum(1 for _ in differences)
+        line = f"seed {original.seed}: replayed result differs at {'; '.join(shown)}"
+        if more:
+            line += f"; and {more} more"
+        mismatches.append(line)
     return (not mismatches, mismatches)

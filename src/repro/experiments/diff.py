@@ -14,11 +14,19 @@ replications and attaches a significance test per metric, upgrading the
 verdict to "significant at p<alpha" / "not significant" — the PR-5
 follow-on the paper's cross-accelerator tables need before a 7% MFU gap
 can be called real.
+
+``json_differences(a, b)`` walks two JSON payloads (such as a stored and
+a replayed bundle seed result) and yields each differing leaf as its
+path, both values and, for two floats, their distance in ulps, so a
+last-ulp move reads differently from real drift.
 """
 
 from __future__ import annotations
 
+import json
 import math
+import struct
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from repro.core.jsonio import json_num
@@ -33,6 +41,8 @@ __all__ = [
     "ProfileDiff",
     "diff_profiles",
     "diff_replicated_profiles",
+    "json_differences",
+    "ulp_distance",
 ]
 
 #: Scalar profile metrics diffed in emission order.
@@ -331,3 +341,65 @@ def diff_replicated_profiles(
         alpha=alpha,
         replicated=True,
     )
+
+
+# ----------------------------------------------------------------------
+# JSON payload walk
+
+
+def _ordered_bits(value: float) -> int:
+    """``value``'s IEEE-754 bits as an integer that orders like the
+    float (so adjacent doubles differ by one; both zeros map to 0)."""
+    bits = struct.unpack("<q", struct.pack("<d", value))[0]
+    return bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF)
+
+
+def ulp_distance(a: float, b: float) -> int:
+    """How many representable doubles separate two finite floats."""
+    return abs(_ordered_bits(a) - _ordered_bits(b))
+
+
+def _brief(value: object) -> str:
+    """A leaf's repr; an object or array only by its size."""
+    if isinstance(value, dict):
+        return f"{{{len(value)} keys}}"
+    if isinstance(value, list):
+        return f"[{len(value)} items]"
+    return repr(value)
+
+
+def json_differences(a: object, b: object, path: str = "$") -> Iterator[str]:
+    """Yield ``"<path>: <a> -> <b>"`` for each leaf where two JSON payloads
+    differ, in the sorted-key order of the canonical JSON text.
+
+    Object keys extend the path as ``.key``, array positions as ``[i]``.
+    Leaves differ when their JSON text does (so ``1`` and ``1.0``
+    differ); two differing finite floats add ``(<n> ulp)``.
+    """
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(a.keys() | b.keys()):
+            sub = f"{path}.{key}"
+            if key not in b:
+                yield f"{sub}: {_brief(a[key])} -> (absent)"
+            elif key not in a:
+                yield f"{sub}: (absent) -> {_brief(b[key])}"
+            else:
+                yield from json_differences(a[key], b[key], sub)
+        return
+    if isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            yield f"{path}: length {len(a)} -> {len(b)}"
+        for i, (x, y) in enumerate(zip(a, b)):
+            yield from json_differences(x, y, f"{path}[{i}]")
+        return
+    if json.dumps(a) == json.dumps(b):
+        return
+    line = f"{path}: {_brief(a)} -> {_brief(b)}"
+    if (
+        type(a) is float
+        and type(b) is float
+        and math.isfinite(a)
+        and math.isfinite(b)
+    ):
+        line += f" ({ulp_distance(a, b)} ulp)"
+    yield line

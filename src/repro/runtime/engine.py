@@ -336,10 +336,13 @@ class ServingEngine:
         run: "EngineRun",
         running: list[GenerationRequest],
         steps: int,
+        ctx_sum: int,
     ) -> None:
+        """Cost and commit ``steps`` decode steps of the ``running`` batch,
+        whose contexts sum to ``ctx_sum``."""
         now = run.now
         batch = len(running)
-        mean_ctx = sum(r.context_length for r in running) / batch
+        mean_ctx = ctx_sum / batch
         # Context at the span's midpoint (contexts grow one token per step).
         span_ctx = max(1, round(mean_ctx + (steps - 1) / 2.0))
         step_bd = self.kernel.decode_step(batch, span_ctx)
@@ -595,9 +598,22 @@ class EngineRun:
                 f"{engine.deployment.num_devices})"
             )
 
-        steps = self._coalesced_steps(horizon)
-        engine._run_decode_span(self, running, steps)
+        # One pass over the running set gives the span rule its bound (the
+        # fewest tokens any request still owes) and the span cost its
+        # integer context sum.
+        min_remaining = running[0].output_tokens
+        ctx_sum = 0
+        for r in running:
+            generated = r.generated_tokens
+            left = r.output_tokens - generated
+            if left < min_remaining:
+                min_remaining = left
+            ctx_sum += r.input_tokens + generated
+        steps = self._coalesced_steps(horizon, min_remaining, ctx_sum)
+        engine._run_decode_span(self, running, steps, ctx_sum)
         self.decode_steps += steps
+        if steps < min_remaining:
+            return []  # the span rule: nothing can have finished
         retired = scheduler.retire_finished()
         self._observe_retired(retired)
         return retired
@@ -668,7 +684,9 @@ class EngineRun:
 
     # ------------------------------------------------------------------
 
-    def _coalesced_steps(self, horizon: float | None) -> int:
+    def _coalesced_steps(
+        self, horizon: float | None, min_remaining: int, ctx_sum: int
+    ) -> int:
         """How many decode steps to commit as one span.
 
         Bound the span by the next *scheduling event* —
@@ -681,11 +699,13 @@ class EngineRun:
         finishes before admitting new work.  ``pressure`` (work that may
         be injected *before* the horizon, e.g. disaggregated handoffs)
         still forces single-step boundaries.
+
+        ``min_remaining`` (fewest tokens any running request still owes)
+        and ``ctx_sum`` (the running set's total context) come from the
+        caller's single pass over the running set.
         """
         scheduler = self.scheduler
         engine = self.engine
-        running = scheduler.running
-        min_remaining = min(r.output_tokens - r.generated_tokens for r in running)
         if min_remaining <= 1 or not engine.coalesce:
             return 1
         if self._pressure is not None and self._pressure():
@@ -697,8 +717,7 @@ class EngineRun:
                 limit = at
         if limit is None:
             return min_remaining
-        batch = len(running)
-        ctx_sum = sum(r.context_length for r in running)
+        batch = len(scheduler.running)
         est = engine.kernel.decode_step(
             batch, max(1, round(ctx_sum / batch))
         ).total_s

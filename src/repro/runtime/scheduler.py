@@ -200,12 +200,18 @@ class Scheduler:
         return admitted
 
     def retire_finished(self) -> list[GenerationRequest]:
-        """Remove finished requests from the running set and free their KV."""
-        done = [r for r in self.running if r.is_finished]
+        """Remove finished requests from the running set and free their KV.
+
+        One partition pass keeps the survivors in admission order.
+        """
+        done: list[GenerationRequest] = []
+        kept: list[GenerationRequest] = []
+        for request in self.running:
+            (done if request.is_finished else kept).append(request)
         for request in done:
             self.allocator.free(request.request_id)
-            self.stats.finished += 1
-        self.running = [r for r in self.running if not r.is_finished]
+        self.stats.finished += len(done)
+        self.running = kept
         return done
 
 

@@ -23,6 +23,7 @@ from repro.experiments import (
     verify_replay,
     welch_t_test,
 )
+from repro.experiments.diff import json_differences, ulp_distance
 
 #: Fixed seed set goldened by the A/A-vs-A/B acceptance tests.
 SEEDS = (0, 1, 2, 3)
@@ -408,6 +409,47 @@ class TestBundles:
         ok, mismatches = verify_replay(doctored, replay(doctored))
         assert not ok
         assert len(mismatches) == len(SEEDS)
+
+    def test_mismatch_names_field_and_ulps(self, base_replication):
+        bundle = bundle_replication(base_replication)
+        payload = bundle.to_json_dict()
+        histogram = payload["seed_results"][1]["snapshot"]["histograms"]["ttft_s"]
+        histogram["p99"] = math.nextafter(histogram["p99"], math.inf)
+        doctored = ExperimentBundle.from_json_dict(payload)
+        ok, mismatches = verify_replay(doctored, bundle)
+        assert not ok
+        assert len(mismatches) == 1
+        assert mismatches[0].startswith(
+            "seed 1: replayed result differs at "
+            "$.snapshot.histograms.ttft_s.p99: "
+        )
+        assert mismatches[0].endswith("(1 ulp)")
+
+    def test_mismatch_counts_unshown_fields(self, base_replication):
+        bundle = bundle_replication(base_replication)
+        payload = bundle.to_json_dict()
+        metrics = payload["seed_results"][0]["metrics"]
+        for name in sorted(metrics)[:5]:
+            metrics[name] = -1.5
+        doctored = ExperimentBundle.from_json_dict(payload)
+        ok, mismatches = verify_replay(doctored, bundle)
+        assert not ok
+        assert mismatches[0].count(": -1.5 -> ") == 3
+        assert mismatches[0].endswith("; and 2 more")
+
+    def test_json_differences_walk(self):
+        two_ulp = math.nextafter(math.nextafter(0.1, 1.0), 1.0)
+        a = {"h": {"p": [1.0, 2, {"q": 0.1}]}, "gone": {"k": 1}, "z": 0.0}
+        b = {"h": {"p": [1.0, 2.0, {"q": two_ulp}, 5]}, "new": 3, "z": -0.0}
+        assert list(json_differences(a, b)) == [
+            "$.gone: {1 keys} -> (absent)",
+            "$.h.p: length 3 -> 4",
+            "$.h.p[1]: 2 -> 2.0",
+            f"$.h.p[2].q: 0.1 -> {two_ulp!r} (2 ulp)",
+            "$.new: (absent) -> 3",
+            "$.z: 0.0 -> -0.0 (0 ulp)",
+        ]
+        assert ulp_distance(-5e-324, 5e-324) == 2
 
     def test_seed_mismatch_rejected(self, base_replication):
         bundle = bundle_replication(base_replication)

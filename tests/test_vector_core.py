@@ -4,8 +4,8 @@ The engine commits each decode span in one pass over the running
 requests (``ServingEngine._commit_span``).  The reference engine below
 commits the same spans one token at a time with
 ``GenerationRequest.record_token``, and the reference cluster picks the
-next replica to step by a linear scan over the fleet instead of the
-masked argmin over the fleet arrays, running reference-engine replicas.
+next replica to step by a linear scan over the fleet instead of a pop
+from the simulator's runnable heap, running reference-engine replicas.
 Everything observable — ``EngineResult`` numbers, per-request
 timestamps, trace events, profile reports, and the cluster's
 seed-deterministic control-plane JSON — must be *bit-identical* between
@@ -29,6 +29,7 @@ import pytest
 from repro.cluster import ClusterSimulator, DisaggregationSpec
 from repro.cluster import simulator as simulator_module
 from repro.control import (
+    BurnRateAutoscaler,
     ControlPlane,
     FaultEvent,
     FaultSchedule,
@@ -43,9 +44,15 @@ from repro.obs.tracer import EventTracer
 from repro.perf.parallelism import ParallelismPlan
 from repro.perf.phases import Deployment
 from repro.runtime.engine import ServingEngine
-from repro.runtime.loadgen import summarize_requests
+from repro.runtime.loadgen import ServiceLevelObjective, summarize_requests
 from repro.runtime.workload import fixed_batch_trace, open_loop_trace, poisson_trace
-from repro.scenarios import get_scenario
+from repro.scenarios import (
+    FlashCrowdArrivals,
+    LognormalLengths,
+    Scenario,
+    SingleShot,
+    get_scenario,
+)
 
 
 def _dep(model="LLaMA-3-8B", hw="A100", fw="vLLM", plan=None) -> Deployment:
@@ -103,19 +110,25 @@ class _PerTokenEngine(ServingEngine):
                 run._outstanding -= 1
 
 
+def _scan_select(replicas, bound):
+    """Least-advanced replica that is alive and has work (clock < ``bound``
+    if given), lowest index on clock ties: one pass over the fleet."""
+    candidates = [
+        r
+        for r in replicas
+        if r.alive and r.has_work and (bound is None or r.now < bound)
+    ]
+    if not candidates:
+        return None
+    return min(candidates, key=lambda r: (r.now, r.index))
+
+
 class _ScanCluster(ClusterSimulator):
     """Reference cluster: linear-scan replica selection over
     per-token reference replicas."""
 
     def _select(self, bound):
-        candidates = [
-            r
-            for r in self._replicas
-            if r.alive and r.has_work and (bound is None or r.now < bound)
-        ]
-        if not candidates:
-            return None
-        return min(candidates, key=lambda r: (r.now, r.index))
+        return _scan_select(self._replicas, bound)
 
     def run(self, trace):
         with mock.patch.object(simulator_module, "ServingEngine", _PerTokenEngine):
@@ -408,6 +421,152 @@ class TestClusterEquivalence:
         assert _cluster_json("reference", trace=trace, **kwargs) == _cluster_json(
             "engine", trace=trace, **kwargs
         )
+
+
+# ----------------------------------------------------------------------
+# Decision-level oracles: heap selection and skipped retirement
+
+
+class _CheckedSelectCluster(ClusterSimulator):
+    """Asserts at every selection that the runnable heap returns the
+    replica the linear scan picks."""
+
+    def run(self, trace):
+        self.steps_taken = 0
+        return super().run(trace)
+
+    def _select(self, bound):
+        expected = _scan_select(self._replicas, bound)
+        chosen = super()._select(bound)
+        assert chosen is expected, (
+            f"bound {bound}: heap chose "
+            f"{None if chosen is None else chosen.name}, scan chose "
+            f"{None if expected is None else expected.name}"
+        )
+        self.steps_taken += chosen is not None
+        return chosen
+
+
+def _checked_run(trace, replicas, **kwargs):
+    sim = _CheckedSelectCluster(_dep(), replicas, **kwargs)
+    result = sim.run(_clone(trace))
+    assert sim.steps_taken > 0
+    plain = ClusterSimulator(_dep(), replicas, **kwargs).run(_clone(trace))
+    assert json.dumps(result.to_json_dict(), sort_keys=True) == json.dumps(
+        plain.to_json_dict(), sort_keys=True
+    )
+    return result
+
+
+class TestHeapSelection:
+    def test_crash_and_retry(self):
+        trace = open_loop_trace(48, 10.0, 256, 64, seed=3)
+        control = ControlPlane(
+            faults=FaultSchedule(
+                (
+                    FaultEvent("crash", at_s=1.0, replica="replica1"),
+                    FaultEvent("crash", at_s=2.5, replica="replica2"),
+                )
+            ),
+            retry=RetryPolicy(max_retries=3),
+        )
+        result = _checked_run(trace, 4, max_concurrency=6, control=control)
+        assert result.retries > 0
+        assert [r.status for r in result.replicas].count("crashed") == 2
+
+    def test_burn_rate_scale_up_and_down(self):
+        scenario = Scenario(
+            name="flash",
+            description="flash crowd over a 2-replica fleet",
+            arrival=FlashCrowdArrivals(
+                base_rps=0.8, flash_at_s=20.0, flash_factor=6.0,
+                ramp_s=2.0, hold_s=6.0, decay_s=8.0,
+            ),
+            lengths=LognormalLengths(
+                mean_input_tokens=400.0, mean_output_tokens=160.0
+            ),
+            sessions=SingleShot(),
+            num_sessions=96,
+        )
+        control = ControlPlane(
+            autoscaler=BurnRateAutoscaler(
+                slo=ServiceLevelObjective(ttft_s=1.5, itl_s=1 / 12),
+                max_replicas=6,
+            ),
+        )
+        result = _checked_run(
+            scenario.build(0), 2, max_concurrency=4, control=control
+        )
+        ups = [e for e in result.scale_log if e["action"] == "up"]
+        downs = [e for e in result.scale_log if e["action"] == "down"]
+        assert ups and all(e["ready_s"] > e["ts_s"] for e in ups)  # warming
+        # Replicas scaled up during the flash drain after it.
+        assert {e["replica"] for e in ups} & {e["replica"] for e in downs}
+
+    def test_disaggregated_pressure(self):
+        trace = open_loop_trace(32, 5.0, 512, 64, seed=19)
+        result = _checked_run(
+            trace, 2, disaggregation=DisaggregationSpec(num_prefill_replicas=2)
+        )
+        assert result.handoffs > 0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_trace_wide_fleet(self, seed):
+        trace = random_trace(200 + seed, n=96)
+        _checked_run(trace, 16 + 8 * seed, max_concurrency=3)
+
+
+ADMISSION_CASES = [
+    pytest.param(
+        lambda: _dep(),
+        lambda: open_loop_trace(32, 6.0, 384, 96, seed=7),
+        {"max_concurrency": 8},
+        id="continuous",
+    ),
+    pytest.param(
+        lambda: _dep("LLaMA-2-7B", "A100", "llama.cpp"),
+        lambda: random_trace(41, n=16),
+        {"max_concurrency": 3},
+        id="static",
+    ),
+    pytest.param(
+        lambda: _dep("LLaMA-2-7B"),
+        lambda: fixed_batch_trace(24, 3400, 600),  # overpacks the KV pool
+        {"optimistic": True, "max_concurrency": 24},
+        id="optimistic",
+    ),
+    pytest.param(
+        lambda: _dep(),
+        lambda: [
+            GenerationRequest(128, 256, arrival_time=0.0),
+            GenerationRequest(96, 3, arrival_time=0.0),
+            GenerationRequest(4096, 8, arrival_time=0.5),
+            GenerationRequest(2048, 1, arrival_time=0.6),
+        ],
+        {"max_concurrency": 4},
+        id="chunked-prefill-riders",
+    ),
+]
+
+
+class TestRetirementInvariant:
+    """A decode span shorter than the fewest tokens any running request
+    owes skips retirement; no finished request may stay running."""
+
+    @pytest.mark.parametrize("make_dep, make_trace, kwargs", ADMISSION_CASES)
+    def test_no_finished_request_stays_running(self, make_dep, make_trace, kwargs):
+        run = ServingEngine(make_dep(), **kwargs).start()
+        trace = make_trace()
+        for request in sorted(trace, key=lambda r: r.arrival_time):
+            run.submit(request)
+        finished = 0
+        while run.has_work:
+            finished += len(run.step())
+            assert not [r for r in run.scheduler.running if r.is_finished]
+        assert finished == len(trace)
+        assert all(r.is_finished for r in trace)
+        if run.engine.optimistic:
+            assert run.scheduler.stats.preemptions > 0
 
 
 # ----------------------------------------------------------------------
