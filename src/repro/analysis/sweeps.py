@@ -42,8 +42,8 @@ def throughput_curve(
     """Throughput at each batch size (0.0 where the point OOMs).
 
     The whole batch axis is evaluated in one vectorized
-    :meth:`~repro.perf.kernel.StepCostKernel.evaluate_grid` pass (matches
-    the scalar estimator to <= 1e-12 relative; tested).  A ``kernel``
+    :meth:`~repro.perf.kernel.StepCostKernel.evaluate_grid` pass (equal
+    to the scalar estimator's throughput; tested).  A ``kernel``
     without a grid API (e.g. :class:`~repro.perf.kernel.DirectStepCost`)
     falls back to one shared estimator looping over the batch sizes.
     """

@@ -9,7 +9,7 @@ that every benchmark in the suite reports numbers on the same footing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 __all__ = [
     "inter_token_latency",
@@ -93,18 +93,22 @@ class LatencyBreakdown:
     total_s: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in (
-            "compute_s",
-            "weight_memory_s",
-            "kv_memory_s",
-            "activation_memory_s",
-            "communication_s",
-            "overhead_s",
-            "total_s",
-        ):
-            value = getattr(self, name)
+        values = (
+            self.compute_s,
+            self.weight_memory_s,
+            self.kv_memory_s,
+            self.activation_memory_s,
+            self.communication_s,
+            self.overhead_s,
+            self.total_s,
+        )
+        # One pass on the hot path: ``min`` catches a negative bucket, the
+        # sum a NaN or an infinity.  Only a failure names the bucket.
+        if min(values) >= 0.0 and math.isfinite(sum(values)):
+            return
+        for f, value in zip(fields(self), values):
             if not math.isfinite(value) or value < 0.0:
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+                raise ValueError(f"{f.name} must be finite and >= 0, got {value}")
 
     def scaled(self, factor: float) -> "LatencyBreakdown":
         """Return a breakdown with every bucket multiplied by ``factor``."""

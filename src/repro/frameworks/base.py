@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 
 from repro.core import UnknownNameError
 from repro.core.precision import Precision
+from repro.core.xp import FLOATS
 
 __all__ = [
     "MultiGpuStyle",
@@ -168,12 +169,13 @@ class FrameworkProfile:
             sixteen & self.supported_precisions
         )
 
-    def effective_kernel_quality(self, step_tokens: float) -> float:
-        """Kernel quality including the large-batch bonus."""
-        if step_tokens <= 0:
+    def effective_kernel_quality(self, step_tokens: float, xp=FLOATS) -> float:
+        """Kernel quality including the large-batch bonus (``xp``: a
+        :mod:`repro.core.xp` namespace)."""
+        if xp.any(step_tokens <= 0):
             raise ValueError("step_tokens must be positive")
         bonus = self.large_batch_bonus * step_tokens / (step_tokens + 4096.0)
-        return min(1.2, self.kernel_quality * (1.0 + bonus))
+        return xp.minimum(1.2, self.kernel_quality * (1.0 + bonus))
 
     def on_hardware(self, hardware_name: str) -> "FrameworkProfile":
         """Profile specialized to a platform, with documented overrides.

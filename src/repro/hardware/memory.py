@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.xp import FLOATS
 from repro.hardware.spec import HardwareSpec, MemoryTierSpec
 
 __all__ = ["MemoryFootprint", "MemoryModel"]
@@ -54,6 +55,13 @@ class MemoryModel:
             )
         self.spec = spec
         self.num_devices = num_devices
+        # (capacity or None for the DDR spill, bandwidth) per tier,
+        # fastest first: the walk of effective_stream_bandwidth.
+        self._walk = tuple(
+            (tier.capacity_bytes if tier.name in ("sram", "hbm") else None,
+             tier.bandwidth_bytes_s)
+            for tier in self._tiers()
+        )
 
     # ------------------------------------------------------------------
     # Capacity
@@ -122,7 +130,9 @@ class MemoryModel:
             tiers.append(self.spec.ddr_tier)
         return tiers
 
-    def effective_stream_bandwidth(self, working_set_bytes: float) -> float:
+    def effective_stream_bandwidth(
+        self, working_set_bytes: float, xp=FLOATS
+    ) -> float:
         """Aggregate bandwidth streaming a working set once per step.
 
         The working set is split across the group's devices; per device,
@@ -131,27 +141,18 @@ class MemoryModel:
         ``total / sum(portion_i / bw_i)`` (harmonic), times the device
         count.  Oversized working sets degrade smoothly to DDR speed —
         this produces the SN40L's length-dependent behaviour (Fig. 18/19).
+        ``xp`` (:mod:`repro.core.xp`) lets the working set be an array.
         """
-        if working_set_bytes <= 0:
+        if xp.any(working_set_bytes <= 0):
             raise ValueError("working_set_bytes must be positive")
         per_device = working_set_bytes / self.num_devices
         remaining = per_device
         time = 0.0
-        for tier in self._tiers():
-            if remaining <= 0:
-                break
-            if tier.name == "sram":
-                portion = min(remaining, tier.capacity_bytes)
-                bw = tier.bandwidth_bytes_s
-            elif tier.name == "hbm":
-                portion = min(remaining, tier.capacity_bytes)
-                bw = tier.bandwidth_bytes_s
-            else:  # ddr spill
-                portion = remaining
-                bw = tier.bandwidth_bytes_s
-            time += portion / bw
-            remaining -= portion
-        if remaining > 0:
-            # No DDR tier: the last tier absorbs the remainder at its rate.
-            time += remaining / self._tiers()[-1].bandwidth_bytes_s
+        for capacity, bandwidth in self._walk:
+            portion = remaining if capacity is None else xp.minimum(remaining, capacity)
+            time = time + portion / bandwidth
+            remaining = remaining - portion
+        # No DDR tier: the last tier absorbs the remainder at its rate
+        # (a zero remainder adds exactly 0.0).
+        time = time + remaining / self._walk[-1][1]
         return per_device / time * self.num_devices

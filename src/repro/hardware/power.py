@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.core.xp import FLOATS
 from repro.hardware.spec import HardwareSpec
 
 __all__ = ["PowerModel", "PowerSample", "PynvmlLikeMonitor"]
@@ -38,16 +39,17 @@ class PowerModel:
         if not 0 < self.gamma <= 1:
             raise ValueError("gamma must be in (0, 1]")
 
-    def device_power_w(self, utilization: float) -> float:
-        """Instantaneous power of one device at a utilization in [0, 1]."""
-        if not 0.0 <= utilization <= 1.0:
+    def device_power_w(self, utilization: float, xp=FLOATS) -> float:
+        """Instantaneous power of one device at a utilization in [0, 1]
+        (``xp``: a :mod:`repro.core.xp` namespace)."""
+        if not xp.all((0.0 <= utilization) & (utilization <= 1.0)):
             raise ValueError(f"utilization must be in [0, 1], got {utilization}")
         dynamic = self.spec.tdp_w - self.spec.idle_power_w
-        return self.spec.idle_power_w + dynamic * utilization**self.gamma
+        return self.spec.idle_power_w + dynamic * xp.power(utilization, self.gamma)
 
-    def group_power_w(self, utilization: float) -> float:
+    def group_power_w(self, utilization: float, xp=FLOATS) -> float:
         """Instantaneous power of the whole TP/PP group."""
-        return self.num_devices * self.device_power_w(utilization)
+        return self.num_devices * self.device_power_w(utilization, xp)
 
     def average_power_w(
         self, phase_durations_s: list[float], phase_utilizations: list[float]

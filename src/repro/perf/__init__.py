@@ -7,7 +7,6 @@ from repro.perf.attention import (
 )
 from repro.perf.estimator import CapacityReport, InferenceEstimator
 from repro.perf.kernel import (
-    DecodeCoeffs,
     DirectStepCost,
     StepCostKernel,
     SweepGrid,
@@ -24,6 +23,9 @@ from repro.perf.multinode import INFINIBAND_NDR, ClusterDeployment, ClusterEstim
 from repro.perf.planner import PlanScore, best_plan, enumerate_plans, rank_plans
 from repro.perf.phases import (
     Deployment,
+    StepCoeffs,
+    StepCost,
+    StepModel,
     decode_step_breakdown,
     forward_flops,
     moe_expected_active_experts,
@@ -49,7 +51,6 @@ __all__ = [
     "paged_block_multiplier",
     "CapacityReport",
     "InferenceEstimator",
-    "DecodeCoeffs",
     "DirectStepCost",
     "StepCostKernel",
     "SweepGrid",
@@ -67,6 +68,9 @@ __all__ = [
     "enumerate_plans",
     "rank_plans",
     "Deployment",
+    "StepCoeffs",
+    "StepCost",
+    "StepModel",
     "decode_step_breakdown",
     "forward_flops",
     "moe_expected_active_experts",

@@ -26,32 +26,12 @@ from dataclasses import dataclass
 
 from repro.core.metrics import InferenceMetrics, LatencyBreakdown
 from repro.core.request import GenerationConfig
-from repro.hardware.power import PowerModel
+from repro.core.xp import FLOATS
 from repro.models.kvcache import kv_bytes_per_token
 from repro.perf.kernel import get_kernel
-from repro.perf.phases import Deployment
+from repro.perf.phases import Deployment, phase_utilization, step_model
 
 __all__ = ["InferenceEstimator", "CapacityReport", "phase_utilization"]
-
-
-def phase_utilization(breakdown: LatencyBreakdown, power_intensity: float = 1.0) -> float:
-    """Roofline occupancy of a phase in [0, 1], for the power model.
-
-    Compute-bound phases run near their compute fraction; memory-bound
-    phases still draw substantial dynamic power (HBM + data movement),
-    captured by the 0.70 weighting on the memory fraction.
-    """
-    if breakdown.total_s <= 0:
-        return 0.0
-    compute_frac = min(1.0, breakdown.compute_s / breakdown.total_s)
-    memory = (
-        breakdown.weight_memory_s
-        + breakdown.kv_memory_s
-        + breakdown.activation_memory_s
-    )
-    memory_frac = min(1.0, memory / breakdown.total_s)
-    util = max(compute_frac, 0.70 * memory_frac) * power_intensity
-    return min(1.0, max(0.05, util))
 
 
 @dataclass(frozen=True)
@@ -81,6 +61,7 @@ class InferenceEstimator:
     def __init__(self, deployment: Deployment, kernel=None) -> None:
         self.deployment = deployment
         self.kernel = kernel if kernel is not None else get_kernel(deployment)
+        self._step_model = step_model(deployment)
         # Pure functions of the frozen deployment/workload shape, cached
         # so per-estimate cost is dominated by the step model, not by
         # re-deriving constants (see docs/performance.md).
@@ -188,7 +169,7 @@ class InferenceEstimator:
         e2e_one_wave = prefill.total_s + decode.total_s
         e2e = e2e_one_wave * waves
 
-        power = self._average_power(prefill, decode)
+        power = self._step_model.average_power_w(FLOATS, prefill, decode)
         return InferenceMetrics(
             batch_size=batch,
             input_tokens=config.input_tokens,
@@ -212,27 +193,3 @@ class InferenceEstimator:
     def throughput(self, config: GenerationConfig) -> float:
         """Eq. 2 throughput in tokens/s (0.0 on OOM)."""
         return self.estimate(config).throughput_tokens_per_s
-
-    # ------------------------------------------------------------------
-    # Power
-    # ------------------------------------------------------------------
-
-    def _phase_utilization(self, breakdown: LatencyBreakdown) -> float:
-        """Roofline occupancy of a phase, for the power model."""
-        return phase_utilization(
-            breakdown, self.deployment.framework.power_intensity
-        )
-
-    def _average_power(
-        self, prefill: LatencyBreakdown, decode: LatencyBreakdown
-    ) -> float:
-        model = PowerModel(self.deployment.hardware, self.deployment.num_devices)
-        durations: list[float] = []
-        utils: list[float] = []
-        for phase in (prefill, decode):
-            if phase.total_s > 0:
-                durations.append(phase.total_s)
-                utils.append(self._phase_utilization(phase))
-        if not durations:
-            return model.group_power_w(0.05)
-        return model.average_power_w(durations, utils)

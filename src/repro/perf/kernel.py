@@ -1,35 +1,33 @@
-"""Affine step-cost kernel: memoized roofline coefficients + vectorized sweeps.
+"""Memoized step-cost kernel and vectorized sweeps over the one roofline.
 
-Every quantity the paper reports flows through ``prefill_breakdown`` /
-``decode_step_breakdown`` (:mod:`repro.perf.phases`).  Those functions
-rebuild the full roofline — per-layer FLOP loops, communication costs,
-tiered-bandwidth walks — on every call, which dominates the cost of engine
-runs, cluster simulations and figure sweeps.
+Every quantity the paper reports is priced by
+:class:`~repro.perf.phases.StepModel`, the roofline written once as an
+expression over floats or numpy arrays.  Evaluating it costs a few
+microseconds, and engine runs, cluster simulations and figure sweeps
+evaluate it millions of times.  :class:`StepCostKernel` calls the same
+expression two ways:
 
-The step model is *affine in context length* for a fixed (deployment,
-batch): everything except the attention-context FLOPs and the KV read
-stream is constant, and both of those scale linearly with ``ctx``.
-:class:`StepCostKernel` exploits that twice:
-
-* **scalar fast path** — :meth:`StepCostKernel.decode_step` lowers the
-  decode roofline into :class:`DecodeCoeffs` (``cost(ctx) = base +
-  per_ctx_token * ctx`` per batch size, built once and held in a bounded
-  LRU) and evaluates it in O(1), mirroring ``_roofline``'s arithmetic
-  operation-for-operation so results agree with the direct path to within
-  floating-point reassociation (<= 1e-12 relative, enforced by
-  ``tests/test_kernel.py``).  Prefill and the KV-disabled recompute regime
-  are not affine in their token counts, so those calls are *memoized*
-  direct evaluations — bit-identical by construction.
-* **vectorized sweeps** — :meth:`StepCostKernel.evaluate_grid` replays the
+* **scalar steps** — :meth:`StepCostKernel.decode_cost` and
+  :meth:`StepCostKernel.prefill_cost` memoize each priced step
+  (:class:`~repro.perf.phases.StepCost`: breakdown, watts, FLOPs and
+  bytes) in a bounded LRU.  With the KV cache on, a decode step's
+  :class:`~repro.perf.phases.StepCoeffs` do not depend on its context, so
+  they are built once per batch size and a new context only evaluates the
+  roofline at that point.  The results are the direct functions' bytes,
+  because the arithmetic is the same.
+* **vectorized sweeps** — :meth:`StepCostKernel.evaluate_grid` runs the
   whole :meth:`~repro.perf.estimator.InferenceEstimator.estimate` pipeline
   (capacity, waves, prefill, decode, power) over a batch x input x output
-  grid as numpy array operations, one pass for the entire grid.
+  grid, with the same expression over arrays.  Latency fields equal the
+  scalar estimator's exactly.  Average power can differ in the last ulp,
+  because ``np.power`` and ``**`` round differently (see
+  :mod:`repro.core.xp`).
 
 Kernels are cached per (hashable, frozen) :class:`Deployment` via
 :func:`get_kernel`, so the engine, estimator, sweeps and the cluster
-simulator's replicas all share one coefficient store.  Cached state is
-derived purely from the frozen deployment, so there is no invalidation
-protocol: a different deployment is a different cache key.
+simulator's replicas all share one memo store.  Cached state is derived
+purely from the frozen deployment, so there is no invalidation protocol: a
+different deployment is a different cache key.
 
 :class:`DirectStepCost` adapts the un-memoized ``phases.py`` functions to
 the same call surface; the equivalence tests use it as the reference.
@@ -39,35 +37,23 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.core.metrics import LatencyBreakdown
-from repro.core.precision import precision_spec
-from repro.frameworks.base import MultiGpuStyle
-from repro.hardware.roofline import mfu_at_batch, saturation_penalty
+from repro.core.xp import ARRAYS, FLOATS
 from repro.models.kvcache import kv_bytes_per_token
-from repro.models.ops import (
-    activation_bytes_per_token,
-    attention_context_flops,
-    attention_linear_flops,
-    ffn_flops,
-    lm_head_flops,
-)
-from repro.perf import parallelism
-from repro.perf.attention import kv_time_multiplier
 from repro.perf.phases import (
     Deployment,
-    decode_step_breakdown,
-    decode_step_traffic,
-    forward_flops,
-    prefill_breakdown,
-    prefill_traffic,
-    step_weight_bytes,
+    StepCoeffs,
+    StepCost,
+    decode_step_cost,
+    prefill_cost,
+    step_model,
 )
 
 __all__ = [
-    "DecodeCoeffs",
     "DirectStepCost",
     "StepCostKernel",
     "SweepGrid",
@@ -75,42 +61,14 @@ __all__ = [
     "get_kernel",
 ]
 
-# Bounded cache sizes.  Coefficient sets are tiny (a dozen floats) and
-# breakdowns are 7 floats, so these bounds are generous; they exist to keep
-# long-lived processes (sweep services, capacity planners probing many
-# workloads) from growing without bound.
+# Bounded cache sizes.  Coefficient sets are a dozen floats and priced
+# steps a breakdown plus three floats, so these bounds are generous; they
+# exist to keep long-lived processes (sweep services, capacity planners
+# probing many workloads) from growing without bound.
 _COEFFS_CACHE_SIZE = 256
 _STEP_CACHE_SIZE = 8192
 _PREFILL_CACHE_SIZE = 4096
 _KERNEL_CACHE_SIZE = 64
-
-
-@dataclass(frozen=True)
-class DecodeCoeffs:
-    """Affine decode-step coefficients for one (deployment, batch size).
-
-    ``flops(ctx) = flops_base + flops_per_ctx * ctx`` and
-    ``kv_read_bytes(ctx) = kv_read_per_ctx * ctx``; every other roofline
-    input is constant in ``ctx`` and precomputed here.
-    """
-
-    batch_size: int
-    flops_base: float
-    flops_per_ctx: float
-    weight_bytes: float
-    kv_read_per_ctx: float
-    kv_write_bytes: float
-    activation_bytes: float
-    compute_overhead: float
-    rate_mfu: float  # (peak rate * devices) * mfu, the t_compute denominator
-    bandwidth_quality: float
-    overlap: float
-    moe_divisor: float | None
-    pipeline_factor: float
-    ep_factor: float | None
-    comm_total_s: float
-    overhead_s: float
-    penalty: float
 
 
 @dataclass(frozen=True)
@@ -158,6 +116,19 @@ class SweepGrid:
         }
 
 
+class _GridParts(NamedTuple):
+    """A breakdown over a sweep grid: :class:`LatencyBreakdown`'s fields
+    as arrays (or floats where a bucket is constant)."""
+
+    compute_s: np.ndarray
+    weight_memory_s: np.ndarray
+    kv_memory_s: np.ndarray
+    activation_memory_s: np.ndarray
+    communication_s: np.ndarray
+    overhead_s: np.ndarray
+    total_s: np.ndarray
+
+
 class DirectStepCost:
     """Un-memoized pass-through to the ``phases.py`` step functions.
 
@@ -169,23 +140,31 @@ class DirectStepCost:
     def __init__(self, deployment: Deployment) -> None:
         self.deployment = deployment
 
+    def prefill_cost(self, batch_size: int, input_tokens: int) -> StepCost:
+        return prefill_cost(self.deployment, batch_size, input_tokens)
+
+    def decode_cost(self, batch_size: int, context_length: int) -> StepCost:
+        return decode_step_cost(self.deployment, batch_size, context_length)
+
     def prefill(self, batch_size: int, input_tokens: int) -> LatencyBreakdown:
-        return prefill_breakdown(self.deployment, batch_size, input_tokens)
+        return self.prefill_cost(batch_size, input_tokens).breakdown
 
     def decode_step(
         self, batch_size: int, context_length: int
     ) -> LatencyBreakdown:
-        return decode_step_breakdown(self.deployment, batch_size, context_length)
+        return self.decode_cost(batch_size, context_length).breakdown
 
     def prefill_traffic(
         self, batch_size: int, input_tokens: int
     ) -> tuple[float, float]:
-        return prefill_traffic(self.deployment, batch_size, input_tokens)
+        cost = self.prefill_cost(batch_size, input_tokens)
+        return cost.flops, cost.bytes_moved
 
     def decode_step_traffic(
         self, batch_size: int, context_length: int
     ) -> tuple[float, float]:
-        return decode_step_traffic(self.deployment, batch_size, context_length)
+        cost = self.decode_cost(batch_size, context_length)
+        return cost.flops, cost.bytes_moved
 
 
 class _LruDict(OrderedDict):
@@ -214,251 +193,103 @@ class StepCostKernel:
     def __init__(self, deployment: Deployment) -> None:
         self.deployment = deployment
         dep = deployment
-        config = dep.model
-        spec = dep.hardware
-        fw = dep.framework
-
+        self._model = step_model(dep)
         self._memory = dep.memory_model()
-        self._tiers = self._memory._tiers()
-
-        # Per-token FLOP units (reassociated from forward_flops; the scalar
-        # affine path uses forward_flops directly for its base term).
-        self._lin_flops_per_token = sum(
-            attention_linear_flops(config, layer, 1)
-            for layer in range(config.num_layers)
-        ) + config.num_layers * ffn_flops(config, 1)
-        self._ctx_flops_per_token = config.num_layers * attention_context_flops(
-            config, 1, 1.0
-        )
-        self._head_flops_per_token = lm_head_flops(config, 1)
-
-        self._act_bytes_per_token = activation_bytes_per_token(
-            config, dep.quant.activation_precision
-        )
-        self._kv_bytes_per_token = kv_bytes_per_token(config, dep.kv_spec.precision)
-        self._kv_read_multiplier = kv_time_multiplier(config, fw, dep.kv_spec)
-        self._weight_bytes_per_param = dep.quant.weight_bytes_per_param()
-        if config.is_moe:
-            self._moe_attn_and_norms = sum(
-                config.attention_params_at(layer) + 2 * config.hidden_size
-                for layer in range(config.num_layers)
-            )
-            self._moe_other = config.embedding_params + config.hidden_size
-            self._moe_miss_base = 1.0 - config.experts_per_token / config.num_experts
         # Capacity constants (mirroring InferenceEstimator).
-        raw_weights = config.total_params * self._weight_bytes_per_param
-        self.weight_footprint_bytes = raw_weights * fw.memory_overhead_factor
-        self._workspace_factor = 1.0 + spec.workspace_overhead_factor
+        self._kv_bytes_per_token = kv_bytes_per_token(dep.model, dep.kv_spec.precision)
+        self.weight_footprint_bytes = (
+            self._model.total_weight_bytes * dep.framework.memory_overhead_factor
+        )
+        self._workspace_factor = 1.0 + dep.hardware.workspace_overhead_factor
 
         self._coeffs: _LruDict = _LruDict(_COEFFS_CACHE_SIZE)
         self._decode_memo: _LruDict = _LruDict(_STEP_CACHE_SIZE)
         self._prefill_memo: _LruDict = _LruDict(_PREFILL_CACHE_SIZE)
-        self._decode_traffic_memo: _LruDict = _LruDict(_STEP_CACHE_SIZE)
-        self._prefill_traffic_memo: _LruDict = _LruDict(_PREFILL_CACHE_SIZE)
 
     # ------------------------------------------------------------------
-    # Scalar fast path
+    # Scalar steps
     # ------------------------------------------------------------------
 
-    def decode_coeffs(self, batch_size: int) -> DecodeCoeffs:
-        """Affine coefficients for one batch size (bounded LRU)."""
+    def decode_coeffs(self, batch_size: int) -> StepCoeffs:
+        """KV-cached decode coefficients for one batch size (bounded LRU)."""
         cached = self._coeffs.touch(batch_size)
         if cached is not None:
             return cached
-        return self._coeffs.store(batch_size, self._build_decode_coeffs(batch_size))
-
-    def _build_decode_coeffs(self, batch_size: int) -> DecodeCoeffs:
-        dep = self.deployment
-        config = dep.model
-        spec = dep.hardware
-        fw = dep.framework
-        tokens = batch_size
-
-        # forward_flops is affine in mean_context; evaluate the constant
-        # part exactly (mean_context=0 contributes exact zeros) and take the
-        # per-context slope from the attention-context term.
-        flops_base = forward_flops(config, tokens, 0.0, lm_head_tokens=tokens)
-        flops_per_ctx = config.num_layers * attention_context_flops(
-            config, tokens, 1.0
+        return self._coeffs.store(
+            batch_size, self._model.decode_coeffs(FLOATS, batch_size)
         )
 
-        kv_tok = self._kv_bytes_per_token
-        kv_read_per_ctx = batch_size * kv_tok * self._kv_read_multiplier
+    # The public accessors read the memo directly rather than through each
+    # other, so each step costs one kernel call.
 
-        gemm_rows = float(tokens)
-        kernel_quality = fw.effective_kernel_quality(gemm_rows)
-        mfu = mfu_at_batch(spec, gemm_rows, kernel_quality)
-        rate = dep.quant.compute_rate_flops(spec) * dep.num_devices
+    def decode_cost(self, batch_size: int, context_length: int) -> StepCost:
+        """One decode iteration, priced (memoized)."""
+        return self._decode_memo.touch(
+            (batch_size, context_length)
+        ) or self._price_decode(batch_size, context_length)
 
-        # Decode microbatch limit is 2 (see phases._roofline).
-        if fw.multi_gpu_style is MultiGpuStyle.LAYER_SPLIT and dep.num_devices > 1:
-            microbatches = min(batch_size, 2)
-            stages = dep.num_devices
-            pf = (microbatches + stages - 1) / microbatches
-        else:
-            pf = parallelism.pipeline_factor(dep.plan, batch_size, 2)
-
-        ep_factor = None
-        if dep.plan.ep > 1 and config.is_moe:
-            ep_factor = 1.0 + 0.15 * (1.0 - 1.0 / dep.plan.ep)
-
-        comm = parallelism.comm_costs_per_forward(
-            config, spec, fw, dep.plan, tokens, dep.quant.activation_precision
-        )
-        sampling = (
-            config.vocab_size * batch_size * fw.sampling_ns_per_vocab_token * 1e-9
-        )
-        overhead = (
-            config.num_layers * spec.layer_overhead_s
-            + spec.step_overhead_s * fw.host_overhead_factor
-            + fw.host_step_latency_s
-            + sampling
-        )
-
-        return DecodeCoeffs(
-            batch_size=batch_size,
-            flops_base=flops_base,
-            flops_per_ctx=flops_per_ctx,
-            weight_bytes=step_weight_bytes(dep, tokens),
-            kv_read_per_ctx=kv_read_per_ctx,
-            kv_write_bytes=tokens * kv_tok,
-            activation_bytes=tokens * self._act_bytes_per_token,
-            compute_overhead=dep.quant.compute_overhead(spec),
-            rate_mfu=rate * mfu,
-            bandwidth_quality=fw.bandwidth_quality,
-            overlap=fw.overlap,
-            moe_divisor=fw.moe_efficiency if config.is_moe else None,
-            pipeline_factor=pf,
-            ep_factor=ep_factor,
-            comm_total_s=comm.total_s,
-            overhead_s=overhead,
-            penalty=saturation_penalty(spec, batch_size),
-        )
-
-    def _decode_affine(
-        self, coeffs: DecodeCoeffs, context_length: int
-    ) -> LatencyBreakdown:
-        """Evaluate the decode roofline from coefficients.
-
-        Mirrors ``phases._roofline`` operation-for-operation so results
-        differ from the direct path only by floating-point reassociation
-        in the affine terms (<= ~1e-15 relative).
-        """
-        flops = coeffs.flops_base + coeffs.flops_per_ctx * context_length
-        kv_read = coeffs.kv_read_per_ctx * context_length
-        total_bytes = (
-            coeffs.weight_bytes + kv_read + coeffs.kv_write_bytes
-        ) + coeffs.activation_bytes
-
-        t_compute = flops * coeffs.compute_overhead / coeffs.rate_mfu
-        bandwidth = (
-            self._memory.effective_stream_bandwidth(total_bytes)
-            * coeffs.bandwidth_quality
-        )
-        t_memory = total_bytes / bandwidth
-
-        hi, lo = max(t_compute, t_memory), min(t_compute, t_memory)
-        t_kernels = hi + (1.0 - coeffs.overlap) * lo
-        if coeffs.moe_divisor is not None:
-            t_kernels /= coeffs.moe_divisor
-        t_kernels *= coeffs.pipeline_factor
-        if coeffs.ep_factor is not None:
-            t_kernels *= coeffs.ep_factor
-
-        total = (t_kernels + coeffs.comm_total_s + coeffs.overhead_s) * coeffs.penalty
-
-        return LatencyBreakdown(
-            compute_s=t_compute,
-            weight_memory_s=coeffs.weight_bytes / total_bytes * t_memory,
-            kv_memory_s=kv_read / total_bytes * t_memory
-            + coeffs.kv_write_bytes / total_bytes * t_memory,
-            activation_memory_s=coeffs.activation_bytes / total_bytes * t_memory,
-            communication_s=coeffs.comm_total_s,
-            overhead_s=coeffs.overhead_s,
-            total_s=total,
-        )
+    def prefill_cost(self, batch_size: int, input_tokens: int) -> StepCost:
+        """One prefill pass, priced (memoized)."""
+        return self._prefill_memo.touch(
+            (batch_size, input_tokens)
+        ) or self._price_prefill(batch_size, input_tokens)
 
     def decode_step(
         self, batch_size: int, context_length: int
     ) -> LatencyBreakdown:
-        """One decode iteration's breakdown (affine fast path, memoized)."""
-        key = (batch_size, context_length)
-        cached = self._decode_memo.touch(key)
-        if cached is not None:
-            return cached
-        if not self.deployment.kv_spec.enabled:
-            # Recompute regime: the step is a re-prefill of the whole
-            # context — quadratic in ctx, not affine.  Memoized direct call.
-            breakdown = decode_step_breakdown(
-                self.deployment, batch_size, context_length
-            )
-        else:
-            if batch_size < 1 or context_length < 1:
-                raise ValueError("batch_size and context_length must be >= 1")
-            breakdown = self._decode_affine(
-                self.decode_coeffs(batch_size), context_length
-            )
-        return self._decode_memo.store(key, breakdown)
+        """One decode iteration's breakdown."""
+        return (
+            self._decode_memo.touch((batch_size, context_length))
+            or self._price_decode(batch_size, context_length)
+        ).breakdown
 
     def prefill(self, batch_size: int, input_tokens: int) -> LatencyBreakdown:
-        """Prefill breakdown (memoized direct call — bit-identical).
-
-        Prefill cost is quadratic in the prompt length (causal attention)
-        and its gemm_rows/comm tokens scale with ``batch * input``, so
-        there is no affine lowering; memoization still collapses the
-        engine's chunked-prefill loops and repeated admissions.
-        """
-        key = (batch_size, input_tokens)
-        cached = self._prefill_memo.touch(key)
-        if cached is not None:
-            return cached
-        return self._prefill_memo.store(
-            key, prefill_breakdown(self.deployment, batch_size, input_tokens)
-        )
+        """One prefill pass's breakdown."""
+        return (
+            self._prefill_memo.touch((batch_size, input_tokens))
+            or self._price_prefill(batch_size, input_tokens)
+        ).breakdown
 
     def decode_step_traffic(
         self, batch_size: int, context_length: int
     ) -> tuple[float, float]:
-        """``(flops, bytes_moved)`` of one decode iteration.
-
-        KV-cache-enabled steps evaluate the affine lowering straight from
-        :class:`DecodeCoeffs` (the traffic terms are exactly the
-        coefficients the breakdown path already prices); the recompute
-        regime falls back to the direct function.  Memoized either way so
-        the profiler's per-step accounting stays O(1).
-        """
-        key = (batch_size, context_length)
-        cached = self._decode_traffic_memo.touch(key)
-        if cached is not None:
-            return cached
-        if not self.deployment.kv_spec.enabled:
-            traffic = decode_step_traffic(
-                self.deployment, batch_size, context_length
-            )
-        else:
-            if batch_size < 1 or context_length < 1:
-                raise ValueError("batch_size and context_length must be >= 1")
-            coeffs = self.decode_coeffs(batch_size)
-            flops = coeffs.flops_base + coeffs.flops_per_ctx * context_length
-            bytes_moved = (
-                coeffs.weight_bytes
-                + coeffs.kv_read_per_ctx * context_length
-                + coeffs.kv_write_bytes
-            ) + coeffs.activation_bytes
-            traffic = (flops, bytes_moved)
-        return self._decode_traffic_memo.store(key, traffic)
+        """``(flops, bytes_moved)`` of one decode iteration, read from the
+        memo entry the engine just priced."""
+        cost = self._decode_memo.touch(
+            (batch_size, context_length)
+        ) or self._price_decode(batch_size, context_length)
+        return cost.flops, cost.bytes_moved
 
     def prefill_traffic(
         self, batch_size: int, input_tokens: int
     ) -> tuple[float, float]:
-        """``(flops, bytes_moved)`` of one prefill pass (memoized direct)."""
-        key = (batch_size, input_tokens)
-        cached = self._prefill_traffic_memo.touch(key)
-        if cached is not None:
-            return cached
-        return self._prefill_traffic_memo.store(
-            key, prefill_traffic(self.deployment, batch_size, input_tokens)
-        )
+        """``(flops, bytes_moved)`` of one prefill pass, read from the memo
+        entry the engine just priced."""
+        cost = self._prefill_memo.touch(
+            (batch_size, input_tokens)
+        ) or self._price_prefill(batch_size, input_tokens)
+        return cost.flops, cost.bytes_moved
+
+    def _price_decode(self, batch_size: int, context_length: int) -> StepCost:
+        model = self._model
+        if not self.deployment.kv_spec.enabled:
+            # Recompute regime: the step re-prefills the whole context, so
+            # its coefficients depend on ctx and are built per call.
+            cost = model.price(*model.decode_point(FLOATS, batch_size, context_length))
+        else:
+            if batch_size < 1 or context_length < 1:
+                raise ValueError("batch_size and context_length must be >= 1")
+            cost = model.price(self.decode_coeffs(batch_size), context_length)
+        return self._decode_memo.store((batch_size, context_length), cost)
+
+    def _price_prefill(self, batch_size: int, input_tokens: int) -> StepCost:
+        # Prefill cost is quadratic in the prompt length (causal attention)
+        # and its GEMM rows scale with ``batch * input``, so its coefficients
+        # are built per call; the memo still collapses the engine's
+        # chunked-prefill loops and repeated admissions.
+        model = self._model
+        cost = model.price(*model.prefill_point(FLOATS, batch_size, input_tokens))
+        return self._prefill_memo.store((batch_size, input_tokens), cost)
 
     # ------------------------------------------------------------------
     # Vectorized sweep grid
@@ -474,8 +305,9 @@ class StepCostKernel:
 
         Replays :meth:`InferenceEstimator.estimate` (capacity check,
         concurrency waves, prefill + decode rooflines, power integration)
-        as vectorized numpy operations; per-lane results match the scalar
-        estimator to <= 1e-12 relative (enforced by tests).
+        with the step model over arrays.  Every latency field equals the
+        scalar estimator's; average power equals the scalar formula
+        evaluated with ``np.power`` (tests enforce both with ``==``).
         """
         batch_sizes = tuple(int(b) for b in batch_sizes)
         input_tokens = tuple(int(i) for i in input_tokens)
@@ -486,8 +318,7 @@ class StepCostKernel:
             raise ValueError("batch sizes and token counts must be >= 1")
 
         dep = self.deployment
-        spec = dep.hardware
-        fw = dep.framework
+        model = self._model
 
         nb, ni, no = len(batch_sizes), len(input_tokens), len(output_tokens)
         B = np.asarray(batch_sizes, dtype=float).reshape(nb, 1, 1)
@@ -512,7 +343,7 @@ class StepCostKernel:
 
         cmax3 = np.maximum(np.broadcast_to(cmax, (nb, ni, no)), 1.0)
         fits = B <= cmax3
-        if fw.continuous_batching:
+        if dep.framework.continuous_batching:
             effective = np.where(fits, B, cmax3)
             waves = np.where(fits, 1.0, B / effective)
         else:
@@ -522,81 +353,18 @@ class StepCostKernel:
         # Dummy-but-valid value on masked lanes keeps the math finite.
         effective = np.where(oom, 1.0, effective)
 
-        # --- prefill ---------------------------------------------------
-        p_tokens = effective * inp
-        p_mean_ctx = (inp + 1.0) / 2.0
-        p_weights = self._vector_weight_bytes(p_tokens)
-        p_kv_write = (
-            p_tokens * self._kv_bytes_per_token if dep.kv_spec.enabled else 0.0
-        )
-        p_act = p_tokens * self._act_bytes_per_token
-        p_flops = (
-            p_tokens * self._lin_flops_per_token
-            + p_tokens * p_mean_ctx * self._ctx_flops_per_token
-            + effective * self._head_flops_per_token
-        )
-        prefill = self._vector_roofline(
-            flops=p_flops,
-            weights=p_weights,
-            kv_read=0.0,
-            kv_write=p_kv_write,
-            activations=p_act,
-            gemm_rows=p_tokens,
-            batch=effective,
-            comm_tokens=p_tokens,
-            phase="prefill",
-        )
-        if spec.request_setup_s > 0.0:
-            prefill["overhead"] = prefill["overhead"] + spec.request_setup_s
-            prefill["total"] = prefill["total"] + spec.request_setup_s
-
-        # --- decode ----------------------------------------------------
-        ctx = np.maximum(1.0, np.round(inp + (out + 1.0) / 2.0))
-        ctx = np.broadcast_to(ctx, (nb, ni, no))
-        if dep.kv_spec.enabled:
-            d_tokens = effective
-            d_weights = self._vector_weight_bytes(d_tokens)
-            d_kv_read = (
-                effective * ctx * self._kv_bytes_per_token
-            ) * self._kv_read_multiplier
-            d_kv_write = d_tokens * self._kv_bytes_per_token
-            d_act = d_tokens * self._act_bytes_per_token
-            d_flops = (
-                d_tokens * self._lin_flops_per_token
-                + d_tokens * ctx * self._ctx_flops_per_token
-                + d_tokens * self._head_flops_per_token
-            )
-            d_gemm = d_tokens
-        else:
-            d_tokens = effective * ctx
-            d_mean_ctx = (ctx + 1.0) / 2.0
-            d_weights = self._vector_weight_bytes(d_tokens)
-            d_kv_read = 0.0
-            d_kv_write = 0.0
-            d_act = d_tokens * self._act_bytes_per_token
-            d_flops = (
-                d_tokens * self._lin_flops_per_token
-                + d_tokens * d_mean_ctx * self._ctx_flops_per_token
-                + effective * self._head_flops_per_token
-            )
-            d_gemm = d_tokens
-        step = self._vector_roofline(
-            flops=d_flops,
-            weights=d_weights,
-            kv_read=d_kv_read,
-            kv_write=d_kv_write,
-            activations=d_act,
-            gemm_rows=d_gemm,
-            batch=effective,
-            comm_tokens=d_tokens,
-            phase="decode",
-        )
-        steps = np.broadcast_to(out - 1.0, (nb, ni, no))
-        decode = {name: part * steps for name, part in step.items()}
+        # --- prefill and decode: the step model over arrays -------------
+        shape = (nb, ni, no)
+        parts, _, _ = model.cost(ARRAYS, *model.prefill_point(ARRAYS, effective, inp))
+        prefill = _GridParts(*parts)
+        ctx = np.broadcast_to(np.maximum(1.0, np.round(inp + (out + 1.0) / 2.0)), shape)
+        parts, _, _ = model.cost(ARRAYS, *model.decode_point(ARRAYS, effective, ctx))
+        steps = np.broadcast_to(out - 1.0, shape)
+        decode = _GridParts(*(part * steps for part in parts))
 
         # --- metrics ---------------------------------------------------
-        ttft = np.broadcast_to(prefill["total"], (nb, ni, no)).copy()
-        e2e = (prefill["total"] + decode["total"]) * waves
+        ttft = np.broadcast_to(prefill.total_s, shape).copy()
+        e2e = (prefill.total_s + decode.total_s) * waves
         with np.errstate(divide="ignore", invalid="ignore"):
             itl = np.where(
                 out > 1.0,
@@ -604,7 +372,7 @@ class StepCostKernel:
                 0.0,
             )
         tput = B * (inp + out) / e2e
-        power = self._vector_power(prefill, decode)
+        power = model.average_power_w(ARRAYS, prefill, decode)
 
         # --- OOM sentinels (match InferenceMetrics.out_of_memory) ------
         ttft[oom] = 0.0
@@ -627,202 +395,6 @@ class StepCostKernel:
             oom=oom,
             max_concurrency=cmax.astype(int),
         )
-
-    # ------------------------------------------------------------------
-    # Vector helpers (each mirrors its scalar counterpart's arithmetic)
-    # ------------------------------------------------------------------
-
-    def _vector_weight_bytes(self, tokens: np.ndarray) -> np.ndarray | float:
-        """step_weight_bytes over a token-count array."""
-        config = self.deployment.model
-        wbytes = self._weight_bytes_per_param
-        if not config.is_moe:
-            return config.total_params * wbytes
-        active = config.num_experts * (
-            1.0 - np.power(self._moe_miss_base, tokens)
-        )
-        expert_params = config.num_layers * active * config.ffn_params_per_expert
-        return (self._moe_attn_and_norms + expert_params + self._moe_other) * wbytes
-
-    def _vector_stream_bandwidth(self, working_set: np.ndarray) -> np.ndarray:
-        """MemoryModel.effective_stream_bandwidth over a byte array."""
-        num_devices = self._memory.num_devices
-        per_device = working_set / num_devices
-        remaining = per_device.copy()
-        time = np.zeros_like(per_device)
-        for tier in self._tiers:
-            if tier.name in ("sram", "hbm"):
-                portion = np.minimum(remaining, tier.capacity_bytes)
-            else:  # ddr spill absorbs the rest
-                portion = remaining
-            time = time + portion / tier.bandwidth_bytes_s
-            remaining = remaining - portion
-        leftover = remaining > 0
-        if np.any(leftover):
-            time = time + np.where(
-                leftover, remaining / self._tiers[-1].bandwidth_bytes_s, 0.0
-            )
-        return per_device / time * num_devices
-
-    def _vector_roofline(
-        self,
-        *,
-        flops,
-        weights,
-        kv_read,
-        kv_write,
-        activations,
-        gemm_rows,
-        batch,
-        comm_tokens,
-        phase: str,
-    ) -> dict[str, np.ndarray]:
-        """phases._roofline over arrays; returns bucket arrays."""
-        dep = self.deployment
-        config = dep.model
-        spec = dep.hardware
-        fw = dep.framework
-        plan = dep.plan
-
-        total_bytes = ((weights + kv_read) + kv_write) + activations
-
-        bonus = (fw.large_batch_bonus * gemm_rows) / (gemm_rows + 4096.0)
-        kernel_quality = np.minimum(1.2, fw.kernel_quality * (1.0 + bonus))
-        curve = gemm_rows / (gemm_rows + spec.mfu_half_batch)
-        mfu = np.minimum(1.0, spec.mfu_ceiling * kernel_quality) * curve
-        rate = dep.quant.compute_rate_flops(spec) * dep.num_devices
-        t_compute = flops * dep.quant.compute_overhead(spec) / (rate * mfu)
-
-        bandwidth = self._vector_stream_bandwidth(total_bytes) * fw.bandwidth_quality
-        t_memory = total_bytes / bandwidth
-
-        hi = np.maximum(t_compute, t_memory)
-        lo = np.minimum(t_compute, t_memory)
-        t_kernels = hi + (1.0 - fw.overlap) * lo
-        if config.is_moe:
-            t_kernels = t_kernels / fw.moe_efficiency
-
-        limit = 2 if phase == "decode" else 4 * max(1, plan.pp)
-        if fw.multi_gpu_style is MultiGpuStyle.LAYER_SPLIT and dep.num_devices > 1:
-            microbatches = np.minimum(batch, float(limit))
-            stages = dep.num_devices
-            pf = (microbatches + stages - 1) / microbatches
-        elif plan.pp == 1:
-            pf = 1.0
-        else:
-            microbatches = np.minimum(np.minimum(batch, float(plan.pp)), float(limit))
-            pf = (microbatches + plan.pp - 1) / microbatches
-        t_kernels = t_kernels * pf
-        if plan.ep > 1 and config.is_moe:
-            t_kernels = t_kernels * (1.0 + 0.15 * (1.0 - 1.0 / plan.ep))
-
-        comm_total = self._vector_comm_total(comm_tokens)
-
-        sampling = (
-            config.vocab_size * batch * fw.sampling_ns_per_vocab_token * 1e-9
-        )
-        overhead = (
-            config.num_layers * spec.layer_overhead_s
-            + spec.step_overhead_s * fw.host_overhead_factor
-            + fw.host_step_latency_s
-            + sampling
-        )
-
-        if spec.saturation_batch is None:
-            penalty = 1.0
-        else:
-            penalty = np.where(
-                batch <= spec.saturation_batch,
-                1.0,
-                1.0 + spec.saturation_slope * (batch - spec.saturation_batch),
-            )
-        total = (t_kernels + comm_total + overhead) * penalty
-
-        return {
-            "compute": np.broadcast_to(t_compute, total.shape).copy(),
-            "weight": weights / total_bytes * t_memory,
-            "kv": kv_read / total_bytes * t_memory
-            + kv_write / total_bytes * t_memory,
-            "activation": activations / total_bytes * t_memory,
-            "comm": np.broadcast_to(
-                np.asarray(comm_total, dtype=float), total.shape
-            ).copy(),
-            "overhead": np.broadcast_to(overhead, total.shape).copy(),
-            "total": total,
-        }
-
-    def _vector_comm_total(self, tokens) -> np.ndarray | float:
-        """comm_costs_per_forward(...).total_s over a token-count array."""
-        dep = self.deployment
-        config = dep.model
-        fw = dep.framework
-        plan = dep.plan
-        link = dep.hardware.interconnect
-        factor = fw.comm_overhead_factor
-        prec_bytes = precision_spec(dep.quant.activation_precision).bytes_per_element
-        act_bytes = tokens * config.hidden_size * prec_bytes
-
-        tp_time = 0.0
-        if plan.tp > 1 and fw.multi_gpu_style is MultiGpuStyle.TENSOR_PARALLEL:
-            volume = 2.0 * (plan.tp - 1) / plan.tp * act_bytes
-            hops = 2 * (plan.tp - 1)
-            per_layer = 2.0 * (
-                volume / link.bandwidth_bytes_s + hops * link.latency_s
-            )
-            tp_time = per_layer * config.num_layers * factor
-
-        pp_time = 0.0
-        stage_count = plan.pp
-        if fw.multi_gpu_style is MultiGpuStyle.LAYER_SPLIT:
-            stage_count = plan.num_devices
-        if stage_count > 1:
-            p2p = act_bytes / link.bandwidth_bytes_s + link.latency_s
-            pp_time = (stage_count - 1) * p2p * factor
-
-        ep_time = 0.0
-        if plan.ep > 1 and config.is_moe:
-            volume = (plan.ep - 1) / plan.ep * act_bytes
-            a2a = volume / link.bandwidth_bytes_s + (plan.ep - 1) * link.latency_s
-            ep_time = (
-                2.0
-                * a2a
-                * config.num_layers
-                * parallelism._EP_IMBALANCE
-                * factor
-            )
-
-        return tp_time + pp_time + ep_time
-
-    def _vector_power(
-        self, prefill: dict[str, np.ndarray], decode: dict[str, np.ndarray]
-    ) -> np.ndarray:
-        """InferenceEstimator._average_power over bucket arrays."""
-        dep = self.deployment
-        spec = dep.hardware
-        intensity = dep.framework.power_intensity
-        idle = spec.idle_power_w
-        dynamic = spec.tdp_w - spec.idle_power_w
-        n = dep.num_devices
-
-        def utilization(parts: dict[str, np.ndarray]) -> np.ndarray:
-            total = parts["total"]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                compute_frac = np.minimum(1.0, parts["compute"] / total)
-                memory = (parts["weight"] + parts["kv"]) + parts["activation"]
-                memory_frac = np.minimum(1.0, memory / total)
-            util = np.maximum(compute_frac, 0.70 * memory_frac) * intensity
-            util = np.minimum(1.0, np.maximum(0.05, util))
-            return np.where(total > 0, util, 0.0)
-
-        def group_power(util: np.ndarray) -> np.ndarray:
-            return n * (idle + dynamic * np.power(util, 0.70))
-
-        p_total = prefill["total"]
-        d_total = decode["total"]
-        energy = p_total * group_power(utilization(prefill)) + np.where(
-            d_total > 0, d_total * group_power(utilization(decode)), 0.0
-        )
-        return energy / (p_total + d_total)
 
 
 # ----------------------------------------------------------------------

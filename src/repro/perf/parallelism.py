@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.precision import Precision, precision_spec
+from repro.core.xp import FLOATS
 from repro.frameworks.base import FrameworkProfile, MultiGpuStyle
 from repro.hardware.interconnect import all_to_all_time, allreduce_time, p2p_time
 from repro.hardware.spec import HardwareSpec
@@ -110,6 +111,7 @@ def comm_costs_per_forward(
     plan: ParallelismPlan,
     tokens: int,
     precision: Precision | str = Precision.FP16,
+    xp=FLOATS,
 ) -> CommCosts:
     """Communication time of one forward pass over ``tokens`` new tokens.
 
@@ -120,8 +122,9 @@ def comm_costs_per_forward(
 
     llama.cpp's ``LAYER_SPLIT`` style has no TP all-reduces — only the
     serial stage handoffs — which is also why it barely scales (Fig. 13).
+    ``xp`` (:mod:`repro.core.xp`) lets ``tokens`` be an array.
     """
-    if tokens < 1:
+    if xp.any(tokens < 1):
         raise ValueError(f"tokens must be >= 1, got {tokens}")
     spec_bytes = precision_spec(precision).bytes_per_element
     act_bytes = tokens * config.hidden_size * spec_bytes
@@ -130,7 +133,7 @@ def comm_costs_per_forward(
 
     tp_time = 0.0
     if plan.tp > 1 and framework.multi_gpu_style is MultiGpuStyle.TENSOR_PARALLEL:
-        per_layer = 2.0 * allreduce_time(link, act_bytes, plan.tp)
+        per_layer = 2.0 * allreduce_time(link, act_bytes, plan.tp, xp)
         tp_time = per_layer * config.num_layers * factor
 
     pp_time = 0.0
@@ -140,14 +143,14 @@ def comm_costs_per_forward(
         # requested plan shape.
         stage_count = plan.num_devices
     if stage_count > 1:
-        pp_time = (stage_count - 1) * p2p_time(link, act_bytes) * factor
+        pp_time = (stage_count - 1) * p2p_time(link, act_bytes, xp) * factor
 
     ep_time = 0.0
     if plan.ep > 1 and config.is_moe:
         # Tokens (and their expert assignments) shuffle twice per MoE layer.
         ep_time = (
             2.0
-            * all_to_all_time(link, act_bytes, plan.ep)
+            * all_to_all_time(link, act_bytes, plan.ep, xp)
             * config.num_layers
             * _EP_IMBALANCE
             * factor
@@ -157,7 +160,10 @@ def comm_costs_per_forward(
 
 
 def pipeline_factor(
-    plan: ParallelismPlan, batch_size: int, microbatch_limit: int | None = None
+    plan: ParallelismPlan,
+    batch_size: int,
+    microbatch_limit: int | None = None,
+    xp=FLOATS,
 ) -> float:
     """Pipeline-bubble inflation on per-step time.
 
@@ -172,15 +178,16 @@ def pipeline_factor(
     pipeline much deeper.  With ``pp=1`` this is 1.0.  With ``pp=4,
     batch=1`` it is 4.0: stages run strictly serially, so the four
     devices' bandwidth is not actually aggregated — matching the paper's
-    TP-beats-PP finding (Fig. 5).
+    TP-beats-PP finding (Fig. 5).  ``xp`` (:mod:`repro.core.xp`) lets
+    ``batch_size`` be an array.
     """
-    if batch_size < 1:
+    if xp.any(batch_size < 1):
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     if microbatch_limit is not None and microbatch_limit < 1:
         raise ValueError(f"microbatch_limit must be >= 1, got {microbatch_limit}")
     if plan.pp == 1:
         return 1.0
-    microbatches = min(batch_size, plan.pp)
+    microbatches = xp.minimum(batch_size, plan.pp)
     if microbatch_limit is not None:
-        microbatches = min(microbatches, microbatch_limit)
+        microbatches = xp.minimum(microbatches, microbatch_limit)
     return (microbatches + plan.pp - 1) / microbatches

@@ -1,6 +1,6 @@
-"""Prefill and decode-step latency models.
+"""The step-cost model: prefill and decode-step rooflines, written once.
 
-This module evaluates the roofline for one forward pass of a deployed LLM:
+This module prices one forward pass of a deployed LLM:
 
 * **prefill** — the whole prompt batch in one pass: compute-rich (large
   GEMMs run near peak), writes the KV cache, determines TTFT;
@@ -13,16 +13,32 @@ MoE's active-expert weight traffic, paged-KV block granularity, tensor/
 pipeline/expert parallelism, quantization, per-platform efficiency curves,
 the MI250 saturation penalty and the SN40L's tiered memory and per-request
 setup cost.
+
+:class:`StepModel` holds the one expression.  A step's cost splits into
+:class:`StepCoeffs`, everything fixed for a batch shape (FLOP and byte
+traffic, MFU, pipeline factor, communication, overhead, penalty), and a
+*point*, the mean attention context, at which :meth:`StepModel.cost`
+evaluates the roofline.  Every method takes an ``xp`` namespace
+(:mod:`repro.core.xp`): the direct functions below and the memoized
+:class:`~repro.perf.kernel.StepCostKernel` pass ``FLOATS``;
+:meth:`~repro.perf.kernel.StepCostKernel.evaluate_grid` passes ``ARRAYS``
+with a whole sweep as arrays.  With the KV cache on, a decode step's
+coefficients do not depend on its context, so the kernel builds them once
+per batch size and evaluates only the point per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
+from typing import NamedTuple
 
 from repro.core.metrics import LatencyBreakdown
+from repro.core.xp import FLOATS
 from repro.frameworks.base import FrameworkProfile, MultiGpuStyle
 from repro.hardware.memory import MemoryModel
-from repro.hardware.roofline import mfu_at_batch, saturation_penalty
+from repro.hardware.power import PowerModel
+from repro.hardware.roofline import mfu_at_batch, overlap_time, saturation_penalty
 from repro.hardware.spec import HardwareSpec
 from repro.models.config import ModelConfig
 from repro.models.kvcache import KVCacheSpec, kv_bytes_per_token
@@ -43,9 +59,16 @@ from repro.perf.quantization import QuantizationScheme
 
 __all__ = [
     "Deployment",
+    "StepCoeffs",
+    "StepCost",
+    "StepModel",
+    "step_model",
     "moe_expected_active_experts",
     "step_weight_bytes",
     "forward_flops",
+    "phase_utilization",
+    "prefill_cost",
+    "decode_step_cost",
     "prefill_breakdown",
     "decode_step_breakdown",
     "prefill_traffic",
@@ -113,7 +136,9 @@ class Deployment:
         return replace(self, quant=quant)
 
 
-def moe_expected_active_experts(config: ModelConfig, routed_tokens: int) -> float:
+def moe_expected_active_experts(
+    config: ModelConfig, routed_tokens: int, xp=FLOATS
+) -> float:
     """Expected distinct experts hit per layer by ``routed_tokens`` tokens.
 
     With top-k routing over n experts, a token misses a given expert with
@@ -124,11 +149,11 @@ def moe_expected_active_experts(config: ModelConfig, routed_tokens: int) -> floa
     """
     if not config.is_moe:
         return 1.0
-    if routed_tokens < 1:
+    if xp.any(routed_tokens < 1):
         raise ValueError(f"routed_tokens must be >= 1, got {routed_tokens}")
     n = config.num_experts
     k = config.experts_per_token
-    return n * (1.0 - (1.0 - k / n) ** routed_tokens)
+    return n * (1.0 - xp.power(1.0 - k / n, routed_tokens))
 
 
 def step_weight_bytes(dep: Deployment, routed_tokens: int) -> float:
@@ -137,20 +162,24 @@ def step_weight_bytes(dep: Deployment, routed_tokens: int) -> float:
     Dense models stream every weight once.  MoE models stream attention
     weights plus the *expected active* experts only.
     """
-    config = dep.model
-    wbytes = dep.quant.weight_bytes_per_param()
-    if not config.is_moe:
-        return config.total_params * wbytes
-    attn_and_norms = sum(
-        config.attention_params_at(layer) + 2 * config.hidden_size
-        for layer in range(config.num_layers)
-    )
-    active_experts = moe_expected_active_experts(config, routed_tokens)
-    expert_params = (
-        config.num_layers * active_experts * config.ffn_params_per_expert
-    )
-    other = config.embedding_params + config.hidden_size
-    return (attn_and_norms + expert_params + other) * wbytes
+    return step_model(dep).weight_bytes(FLOATS, routed_tokens)
+
+
+@lru_cache(maxsize=64)
+def _flops_per_token(config: ModelConfig) -> tuple[float, float, float]:
+    """(linear, attention-context, LM-head) FLOPs of one token."""
+    layers = range(config.num_layers)
+    linear = sum(attention_linear_flops(config, layer, 1) for layer in layers)
+    linear += config.num_layers * ffn_flops(config, 1)
+    context = config.num_layers * attention_context_flops(config, 1, 1.0)
+    return linear, context, lm_head_flops(config, 1)
+
+
+def _flops_coeffs(config: ModelConfig, tokens, lm_head_tokens):
+    """``(base, per_ctx)``: a forward pass over ``tokens`` new tokens costs
+    ``base + per_ctx * mean_context`` FLOPs."""
+    linear, context, head = _flops_per_token(config)
+    return tokens * linear + lm_head_tokens * head, tokens * context
 
 
 def forward_flops(
@@ -160,287 +189,336 @@ def forward_flops(
     lm_head_tokens: int,
 ) -> float:
     """FLOPs of one forward pass over ``new_tokens`` across the batch."""
-    total = 0.0
-    for layer in range(config.num_layers):
-        total += attention_linear_flops(config, layer, new_tokens)
-        total += attention_context_flops(config, new_tokens, mean_context)
-        total += ffn_flops(config, new_tokens)
-    total += lm_head_flops(config, lm_head_tokens)
-    return total
+    base, per_ctx = _flops_coeffs(config, new_tokens, lm_head_tokens)
+    return base + per_ctx * mean_context
 
 
-def _memory_leg_bandwidth(dep: Deployment, step_bytes: float) -> float:
-    """Aggregate streaming bandwidth for this step's working set."""
-    mem = dep.memory_model()
-    return (
-        mem.effective_stream_bandwidth(step_bytes)
-        * dep.framework.bandwidth_quality
+def phase_utilization(
+    breakdown: LatencyBreakdown, power_intensity: float = 1.0, xp=FLOATS
+) -> float:
+    """Roofline occupancy of a phase in [0, 1], for the power model.
+
+    Compute-bound phases run near their compute fraction; memory-bound
+    phases still draw substantial dynamic power (HBM + data movement),
+    captured by the 0.70 weighting on the memory fraction.  A phase that
+    takes no time has utilization 0.
+    """
+    busy = breakdown.total_s > 0
+    total = xp.where(busy, breakdown.total_s, 1.0)
+    compute_frac = xp.minimum(1.0, breakdown.compute_s / total)
+    memory = (
+        breakdown.weight_memory_s
+        + breakdown.kv_memory_s
+        + breakdown.activation_memory_s
     )
+    memory_frac = xp.minimum(1.0, memory / total)
+    util = xp.maximum(compute_frac, 0.70 * memory_frac) * power_intensity
+    return xp.where(busy, xp.minimum(1.0, xp.maximum(0.05, util)), 0.0)
 
 
-def _roofline(
-    dep: Deployment,
-    flops: float,
-    mem_parts: dict[str, float],
-    gemm_rows: float,
-    batch_size: int,
-    comm_tokens: int,
-    phase: str,
-) -> LatencyBreakdown:
-    """Assemble one forward pass's latency breakdown."""
-    if phase not in ("prefill", "decode"):
-        raise ValueError(f"phase must be 'prefill' or 'decode', got {phase!r}")
-    spec = dep.hardware
-    fw = dep.framework
-    total_bytes = sum(mem_parts.values())
+# Decode microbatches are tiny, so engines split a step into at most ~2
+# of them before per-microbatch weight re-streaming erases the benefit.
+_DECODE_MICROBATCHES = 2
 
-    kernel_quality = fw.effective_kernel_quality(gemm_rows)
-    mfu = mfu_at_batch(spec, gemm_rows, kernel_quality)
-    rate = dep.quant.compute_rate_flops(spec) * dep.num_devices
-    t_compute = flops * dep.quant.compute_overhead(spec) / (rate * mfu)
 
-    bandwidth = _memory_leg_bandwidth(dep, total_bytes)
-    t_memory = total_bytes / bandwidth
+@dataclass(frozen=True)
+class StepCoeffs:
+    """The part of one step's cost that is fixed for its batch shape.
 
-    # Partial compute/memory overlap (ideal roofline at overlap=1).
-    hi, lo = max(t_compute, t_memory), min(t_compute, t_memory)
-    t_kernels = hi + (1.0 - fw.overlap) * lo
+    ``flops(ctx) = flops_base + flops_per_ctx * ctx`` and
+    ``kv_read_bytes(ctx) = kv_read_per_ctx * ctx``; :meth:`StepModel.cost`
+    evaluates the rest of the roofline at ``ctx``.  Fields are floats, or
+    arrays over a sweep grid.
+    """
 
-    # MoE expert dispatch runs at the framework's grouped-GEMM efficiency.
-    if dep.model.is_moe:
-        t_kernels /= fw.moe_efficiency
+    flops_base: float
+    flops_per_ctx: float
+    weight_bytes: float
+    kv_read_per_ctx: float
+    kv_write_bytes: float
+    activation_bytes: float
+    rate_mfu: float  # (peak rate * devices) * mfu, the t_compute denominator
+    pipeline_factor: float
+    comm_s: float
+    overhead_s: float
+    penalty: float
+    setup_s: float
 
-    # Decode microbatches are tiny, so engines split a step into at most
-    # ~2 of them; prefill chunks pipeline deeply.
-    microbatch_limit = 2 if phase == "decode" else 4 * max(1, dep.plan.pp)
 
-    # Pipeline-parallel serialization (and llama.cpp's layer-split mode).
-    if fw.multi_gpu_style is MultiGpuStyle.LAYER_SPLIT and dep.num_devices > 1:
-        microbatches = min(batch_size, microbatch_limit)
-        stages = dep.num_devices
-        pf = (microbatches + stages - 1) / microbatches
-    else:
-        pf = pipeline_factor(dep.plan, batch_size, microbatch_limit)
-    t_kernels *= pf
+class StepCost(NamedTuple):
+    """One priced step: its breakdown, the device group's draw while it
+    runs, and the FLOPs and modeled bytes it moves (the traffic MFU and
+    MBU divide by peak rates; KV reads count their GQA/paging-scaled
+    stream bytes)."""
 
-    # Expert-parallel load imbalance slows the compute path too: hot
-    # experts queue on their device while cold ones idle (Section IV-C3).
-    if dep.plan.ep > 1 and dep.model.is_moe:
-        t_kernels *= 1.0 + 0.15 * (1.0 - 1.0 / dep.plan.ep)
+    breakdown: LatencyBreakdown
+    power_w: float
+    flops: float
+    bytes_moved: float
 
-    comm = comm_costs_per_forward(
-        dep.model, spec, fw, dep.plan, comm_tokens, dep.quant.activation_precision
-    )
-    # Per-step sampling over the logit vector, once per sequence.
-    sampling = (
-        dep.model.vocab_size
-        * batch_size
-        * fw.sampling_ns_per_vocab_token
-        * 1e-9
-    )
-    overhead = (
-        dep.model.num_layers * spec.layer_overhead_s
-        + spec.step_overhead_s * fw.host_overhead_factor
-        + fw.host_step_latency_s
-        + sampling
-    )
 
-    penalty = saturation_penalty(spec, batch_size)
-    total = (t_kernels + comm.total_s + overhead) * penalty
+class StepModel:
+    """The roofline of one deployment, over floats or arrays."""
 
-    scale = total_bytes if total_bytes > 0 else 1.0
-    mem_time = {k: v / scale * t_memory for k, v in mem_parts.items()}
-    return LatencyBreakdown(
-        compute_s=t_compute,
-        weight_memory_s=mem_time.get("weights", 0.0),
-        kv_memory_s=mem_time.get("kv_read", 0.0) + mem_time.get("kv_write", 0.0),
-        activation_memory_s=mem_time.get("activations", 0.0),
-        communication_s=comm.total_s,
-        overhead_s=overhead,
-        total_s=total,
-    )
+    def __init__(self, dep: Deployment) -> None:
+        self.deployment = dep
+        config = dep.model
+        spec = dep.hardware
+        fw = dep.framework
+        self.power_model = PowerModel(spec, dep.num_devices)
+        self._memory = dep.memory_model()
+
+        self._kv_bytes_per_token = kv_bytes_per_token(config, dep.kv_spec.precision)
+        self._kv_read_multiplier = kv_time_multiplier(config, fw, dep.kv_spec)
+        self._act_bytes_per_token = activation_bytes_per_token(
+            config, dep.quant.activation_precision
+        )
+        self._weight_bytes_per_param = dep.quant.weight_bytes_per_param()
+        # Every weight, all experts resident: a dense model streams these.
+        self.total_weight_bytes = config.total_params * self._weight_bytes_per_param
+        if config.is_moe:
+            self._moe_attn_and_norms = sum(
+                config.attention_params_at(layer) + 2 * config.hidden_size
+                for layer in range(config.num_layers)
+            )
+            self._moe_other = config.embedding_params + config.hidden_size
+
+        self._rate = dep.quant.compute_rate_flops(spec) * dep.num_devices
+        self._compute_overhead = dep.quant.compute_overhead(spec)
+        self._bandwidth_quality = fw.bandwidth_quality
+        self._overlap = fw.overlap
+        # MoE expert dispatch runs at the framework's grouped-GEMM
+        # efficiency; expert-parallel load imbalance slows the compute path
+        # too: hot experts queue on their device while cold ones idle
+        # (Section IV-C3).  Dividing or multiplying by 1.0 is exact, so
+        # dense models take the same expression.
+        self._moe_divisor = fw.moe_efficiency if config.is_moe else 1.0
+        ep = dep.plan.ep
+        self._ep_factor = (
+            1.0 + 0.15 * (1.0 - 1.0 / ep) if ep > 1 and config.is_moe else 1.0
+        )
+        # llama.cpp's layer-split mode serializes all devices as stages.
+        self._layer_split_stages = (
+            dep.num_devices
+            if fw.multi_gpu_style is MultiGpuStyle.LAYER_SPLIT and dep.num_devices > 1
+            else None
+        )
+        # Prefill chunks pipeline deeply (decode: _DECODE_MICROBATCHES).
+        self._prefill_microbatches = 4 * max(1, dep.plan.pp)
+        self._fixed_overhead = (
+            config.num_layers * spec.layer_overhead_s
+            + spec.step_overhead_s * fw.host_overhead_factor
+            + fw.host_step_latency_s
+        )
+
+    # ------------------------------------------------------------------
+    # Traffic
+    # ------------------------------------------------------------------
+
+    def weight_bytes(self, xp, routed_tokens):
+        """Weight bytes one forward pass over ``routed_tokens`` streams."""
+        config = self.deployment.model
+        if not config.is_moe:
+            return self.total_weight_bytes
+        active = moe_expected_active_experts(config, routed_tokens, xp)
+        expert_params = config.num_layers * active * config.ffn_params_per_expert
+        return (
+            self._moe_attn_and_norms + expert_params + self._moe_other
+        ) * self._weight_bytes_per_param
+
+    def _coeffs(
+        self, xp, batch, tokens, microbatch_limit, kv_read_per_ctx, kv_write_bytes,
+        setup_s=0.0,
+    ) -> StepCoeffs:
+        """Coefficients of a pass over ``tokens`` new tokens of ``batch``
+        sequences (the GEMM rows and the communicated activations)."""
+        dep = self.deployment
+        config = dep.model
+        fw = dep.framework
+        flops_base, flops_per_ctx = _flops_coeffs(config, tokens, batch)
+        mfu = mfu_at_batch(
+            dep.hardware, tokens, fw.effective_kernel_quality(tokens, xp), xp
+        )
+        stages = self._layer_split_stages
+        if stages is None:
+            pf = pipeline_factor(dep.plan, batch, microbatch_limit, xp)
+        else:
+            microbatches = xp.minimum(batch, microbatch_limit)
+            pf = (microbatches + stages - 1) / microbatches
+        comm = comm_costs_per_forward(
+            config, dep.hardware, fw, dep.plan, tokens,
+            dep.quant.activation_precision, xp,
+        )
+        # Per-step sampling over the logit vector, once per sequence.
+        sampling = config.vocab_size * batch * fw.sampling_ns_per_vocab_token * 1e-9
+        return StepCoeffs(
+            flops_base=flops_base,
+            flops_per_ctx=flops_per_ctx,
+            weight_bytes=self.weight_bytes(xp, tokens),
+            kv_read_per_ctx=kv_read_per_ctx,
+            kv_write_bytes=kv_write_bytes,
+            activation_bytes=tokens * self._act_bytes_per_token,
+            rate_mfu=self._rate * mfu,
+            pipeline_factor=pf,
+            comm_s=comm.total_s,
+            overhead_s=self._fixed_overhead + sampling,
+            penalty=saturation_penalty(dep.hardware, batch, xp),
+            setup_s=setup_s,
+        )
+
+    def prefill_point(self, xp, batch, input_tokens):
+        """``(coeffs, point)`` of prefilling ``batch`` prompts of
+        ``input_tokens``.
+
+        Causal attention means the t-th prompt token attends ~t/2 positions
+        on average.  Only the final position's logits are needed, so the LM
+        head runs once per sequence.  The per-request pipeline-setup cost
+        (SN40L) is charged here, once per batch admission.
+        """
+        if xp.any((batch < 1) | (input_tokens < 1)):
+            raise ValueError("batch_size and input_tokens must be >= 1")
+        tokens = batch * input_tokens
+        kv_write = (
+            tokens * self._kv_bytes_per_token
+            if self.deployment.kv_spec.enabled
+            else 0.0
+        )
+        coeffs = self._coeffs(
+            xp, batch, tokens, self._prefill_microbatches, 0.0, kv_write,
+            self.deployment.hardware.request_setup_s,
+        )
+        return coeffs, (input_tokens + 1) / 2.0
+
+    def decode_coeffs(self, xp, batch) -> StepCoeffs:
+        """Coefficients of one KV-cached decode step, constant in the
+        context: each sequence reads its whole cached context (scaled by
+        the framework's GQA awareness and the paged-block overhead) and
+        writes one token."""
+        kv = self._kv_bytes_per_token
+        return self._coeffs(
+            xp, batch, batch, _DECODE_MICROBATCHES,
+            batch * kv * self._kv_read_multiplier, batch * kv,
+        )
+
+    def decode_point(self, xp, batch, context_length):
+        """``(coeffs, point)`` of one decode iteration.
+
+        With the KV cache *disabled* (Fig. 2a) the step degenerates to a
+        full re-prefill of the entire context.
+        """
+        if xp.any((batch < 1) | (context_length < 1)):
+            raise ValueError("batch_size and context_length must be >= 1")
+        if self.deployment.kv_spec.enabled:
+            return self.decode_coeffs(xp, batch), context_length
+        coeffs = self._coeffs(
+            xp, batch, batch * context_length, _DECODE_MICROBATCHES, 0.0, 0.0
+        )
+        return coeffs, (context_length + 1) / 2.0
+
+    # ------------------------------------------------------------------
+    # Roofline and power
+    # ------------------------------------------------------------------
+
+    def cost(self, xp, c: StepCoeffs, point):
+        """Evaluate the roofline at ``point``: ``(parts, flops, bytes)``
+        with ``parts`` in :class:`LatencyBreakdown` field order."""
+        flops = c.flops_base + c.flops_per_ctx * point
+        kv_read = c.kv_read_per_ctx * point
+        total_bytes = (
+            (c.weight_bytes + kv_read) + c.kv_write_bytes
+        ) + c.activation_bytes
+
+        t_compute = flops * self._compute_overhead / c.rate_mfu
+        bandwidth = (
+            self._memory.effective_stream_bandwidth(total_bytes, xp)
+            * self._bandwidth_quality
+        )
+        t_memory = total_bytes / bandwidth
+        # Partial compute/memory overlap, MoE dispatch, pipeline bubbles
+        # (and llama.cpp's layer split), expert-parallel imbalance.
+        t_kernels = overlap_time(t_compute, t_memory, self._overlap, xp)
+        t_kernels = t_kernels / self._moe_divisor * c.pipeline_factor * self._ep_factor
+        total = (t_kernels + c.comm_s + c.overhead_s) * c.penalty
+        parts = (
+            t_compute,
+            c.weight_bytes / total_bytes * t_memory,
+            kv_read / total_bytes * t_memory
+            + c.kv_write_bytes / total_bytes * t_memory,
+            c.activation_bytes / total_bytes * t_memory,
+            c.comm_s,
+            c.overhead_s + c.setup_s,
+            total + c.setup_s,
+        )
+        return parts, flops, total_bytes
+
+    def power_w(self, xp, breakdown):
+        """Draw of the device group while a phase with ``breakdown`` runs."""
+        util = phase_utilization(
+            breakdown, self.deployment.framework.power_intensity, xp
+        )
+        return self.power_model.group_power_w(util, xp)
+
+    def average_power_w(self, xp, prefill, decode):
+        """Energy-weighted average draw over a prefill and a decode phase."""
+        p, d = prefill.total_s, decode.total_s
+        energy = p * self.power_w(xp, prefill) + xp.where(
+            d > 0, d * self.power_w(xp, decode), 0.0
+        )
+        return energy / (p + d)
+
+    def price(self, coeffs: StepCoeffs, point) -> StepCost:
+        """One scalar step, priced."""
+        parts, flops, bytes_moved = self.cost(FLOATS, coeffs, point)
+        breakdown = LatencyBreakdown(*parts)
+        return StepCost(breakdown, self.power_w(FLOATS, breakdown), flops, bytes_moved)
+
+
+@lru_cache(maxsize=64)
+def step_model(dep: Deployment) -> StepModel:
+    """The step model of a deployment (bounded cache: equal deployments
+    share one, as they share one kernel)."""
+    return StepModel(dep)
+
+
+def prefill_cost(dep: Deployment, batch_size: int, input_tokens: int) -> StepCost:
+    """Prefilling ``batch_size`` prompts of ``input_tokens``, priced."""
+    model = step_model(dep)
+    return model.price(*model.prefill_point(FLOATS, batch_size, input_tokens))
+
+
+def decode_step_cost(
+    dep: Deployment, batch_size: int, context_length: int
+) -> StepCost:
+    """One decode iteration (one new token per sequence), priced."""
+    model = step_model(dep)
+    return model.price(*model.decode_point(FLOATS, batch_size, context_length))
 
 
 def prefill_breakdown(
     dep: Deployment, batch_size: int, input_tokens: int
 ) -> LatencyBreakdown:
-    """Latency of prefilling ``batch_size`` prompts of ``input_tokens``.
-
-    Causal attention means the t-th prompt token attends ~t/2 positions on
-    average.  Only the final position's logits are needed, so the LM head
-    runs once per sequence.  The per-request pipeline-setup cost (SN40L) is
-    charged here, once per batch admission.
-    """
-    if batch_size < 1 or input_tokens < 1:
-        raise ValueError("batch_size and input_tokens must be >= 1")
-    config = dep.model
-    tokens = batch_size * input_tokens
-    mean_context = (input_tokens + 1) / 2.0
-
-    flops = forward_flops(config, tokens, mean_context, lm_head_tokens=batch_size)
-    kv_write = tokens * kv_bytes_per_token(config, dep.kv_spec.precision)
-    mem_parts = {
-        "weights": step_weight_bytes(dep, tokens),
-        "kv_write": kv_write if dep.kv_spec.enabled else 0.0,
-        "activations": tokens
-        * activation_bytes_per_token(config, dep.quant.activation_precision),
-    }
-    breakdown = _roofline(
-        dep,
-        flops,
-        mem_parts,
-        gemm_rows=float(tokens),
-        batch_size=batch_size,
-        comm_tokens=tokens,
-        phase="prefill",
-    )
-    if dep.hardware.request_setup_s > 0.0:
-        setup = dep.hardware.request_setup_s
-        breakdown = LatencyBreakdown(
-            compute_s=breakdown.compute_s,
-            weight_memory_s=breakdown.weight_memory_s,
-            kv_memory_s=breakdown.kv_memory_s,
-            activation_memory_s=breakdown.activation_memory_s,
-            communication_s=breakdown.communication_s,
-            overhead_s=breakdown.overhead_s + setup,
-            total_s=breakdown.total_s + setup,
-        )
-    return breakdown
+    """Latency of prefilling ``batch_size`` prompts of ``input_tokens``."""
+    return prefill_cost(dep, batch_size, input_tokens).breakdown
 
 
 def decode_step_breakdown(
     dep: Deployment, batch_size: int, context_length: int
 ) -> LatencyBreakdown:
-    """Latency of one decode iteration: one new token per sequence.
-
-    With the KV cache enabled, each sequence reads its whole cached context
-    (scaled by the framework's GQA awareness and the paged-block overhead)
-    and writes one token.  With the cache *disabled* (Fig. 2a) the step
-    degenerates to a full re-prefill of the entire context.
-    """
-    if batch_size < 1 or context_length < 1:
-        raise ValueError("batch_size and context_length must be >= 1")
-    config = dep.model
-
-    if not dep.kv_spec.enabled:
-        # Recompute regime: every step reprocesses the full context.
-        tokens = batch_size * context_length
-        mean_context = (context_length + 1) / 2.0
-        flops = forward_flops(
-            config, tokens, mean_context, lm_head_tokens=batch_size
-        )
-        mem_parts = {
-            "weights": step_weight_bytes(dep, tokens),
-            "activations": tokens
-            * activation_bytes_per_token(config, dep.quant.activation_precision),
-        }
-        return _roofline(
-            dep,
-            flops,
-            mem_parts,
-            gemm_rows=float(tokens),
-            batch_size=batch_size,
-            comm_tokens=tokens,
-            phase="decode",
-        )
-
-    tokens = batch_size
-    flops = forward_flops(
-        config, tokens, float(context_length), lm_head_tokens=tokens
-    )
-    kv_tok = kv_bytes_per_token(config, dep.kv_spec.precision)
-    kv_read = (
-        batch_size
-        * context_length
-        * kv_tok
-        * kv_time_multiplier(config, dep.framework, dep.kv_spec)
-    )
-    mem_parts = {
-        "weights": step_weight_bytes(dep, tokens),
-        "kv_read": kv_read,
-        "kv_write": tokens * kv_tok,
-        "activations": tokens
-        * activation_bytes_per_token(config, dep.quant.activation_precision),
-    }
-    return _roofline(
-        dep,
-        flops,
-        mem_parts,
-        gemm_rows=float(tokens),
-        batch_size=batch_size,
-        comm_tokens=tokens,
-        phase="decode",
-    )
+    """Latency of one decode iteration: one new token per sequence."""
+    return decode_step_cost(dep, batch_size, context_length).breakdown
 
 
 def prefill_traffic(
     dep: Deployment, batch_size: int, input_tokens: int
 ) -> tuple[float, float]:
-    """``(flops, bytes_moved)`` of one prefill pass.
-
-    The same forward-pass FLOPs and modeled memory traffic that
-    :func:`prefill_breakdown` prices (KV reads scaled by the framework's
-    GQA/paging multiplier count as their *modeled* stream bytes), exposed
-    for utilization accounting: MFU and MBU in the runtime profiler
-    divide these by the hardware's peak rates.
-    """
-    if batch_size < 1 or input_tokens < 1:
-        raise ValueError("batch_size and input_tokens must be >= 1")
-    config = dep.model
-    tokens = batch_size * input_tokens
-    mean_context = (input_tokens + 1) / 2.0
-    flops = forward_flops(config, tokens, mean_context, lm_head_tokens=batch_size)
-    kv_write = (
-        tokens * kv_bytes_per_token(config, dep.kv_spec.precision)
-        if dep.kv_spec.enabled
-        else 0.0
-    )
-    bytes_moved = (
-        step_weight_bytes(dep, tokens)
-        + kv_write
-        + tokens * activation_bytes_per_token(config, dep.quant.activation_precision)
-    )
-    return flops, bytes_moved
+    """``(flops, bytes_moved)`` of one prefill pass."""
+    cost = prefill_cost(dep, batch_size, input_tokens)
+    return cost.flops, cost.bytes_moved
 
 
 def decode_step_traffic(
     dep: Deployment, batch_size: int, context_length: int
 ) -> tuple[float, float]:
-    """``(flops, bytes_moved)`` of one decode iteration.
-
-    Mirrors :func:`decode_step_breakdown`'s two regimes: with the KV
-    cache on, the step streams weights, the (multiplier-scaled) cached
-    context, one written token and activations; with it off, the step is
-    a full re-prefill of the context.
-    """
-    if batch_size < 1 or context_length < 1:
-        raise ValueError("batch_size and context_length must be >= 1")
-    config = dep.model
-    if not dep.kv_spec.enabled:
-        tokens = batch_size * context_length
-        mean_context = (context_length + 1) / 2.0
-        flops = forward_flops(
-            config, tokens, mean_context, lm_head_tokens=batch_size
-        )
-        bytes_moved = step_weight_bytes(dep, tokens) + tokens * (
-            activation_bytes_per_token(config, dep.quant.activation_precision)
-        )
-        return flops, bytes_moved
-    tokens = batch_size
-    flops = forward_flops(
-        config, tokens, float(context_length), lm_head_tokens=tokens
-    )
-    kv_tok = kv_bytes_per_token(config, dep.kv_spec.precision)
-    kv_read = (
-        batch_size
-        * context_length
-        * kv_tok
-        * kv_time_multiplier(config, dep.framework, dep.kv_spec)
-    )
-    bytes_moved = (
-        step_weight_bytes(dep, tokens)
-        + kv_read
-        + tokens * kv_tok
-        + tokens * activation_bytes_per_token(config, dep.quant.activation_precision)
-    )
-    return flops, bytes_moved
+    """``(flops, bytes_moved)`` of one decode iteration."""
+    cost = decode_step_cost(dep, batch_size, context_length)
+    return cost.flops, cost.bytes_moved

@@ -38,18 +38,17 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
-from repro.core.metrics import InferenceMetrics, LatencyBreakdown
+from repro.core.metrics import InferenceMetrics
 from repro.core.request import GenerationRequest, RequestState, mean_itl_s
 from repro.core.stats import mean
-from repro.hardware.power import PowerModel
+from repro.core.xp import FLOATS
 from repro.obs.metrics import MetricsRegistry, MetricsSnapshot, record_latencies
 from repro.obs.profiler import ProfileReport, StepProfiler
 from repro.obs.telemetry import TelemetryHub, TelemetrySnapshot, trace_alerts
 from repro.obs.timeline import RequestTimeline, build_timelines
 from repro.obs.tracer import EventTracer
-from repro.perf.estimator import phase_utilization
 from repro.perf.kernel import get_kernel
-from repro.perf.phases import Deployment
+from repro.perf.phases import Deployment, step_model
 from repro.runtime.memory_manager import MemoryManager, OutOfMemoryError
 from repro.runtime.scheduler import (
     ContinuousBatchingScheduler,
@@ -183,7 +182,7 @@ class ServingEngine:
 
         ``kernel`` supplies the per-iteration step costs; the default is
         the deployment's shared :class:`~repro.perf.kernel.StepCostKernel`
-        (memoized affine fast path).  Pass a
+        (memoized step costs).  Pass a
         :class:`~repro.perf.kernel.DirectStepCost` to force un-memoized
         ``phases.py`` evaluation (the test reference).
 
@@ -207,7 +206,8 @@ class ServingEngine:
         self.optimistic = optimistic
         self.profile = profile
         self.telemetry = telemetry
-        self._power = PowerModel(deployment.hardware, deployment.num_devices)
+        self._step_model = step_model(deployment)
+        self._power = self._step_model.power_model
 
     def _make_scheduler(self) -> Scheduler:
         allocator = self.memory.build_allocator()
@@ -287,10 +287,10 @@ class ServingEngine:
         tracer = self.tracer
         profiler = run.profiler
         for chunk in range(chunks):
-            breakdown = self.kernel.prefill(batch, chunk_len)
+            breakdown, power_w, _, _ = self.kernel.prefill_cost(batch, chunk_len)
             if run.cost_scale != 1.0:  # fault-injected straggler multiplier
                 breakdown = breakdown.scaled(run.cost_scale)
-            power_w = self._phase_power(breakdown)
+                power_w = self._step_model.power_w(FLOATS, breakdown)
             run.energy_j += breakdown.total_s * power_w
             if profiler is not None:
                 profiler.record_prefill(
@@ -345,11 +345,11 @@ class ServingEngine:
         mean_ctx = ctx_sum / batch
         # Context at the span's midpoint (contexts grow one token per step).
         span_ctx = max(1, round(mean_ctx + (steps - 1) / 2.0))
-        step_bd = self.kernel.decode_step(batch, span_ctx)
+        step_bd, step_power_w, _, _ = self.kernel.decode_cost(batch, span_ctx)
         if run.cost_scale != 1.0:  # fault-injected straggler multiplier
             step_bd = step_bd.scaled(run.cost_scale)
+            step_power_w = self._step_model.power_w(FLOATS, step_bd)
         span_s = step_bd.total_s * float(steps)
-        step_power_w = self._phase_power(step_bd)
         run.energy_j += span_s * step_power_w
         if run.profiler is not None:
             run.profiler.record_decode(
@@ -468,10 +468,6 @@ class ServingEngine:
             if candidate is not protect and not candidate.is_finished:
                 return candidate
         return None
-
-    def _phase_power(self, breakdown: LatencyBreakdown) -> float:
-        util = phase_utilization(breakdown, self.deployment.framework.power_intensity)
-        return self._power.group_power_w(util)
 
 
 class EngineRun:

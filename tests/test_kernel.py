@@ -1,22 +1,35 @@
-"""Golden equivalence suite for the affine step-cost kernel.
+"""Exact equivalence suite for the step-cost kernel.
 
-The contract under test: every path through
-:class:`~repro.perf.kernel.StepCostKernel` — scalar memoized steps,
-vectorized ``evaluate_grid`` sweeps, engine runs, cluster runs — must
-match the direct ``phases.py`` roofline to within 1e-12 relative (it is
-bit-identical in practice for the scalar paths).  The grid deliberately
-crosses the paper's awkward corners: MI250's saturation cliff, SN40L's
-per-request setup cost and SRAM/DDR tier walk, MoE expert parallelism,
-KV-cache-disabled recompute, and multi-device plans.
+The step model (:class:`~repro.perf.phases.StepModel`) is one expression
+over floats or arrays.  The contract under test: every path through
+:class:`~repro.perf.kernel.StepCostKernel` — memoized scalar steps with
+per-batch decode coefficients, engine runs, cluster runs — equals the
+direct ``phases.py`` functions with ``==``, and every latency field of a
+vectorized ``evaluate_grid`` lane equals the scalar estimator's with
+``==``.  The one documented divergence is average power: the grid raises
+utilization to ``gamma`` with ``np.power``, the scalar path with ``**``,
+and the two can differ in the last ulp, so grid power is compared with
+``==`` against the scalar formula evaluated with ``np.power``.  The
+deployments deliberately cross the paper's awkward corners: MI250's
+saturation cliff, SN40L's per-request setup cost and SRAM/DDR tier walk,
+MoE expert parallelism, KV-cache-disabled recompute, and multi-device
+plans; a seeded property test draws random supported configurations, and
+a sweep covers every lane of the paper-zoo optimizer space.
 """
 
+import random
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 
+from repro.analysis.optimize import SearchSpace
 from repro.core.request import GenerationConfig
+from repro.core.xp import FLOATS
 from repro.frameworks.base import get_framework
-from repro.hardware.zoo import get_hardware
+from repro.hardware.zoo import get_hardware, list_hardware
 from repro.models.kvcache import KVCacheSpec
-from repro.models.zoo import get_model
+from repro.models.zoo import get_model, list_models
 from repro.perf.estimator import InferenceEstimator
 from repro.perf.kernel import (
     DirectStepCost,
@@ -28,38 +41,46 @@ from repro.perf.parallelism import ParallelismPlan
 from repro.perf.phases import (
     Deployment,
     decode_step_breakdown,
+    decode_step_cost,
+    phase_utilization,
     prefill_breakdown,
+    prefill_cost,
+    step_model,
 )
-from repro.perf.quantization import INT8_SCHEME
+from repro.perf.quantization import FP8_SCHEME, FP16_SCHEME, INT8_SCHEME
 from repro.analysis.sweeps import find_peak_batch, throughput_curve
 from repro.cluster.simulator import ClusterSimulator
 from repro.runtime.engine import ServingEngine
 from repro.runtime.workload import fixed_batch_trace, open_loop_trace
 from tests.test_vector_core import random_trace
 
-REL_TOL = 1e-12
+# The scalar step model with numpy's pow: what a grid lane computes.
+NP_POWER_FLOATS = SimpleNamespace(**{**vars(FLOATS), "power": np.power})
 
-_BREAKDOWN_FIELDS = (
-    "compute_s",
-    "weight_memory_s",
-    "kv_memory_s",
-    "activation_memory_s",
-    "communication_s",
-    "overhead_s",
-    "total_s",
+_LATENCY_FIELDS = (
+    ("ttft_s", "ttft_s"),
+    ("end_to_end_latency_s", "end_to_end_s"),
+    ("itl_s", "itl_s"),
+    ("throughput_tokens_per_s", "throughput_tokens_per_s"),
 )
 
 
-def rel_close(a: float, b: float, tol: float = REL_TOL) -> bool:
-    if a == b:  # covers exact zeros and inf sentinels
-        return True
-    return abs(a - b) <= tol * max(abs(a), abs(b))
-
-
 def assert_breakdowns_match(direct, kernel, label: str = "") -> None:
-    for field in _BREAKDOWN_FIELDS:
-        a, b = getattr(direct, field), getattr(kernel, field)
-        assert rel_close(a, b), f"{label} {field}: direct={a!r} kernel={b!r}"
+    assert direct == kernel, f"{label}: direct={direct!r} kernel={kernel!r}"
+
+
+def assert_lane_matches(dep, grid, metrics, b, inp, out) -> None:
+    """One grid lane against the scalar estimator's metrics, exactly."""
+    point = grid.point(b, inp, out)
+    label = f"b={b} in={inp} out={out}"
+    assert point["oom"] == metrics.oom, label
+    for field, key in _LATENCY_FIELDS:
+        assert getattr(metrics, field) == point[key], f"{label} {field}"
+    if not metrics.oom:
+        expected = step_model(dep).average_power_w(
+            NP_POWER_FLOATS, metrics.prefill_breakdown, metrics.decode_breakdown
+        )
+        assert point["average_power_w"] == expected, f"{label} power"
 
 
 def _deployment(model, hardware, framework, **kwargs) -> Deployment:
@@ -102,25 +123,28 @@ _GRID_IDS = [
 
 
 class TestScalarEquivalence:
-    """Kernel scalar steps vs the direct ``phases.py`` roofline."""
+    """Kernel scalar steps vs the direct ``phases.py`` roofline: the whole
+    priced step (breakdown, watts, FLOPs, bytes) is equal."""
 
     @pytest.mark.parametrize("dep", _GRID, ids=_GRID_IDS)
     def test_decode_matches_direct(self, dep):
         kernel = StepCostKernel(dep)
         for batch in (1, 16, 33, 64):
             for ctx in (1, 128, 2048, 8192):
-                direct = decode_step_breakdown(dep, batch, ctx)
-                affine = kernel.decode_step(batch, ctx)
-                assert_breakdowns_match(direct, affine, f"b={batch} ctx={ctx}")
+                direct = decode_step_cost(dep, batch, ctx)
+                memo = kernel.decode_cost(batch, ctx)
+                assert direct == memo, f"b={batch} ctx={ctx}"
+                assert kernel.decode_step(batch, ctx) == direct.breakdown
 
     @pytest.mark.parametrize("dep", _GRID, ids=_GRID_IDS)
     def test_prefill_matches_direct(self, dep):
         kernel = StepCostKernel(dep)
         for batch in (1, 16, 64):
             for tokens in (1, 128, 2048):
-                direct = prefill_breakdown(dep, batch, tokens)
-                memo = kernel.prefill(batch, tokens)
-                assert_breakdowns_match(direct, memo, f"b={batch} in={tokens}")
+                direct = prefill_cost(dep, batch, tokens)
+                memo = kernel.prefill_cost(batch, tokens)
+                assert direct == memo, f"b={batch} in={tokens}"
+                assert kernel.prefill(batch, tokens) == direct.breakdown
 
     def test_direct_step_cost_is_passthrough(self):
         dep = _deployment("LLaMA-3-8B", "A100", "vLLM")
@@ -250,22 +274,46 @@ class TestGridEquivalence:
             for inp in inputs:
                 for out in outputs:
                     metrics = estimator.estimate(GenerationConfig(inp, out, b))
-                    point = grid.point(b, inp, out)
-                    label = f"b={b} in={inp} out={out}"
-                    assert point["oom"] == metrics.oom, label
-                    for field, key in (
-                        ("ttft_s", "ttft_s"),
-                        ("end_to_end_latency_s", "end_to_end_s"),
-                        ("itl_s", "itl_s"),
-                        ("throughput_tokens_per_s", "throughput_tokens_per_s"),
-                    ):
-                        assert rel_close(
-                            getattr(metrics, field), point[key]
-                        ), f"{label} {field}"
-                    if not metrics.oom:
-                        assert rel_close(
-                            metrics.average_power_w, point["average_power_w"]
-                        ), f"{label} power"
+                    assert_lane_matches(dep, grid, metrics, b, inp, out)
+
+    def test_paper_zoo_space_lanes_match_scalar_estimator(self):
+        """Every lane of the paper-zoo optimizer space: latency fields
+        equal the scalar estimator's; power equals the scalar formula with
+        ``np.power``, and differs from the estimator's only where
+        ``np.power`` and ``**`` round a phase utilization differently."""
+        space = SearchSpace(
+            models=(
+                "LLaMA-2-7B", "LLaMA-3-8B", "Mistral-7B", "Qwen2-7B",
+                "LLaMA-2-70B", "LLaMA-3-70B", "Qwen2-72B",
+            ),
+            hardware=tuple(list_hardware()),
+            frameworks=("vLLM", "TRT-LLM", "DeepSpeed-MII"),
+            quant_schemes=("fp16", "fp8", "int8"),
+            tensor_parallel=(1, 2, 4, 8),
+            batch_sizes=tuple(2**i for i in range(10)),
+        )
+        candidates, _ = space.enumerate_deployments()
+        inp, out = space.input_tokens, space.output_tokens
+        lanes = power_moved = 0
+        for cand in candidates:
+            dep = cand.deployment
+            grid = StepCostKernel(dep).evaluate_grid(space.batch_sizes, (inp,), (out,))
+            estimator = InferenceEstimator(dep, kernel=DirectStepCost(dep))
+            for b in space.batch_sizes:
+                metrics = estimator.estimate(GenerationConfig(inp, out, b))
+                assert_lane_matches(dep, grid, metrics, b, inp, out)
+                if metrics.oom:
+                    continue
+                lanes += 1
+                if metrics.average_power_w != grid.point(b, inp, out)["average_power_w"]:
+                    power_moved += 1
+                    utils = [
+                        phase_utilization(bd, dep.framework.power_intensity)
+                        for bd in (metrics.prefill_breakdown, metrics.decode_breakdown)
+                    ]
+                    assert any(np.power(u, 0.70) != u**0.70 for u in utils)
+        assert lanes > 4000
+        assert power_moved < lanes // 10
 
     def test_grid_oom_when_weights_do_not_fit(self):
         dep = _deployment("LLaMA-2-70B", "A100", "vLLM")
@@ -281,6 +329,62 @@ class TestGridEquivalence:
             kernel.evaluate_grid((1,), (0,), (128,))
 
 
+def _random_deployment(rng: random.Random) -> Deployment:
+    """A random supported deployment: model, hardware, framework, plan,
+    quantization and KV policy (on, off, small blocks, contiguous)."""
+    frameworks = ("vLLM", "TRT-LLM", "DeepSpeed-MII", "llama.cpp", "SambaFlow")
+    kv_specs = (
+        KVCacheSpec(),
+        KVCacheSpec(enabled=False),
+        KVCacheSpec(block_size=8),
+        KVCacheSpec(paged=False),
+    )
+    while True:
+        try:
+            return Deployment(
+                get_model(rng.choice(list_models())),
+                get_hardware(rng.choice(list_hardware())),
+                get_framework(rng.choice(frameworks)),
+                plan=ParallelismPlan(
+                    tp=rng.choice((1, 1, 2, 4)),
+                    pp=rng.choice((1, 1, 2)),
+                    ep=rng.choice((1, 1, 2)),
+                ),
+                quant=rng.choice((FP16_SCHEME, FP8_SCHEME, INT8_SCHEME)),
+                kv_spec=rng.choice(kv_specs),
+            )
+        except ValueError:  # unsupported combination: draw again
+            continue
+
+
+class TestRandomDraws:
+    """Seeded property test: kernel scalar == direct == grid lane."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_kernel_direct_and_grid_agree(self, seed):
+        rng = random.Random(seed)
+        for _ in range(25):
+            dep = _random_deployment(rng)
+            kernel = StepCostKernel(dep)
+            for _ in range(4):
+                batch = rng.choice((1, 2, 7, 16, 33, 64, 256))
+                ctx = rng.randint(1, 16384)
+                assert kernel.decode_cost(batch, ctx) == decode_step_cost(dep, batch, ctx)
+                assert kernel.prefill_cost(batch, ctx) == prefill_cost(dep, batch, ctx)
+            batches = tuple(sorted(rng.sample((1, 2, 4, 8, 16, 32, 64, 128), 3)))
+            inputs = (rng.randint(1, 4096),)
+            outputs = tuple(sorted({rng.randint(1, 2048), rng.choice((1, 2))}))
+            grid = kernel.evaluate_grid(batches, inputs, outputs)
+            fast = InferenceEstimator(dep, kernel=kernel)
+            direct = InferenceEstimator(dep, kernel=DirectStepCost(dep))
+            for b in batches:
+                for out in outputs:
+                    config = GenerationConfig(inputs[0], out, b)
+                    metrics = direct.estimate(config)
+                    assert fast.estimate(config) == metrics
+                    assert_lane_matches(dep, grid, metrics, b, inputs[0], out)
+
+
 class TestEngineEquivalence:
     """Engine/cluster runs must not change when steps go through the kernel."""
 
@@ -292,10 +396,11 @@ class TestEngineEquivalence:
         direct = self._run(dep, make_trace(), kernel=DirectStepCost(dep), **engine_kwargs)
         fast = self._run(dep, make_trace(), kernel=StepCostKernel(dep), **engine_kwargs)
         assert direct.iterations == fast.iterations
-        assert rel_close(direct.total_time_s, fast.total_time_s)
+        assert direct.total_time_s == fast.total_time_s
+        assert direct.average_power_w == fast.average_power_w
         for a, b in zip(direct.requests, fast.requests):
-            assert rel_close(a.ttft_s, b.ttft_s)
-            assert rel_close(a.finish_time, b.finish_time)
+            assert a.ttft_s == b.ttft_s
+            assert a.finish_time == b.finish_time
 
     def test_fixed_batch_run(self):
         dep = _deployment("LLaMA-3-8B", "A100", "vLLM")
@@ -370,7 +475,7 @@ class TestEngineEquivalence:
 
         direct = run_with(DirectStepCost(dep))
         fast = run_with(StepCostKernel(dep))
-        assert rel_close(direct.makespan_s, fast.makespan_s)
+        assert direct.makespan_s == fast.makespan_s
 
 
 class TestKernelCache:
@@ -431,7 +536,7 @@ class TestSweepIntegration:
         estimator = InferenceEstimator(dep, kernel=DirectStepCost(dep))
         for bs in batches:
             expected = estimator.throughput(GenerationConfig(512, 256, bs))
-            assert rel_close(curve[bs], expected), f"bs={bs}"
+            assert curve[bs] == expected, f"bs={bs}"
 
     def test_throughput_curve_direct_kernel_fallback(self):
         dep = _deployment("LLaMA-3-8B", "A100", "vLLM")
@@ -440,7 +545,7 @@ class TestSweepIntegration:
             dep, 512, 256, batch_sizes=(1, 8, 64), kernel=DirectStepCost(dep)
         )
         for bs, value in fast.items():
-            assert rel_close(value, slow[bs]), f"bs={bs}"
+            assert value == slow[bs], f"bs={bs}"
 
     def test_find_peak_batch_probe_budget(self):
         dep = _deployment("LLaMA-3-8B", "A100", "vLLM")
@@ -453,6 +558,4 @@ class TestSweepIntegration:
         shared = find_peak_batch(dep, 512, 256, estimator=estimator)
         fresh = find_peak_batch(dep, 512, 256)
         assert shared.batch_size == fresh.batch_size
-        assert rel_close(
-            shared.throughput_tokens_per_s, fresh.throughput_tokens_per_s
-        )
+        assert shared.throughput_tokens_per_s == fresh.throughput_tokens_per_s
