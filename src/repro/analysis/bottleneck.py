@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from repro.core.metrics import CostComponents, LatencyBreakdown
 from repro.core.request import GenerationConfig
 from repro.perf.estimator import InferenceEstimator
-from repro.perf.phases import Deployment
+from repro.perf.phases import Deployment, decode_step_traffic
 
 __all__ = ["Bottleneck", "PhaseAttribution", "BottleneckReport", "analyze"]
 
@@ -152,19 +152,11 @@ def analyze(dep: Deployment, config: GenerationConfig) -> BottleneckReport:
     if decode_bd is None or decode_bd.total_s == 0:
         raise ValueError("workload has no decode phase (single output token)")
 
-    # Decode operational intensity: FLOPs per DRAM byte in one step.
-    from repro.models.kvcache import kv_bytes_per_token
-    from repro.models.ops import activation_bytes_per_token
-    from repro.perf.phases import forward_flops, step_weight_bytes
-
+    # Decode operational intensity: FLOPs per modeled byte in one step, as
+    # the step model prices it.
     batch = int(metrics.effective_concurrency or config.batch_size)
     mean_ctx = config.input_tokens + config.output_tokens // 2
-    flops = forward_flops(dep.model, batch, float(mean_ctx), batch)
-    bytes_moved = (
-        step_weight_bytes(dep, batch)
-        + batch * mean_ctx * kv_bytes_per_token(dep.model, dep.kv_spec.precision)
-        + batch * activation_bytes_per_token(dep.model)
-    )
+    flops, bytes_moved = decode_step_traffic(dep, batch, mean_ctx)
     intensity = flops / bytes_moved
 
     ridge = (

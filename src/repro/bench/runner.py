@@ -188,29 +188,3 @@ class BenchmarkRunner:
                 values["tokens_per_s_per_w"] = metrics.perf_per_watt or 0.0
             table.add(keys, values)
         return table
-
-    def paper_grid(
-        self,
-        models: list[str],
-        hardwares: list[str],
-        frameworks: list[str],
-        lengths: tuple[int, ...] = (128, 1024),
-        batch_sizes: tuple[int, ...] = (1, 16, 32, 64),
-        table_name: str = "grid",
-    ) -> ResultTable:
-        """The paper's standard grid, skipping unsupported pairs."""
-        table = ResultTable(name=table_name)
-        for hw_name in hardwares:
-            for fw_name in frameworks:
-                framework = get_framework(fw_name)
-                if not framework.supports_hardware(hw_name):
-                    continue
-                for model_name in models:
-                    dep = self.deployment(model_name, hw_name, fw_name)
-                    configs = [
-                        GenerationConfig(length, length, bs)
-                        for length in lengths
-                        for bs in batch_sizes
-                    ]
-                    self.run_sweep(table, dep, configs)
-        return table

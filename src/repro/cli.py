@@ -801,12 +801,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     )
     control = None
     if args.faults or args.autoscale:
-        from repro.control import (
-            ControlPlane,
-            FaultSchedule,
-            NullAutoscaler,
-            get_autoscaler,
-        )
+        from repro.control import ControlPlane, FaultSchedule, get_autoscaler
 
         faults = FaultSchedule.load(args.faults) if args.faults else None
         autoscaler = (
@@ -814,7 +809,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
                 args.autoscale, slo=slo, max_replicas=args.autoscale_max
             )
             if args.autoscale
-            else NullAutoscaler()
+            else None
         )
         control = ControlPlane(faults=faults, autoscaler=autoscaler)
     telemetry = None

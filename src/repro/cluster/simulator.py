@@ -48,7 +48,6 @@ from repro.cluster.router import LeastOutstandingTokensRouter, Router, _least_ou
 from repro.control.autoscale import (
     BurnRateAutoscaler,
     FleetView,
-    NullAutoscaler,
     TelemetryFleetView,
 )
 from repro.control.plane import ControlPlane
@@ -552,7 +551,7 @@ class ClusterSimulator:
                 if event.kind == "slowdown":
                     self._push(event.end_s, _FAULT_END, event)
             self._kv_windows = plane.faults.kv_loss_windows()
-            self._control_ticks = not isinstance(plane.autoscaler, NullAutoscaler)
+            self._control_ticks = plane.autoscaler is not None
         # Control ticks drive autoscaling; the telemetry bus samples on the
         # same tick train (and arms it alone on control-free runs), so the
         # hub records the control interval it is ticked at.

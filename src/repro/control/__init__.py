@@ -16,7 +16,6 @@ from repro.control.autoscale import (
     AutoscalePolicy,
     BurnRateAutoscaler,
     FleetView,
-    NullAutoscaler,
     QueueDepthAutoscaler,
     SLOAutoscaler,
     TelemetryFleetView,
@@ -37,7 +36,6 @@ __all__ = [
     "FaultEvent",
     "FaultSchedule",
     "FleetView",
-    "NullAutoscaler",
     "QueueDepthAutoscaler",
     "RetryPolicy",
     "SLOAutoscaler",

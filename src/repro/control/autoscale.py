@@ -7,7 +7,8 @@ the mechanics around that answer: cooldown between actions, the
 ``min_replicas``/``max_replicas`` bounds, and the warm-up (weight-load)
 delay a new replica pays before it can take traffic.
 
-Two real policies ship alongside the null one:
+A run without autoscaling has no policy (``autoscaler=None``).  Two of
+the shipped policies:
 
 * **queue-depth** — the classic threshold controller: scale up when the
   mean per-replica queue depth crosses the high watermark, down when it
@@ -34,7 +35,6 @@ __all__ = [
     "FleetView",
     "AutoscalePolicy",
     "BurnRateAutoscaler",
-    "NullAutoscaler",
     "QueueDepthAutoscaler",
     "SLOAutoscaler",
     "TelemetryFleetView",
@@ -110,15 +110,6 @@ class AutoscalePolicy:
     def decide(self, view: FleetView) -> int:
         """Replica delta for this tick: +1, -1 or 0."""
         raise NotImplementedError
-
-
-class NullAutoscaler(AutoscalePolicy):
-    """Never scales; the do-nothing policy the equivalence tests pin."""
-
-    name = "null"
-
-    def decide(self, view: FleetView) -> int:
-        return 0
 
 
 class QueueDepthAutoscaler(AutoscalePolicy):
@@ -302,9 +293,7 @@ class TelemetryFleetView:
 
 AUTOSCALER_NAMES: dict[str, type[AutoscalePolicy]] = {
     cls.name: cls
-    for cls in (
-        NullAutoscaler, QueueDepthAutoscaler, SLOAutoscaler, BurnRateAutoscaler
-    )
+    for cls in (QueueDepthAutoscaler, SLOAutoscaler, BurnRateAutoscaler)
 }
 
 

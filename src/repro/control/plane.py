@@ -12,7 +12,7 @@ simulator understands:
   interconnect) priced from the hardware spec.
 
 The default-constructed plane is **null**: no faults, no retries needed,
-a :class:`~repro.control.autoscale.NullAutoscaler`.  The simulator
+no autoscaler (``None``).  The simulator
 treats a null plane exactly like no plane at all — it pushes no control
 events onto the heap and emits no fleet gauges — so ``ClusterResult``
 stays bit-identical to an uncontrolled run (tested).
@@ -20,7 +20,7 @@ stays bit-identical to an uncontrolled run (tested).
 
 from __future__ import annotations
 
-from repro.control.autoscale import AutoscalePolicy, NullAutoscaler
+from repro.control.autoscale import AutoscalePolicy
 from repro.control.faults import FaultSchedule, RetryPolicy
 from repro.hardware.interconnect import p2p_time
 from repro.perf.phases import Deployment
@@ -48,7 +48,7 @@ class ControlPlane:
                 f"tick_interval_s must be positive, got {tick_interval_s}"
             )
         self.faults = faults or FaultSchedule()
-        self.autoscaler = autoscaler or NullAutoscaler()
+        self.autoscaler = autoscaler
         self.retry = retry or RetryPolicy()
         self.tick_interval_s = tick_interval_s
 
@@ -56,11 +56,11 @@ class ControlPlane:
     def is_null(self) -> bool:
         """True when the plane can never perturb a run.
 
-        A null plane has no faults to replay and an autoscaler that never
-        scales, so the simulator skips control events entirely and the
-        result is bit-identical to an uncontrolled run.
+        A null plane has no faults to replay and no autoscaler, so the
+        simulator skips control events entirely and the result is
+        bit-identical to an uncontrolled run.
         """
-        return not self.faults and isinstance(self.autoscaler, NullAutoscaler)
+        return not self.faults and self.autoscaler is None
 
     def warmup_s(self, deployment: Deployment) -> float:
         """Weight-load delay before a freshly scaled replica serves.
@@ -69,10 +69,5 @@ class ControlPlane:
         footprint over the node interconnect — the realistic floor for
         loading from a weight cache or peer replica.
         """
-        weight_bytes = (
-            deployment.model.total_params
-            * deployment.quant.weight_bytes_per_param()
-            * deployment.framework.memory_overhead_factor
-        )
-        per_device = weight_bytes / deployment.num_devices
+        per_device = deployment.capacity.weight_bytes / deployment.num_devices
         return p2p_time(deployment.hardware.interconnect, per_device)

@@ -137,13 +137,6 @@ class ResultTable:
             )
         return out
 
-    def group_by(self, *names: str) -> dict[tuple[Any, ...], "ResultTable"]:
-        groups: dict[tuple[Any, ...], ResultTable] = {}
-        for rec in self.records:
-            key = tuple(rec.keys[n] for n in names)
-            groups.setdefault(key, ResultTable(name=self.name)).records.append(rec)
-        return groups
-
     # ------------------------------------------------------------------
     # Rendering / serialization
     # ------------------------------------------------------------------

@@ -8,7 +8,7 @@ from repro.hardware.interconnect import (
     p2p_time,
     reduce_scatter_time,
 )
-from repro.hardware.memory import MemoryFootprint, MemoryModel
+from repro.hardware.memory import MemoryModel
 from repro.hardware.power import PowerModel, PowerSample, PynvmlLikeMonitor
 from repro.hardware.roofline import (
     compute_time,
@@ -40,7 +40,6 @@ __all__ = [
     "allreduce_time",
     "p2p_time",
     "reduce_scatter_time",
-    "MemoryFootprint",
     "MemoryModel",
     "PowerModel",
     "PowerSample",

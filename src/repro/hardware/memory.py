@@ -2,13 +2,11 @@
 
 Two jobs:
 
-1. **Capacity accounting** (`MemoryModel.fits`, `max_concurrent_sequences`):
-   does a deployment's weights + KV + workspace fit, and how many sequences
-   can be resident at once?  This single mechanism produces several of the
-   paper's headline results — LLaMA-3-70B scales 39x with batch on H100 but
-   only 3x on A100 (a 140 GB fp16 model leaves almost no KV room in
-   4x40 GB), llama.cpp 70B excluded on A100 (Fig. 32), Gaudi2's OOM at
-   batch 32/64.
+1. **Usable capacity** (`MemoryModel.usable_bytes`): the device group's
+   HBM, plus any DDR spill tier, at the platform's memory utilization.
+   The per-deployment capacity model,
+   :class:`~repro.perf.capacity.Capacity`, subtracts resident weights and
+   divides the rest among KV tokens and sequences.
 
 2. **Tiered streaming bandwidth** (`effective_stream_bandwidth`): on the
    SN40L the first 520 MiB of a working set streams from SRAM at tens of
@@ -18,30 +16,10 @@ Two jobs:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.core.xp import FLOATS
 from repro.hardware.spec import HardwareSpec, MemoryTierSpec
 
-__all__ = ["MemoryFootprint", "MemoryModel"]
-
-
-@dataclass(frozen=True)
-class MemoryFootprint:
-    """Bytes a deployment pins on the accelerator group."""
-
-    weight_bytes: float
-    kv_bytes: float
-    workspace_bytes: float
-
-    def __post_init__(self) -> None:
-        for name in ("weight_bytes", "kv_bytes", "workspace_bytes"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-
-    @property
-    def total_bytes(self) -> float:
-        return self.weight_bytes + self.kv_bytes + self.workspace_bytes
+__all__ = ["MemoryModel"]
 
 
 class MemoryModel:
@@ -79,36 +57,6 @@ class MemoryModel:
         if self.spec.ddr_tier is not None:
             hbm += self.spec.ddr_tier.capacity_bytes * self.spec.memory_utilization
         return hbm
-
-    @property
-    def hbm_bytes(self) -> float:
-        return self.spec.usable_memory_bytes(self.num_devices)
-
-    def fits(self, footprint: MemoryFootprint) -> bool:
-        return footprint.total_bytes <= self.usable_bytes
-
-    def kv_budget_bytes(self, weight_bytes: float, workspace_bytes: float) -> float:
-        """Bytes left for KV cache after weights and workspace."""
-        return max(0.0, self.usable_bytes - weight_bytes - workspace_bytes)
-
-    def max_concurrent_sequences(
-        self,
-        weight_bytes: float,
-        kv_bytes_per_sequence: float,
-        workspace_bytes_per_sequence: float = 0.0,
-    ) -> int:
-        """How many sequences can hold KV residence simultaneously.
-
-        This bounds the *effective* batch a continuous-batching scheduler
-        can run; a nominal batch of 64 on a memory-starved deployment
-        executes as waves of this size (Section V-1's H100-vs-A100 70B
-        scaling contrast).
-        """
-        if kv_bytes_per_sequence <= 0:
-            raise ValueError("kv_bytes_per_sequence must be positive")
-        budget = self.kv_budget_bytes(weight_bytes, 0.0)
-        per_seq = kv_bytes_per_sequence + workspace_bytes_per_sequence
-        return int(budget // per_seq)
 
     # ------------------------------------------------------------------
     # Bandwidth

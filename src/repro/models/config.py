@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 __all__ = ["AttentionType", "FFNType", "ModelConfig"]
 
@@ -177,9 +178,12 @@ class ModelConfig:
         table = self.vocab_size * self.hidden_size
         return table if self.tied_embeddings else 2 * table
 
-    @property
+    @cached_property
     def total_params(self) -> int:
-        """All weights stored in memory (MoE counts every expert)."""
+        """All weights stored in memory (MoE counts every expert).
+
+        Cached on first read: the count walks every layer, and the
+        dataclass is frozen, so the value never goes stale."""
         layers = sum(self.layer_params_at(i) for i in range(self.num_layers))
         final_norm = self.hidden_size
         return layers + self.embedding_params + final_norm

@@ -58,9 +58,6 @@ class KVCacheSpec:
         if self.block_size < 1:
             raise ValueError(f"block_size must be >= 1, got {self.block_size}")
 
-    def bytes_per_token(self, config: ModelConfig) -> float:
-        return kv_bytes_per_token(config, self.precision)
-
     def blocks_for(self, context_length: int) -> int:
         """Blocks needed to hold a context (ceiling division)."""
         if context_length < 0:
@@ -77,13 +74,6 @@ class KVCacheSpec:
         if self.paged:
             return self.blocks_for(context_length) * self.block_size
         return max_context
-
-    def allocated_bytes(
-        self, config: ModelConfig, context_length: int, max_context: int
-    ) -> float:
-        return self.allocated_tokens(context_length, max_context) * self.bytes_per_token(
-            config
-        )
 
     def fragmentation_waste(self, context_length: int, max_context: int) -> int:
         """Tokens of capacity reserved but unused at this context length."""

@@ -7,7 +7,8 @@ per-phase roofline:
 
 * **memory-capacity feasibility** — weights + KV + workspace must fit the
   device group; otherwise OOM (Gaudi2 at batch 32/64, llama.cpp 70B on
-  A100, Fig. 32);
+  A100, Fig. 32).  :meth:`InferenceEstimator.capacity` reports the
+  deployment's :class:`~repro.perf.capacity.Capacity`;
 * **concurrency waves** — when the nominal batch's KV does not fit, a
   continuous-batching scheduler keeps only ``C_max`` sequences resident and
   refills as they finish, so throughput saturates at ``C_max`` (the
@@ -27,7 +28,6 @@ from dataclasses import dataclass
 from repro.core.metrics import InferenceMetrics, LatencyBreakdown
 from repro.core.request import GenerationConfig
 from repro.core.xp import FLOATS
-from repro.models.kvcache import kv_bytes_per_token
 from repro.perf.kernel import get_kernel
 from repro.perf.phases import Deployment, phase_utilization, step_model
 
@@ -42,10 +42,7 @@ class CapacityReport:
     kv_allocated_per_sequence_bytes: float
     usable_bytes: float
     max_concurrency: int
-
-    @property
-    def weights_fit(self) -> bool:
-        return self.weight_bytes <= self.usable_bytes
+    weights_fit: bool
 
 
 class InferenceEstimator:
@@ -62,62 +59,19 @@ class InferenceEstimator:
         self.deployment = deployment
         self.kernel = kernel if kernel is not None else get_kernel(deployment)
         self._step_model = step_model(deployment)
-        # Pure functions of the frozen deployment/workload shape, cached
-        # so per-estimate cost is dominated by the step model, not by
-        # re-deriving constants (see docs/performance.md).
-        self._weight_footprint: float | None = None
-        self._capacity_by_ctx: dict[int, CapacityReport] = {}
-
-    # ------------------------------------------------------------------
-    # Capacity
-    # ------------------------------------------------------------------
-
-    def weight_footprint_bytes(self) -> float:
-        """Resident runtime bytes: weights (MoE keeps *all* experts
-        resident) inflated by the framework's buffer/workspace overhead.
-
-        Pure function of the frozen deployment, computed once per
-        estimator."""
-        if self._weight_footprint is None:
-            dep = self.deployment
-            raw = dep.model.total_params * dep.quant.weight_bytes_per_param()
-            self._weight_footprint = raw * dep.framework.memory_overhead_factor
-        return self._weight_footprint
-
-    def kv_allocated_per_sequence(self, config: GenerationConfig) -> float:
-        """KV + workspace bytes reserved for one sequence at full length.
-
-        Paged allocators reserve whole blocks up to the final context;
-        contiguous allocators (llama.cpp, Gaudi2 ports, SambaFlow) reserve
-        the full context up front.  The platform's workspace factor models
-        per-sequence scratch (attention workspaces, static-shape padding).
-        """
-        dep = self.deployment
-        final_ctx = config.total_tokens_per_sequence
-        allocated_tokens = dep.kv_spec.allocated_tokens(final_ctx, final_ctx)
-        kv = allocated_tokens * kv_bytes_per_token(dep.model, dep.kv_spec.precision)
-        return kv * (1.0 + dep.hardware.workspace_overhead_factor)
 
     def capacity(self, config: GenerationConfig) -> CapacityReport:
-        # Capacity depends on the workload only through the final context
-        # length, so reports are cached per total-tokens value.
+        """The deployment's capacity model (:mod:`repro.perf.capacity`) at
+        the workload's final context length."""
+        cap = self.deployment.capacity
         final_ctx = config.total_tokens_per_sequence
-        cached = self._capacity_by_ctx.get(final_ctx)
-        if cached is not None:
-            return cached
-        dep = self.deployment
-        mem = dep.memory_model()
-        weights = self.weight_footprint_bytes()
-        per_seq = self.kv_allocated_per_sequence(config)
-        budget = mem.kv_budget_bytes(weights, 0.0)
-        report = CapacityReport(
-            weight_bytes=weights,
-            kv_allocated_per_sequence_bytes=per_seq,
-            usable_bytes=mem.usable_bytes,
-            max_concurrency=int(budget // per_seq),
+        return CapacityReport(
+            weight_bytes=cap.weight_bytes,
+            kv_allocated_per_sequence_bytes=cap.kv_bytes_per_sequence(final_ctx),
+            usable_bytes=cap.usable_bytes,
+            max_concurrency=cap.max_concurrency(final_ctx),
+            weights_fit=cap.weights_fit,
         )
-        self._capacity_by_ctx[final_ctx] = report
-        return report
 
     # ------------------------------------------------------------------
     # Estimation

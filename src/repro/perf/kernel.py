@@ -43,7 +43,6 @@ import numpy as np
 
 from repro.core.metrics import LatencyBreakdown
 from repro.core.xp import ARRAYS, FLOATS
-from repro.models.kvcache import kv_bytes_per_token
 from repro.perf.phases import (
     Deployment,
     StepCoeffs,
@@ -192,16 +191,7 @@ class StepCostKernel:
 
     def __init__(self, deployment: Deployment) -> None:
         self.deployment = deployment
-        dep = deployment
-        self._model = step_model(dep)
-        self._memory = dep.memory_model()
-        # Capacity constants (mirroring InferenceEstimator).
-        self._kv_bytes_per_token = kv_bytes_per_token(dep.model, dep.kv_spec.precision)
-        self.weight_footprint_bytes = (
-            self._model.total_weight_bytes * dep.framework.memory_overhead_factor
-        )
-        self._workspace_factor = 1.0 + dep.hardware.workspace_overhead_factor
-
+        self._model = step_model(deployment)
         self._coeffs: _LruDict = _LruDict(_COEFFS_CACHE_SIZE)
         self._decode_memo: _LruDict = _LruDict(_STEP_CACHE_SIZE)
         self._prefill_memo: _LruDict = _LruDict(_PREFILL_CACHE_SIZE)
@@ -325,21 +315,17 @@ class StepCostKernel:
         inp = np.asarray(input_tokens, dtype=float).reshape(1, ni, 1)
         out = np.asarray(output_tokens, dtype=float).reshape(1, 1, no)
 
-        # --- capacity (Python-float loop for exact // parity) ----------
-        budget = self._memory.kv_budget_bytes(self.weight_footprint_bytes, 0.0)
-        weights_fit = self.weight_footprint_bytes <= self._memory.usable_bytes
-        cmax = np.empty((ni, no), dtype=float)
-        for i, itok in enumerate(input_tokens):
-            for j, otok in enumerate(output_tokens):
-                final = itok + otok
-                allocated = dep.kv_spec.allocated_tokens(final, final)
-                per_seq = allocated * self._kv_bytes_per_token * self._workspace_factor
-                cmax[i, j] = float(int(budget // per_seq))
+        # --- capacity: the deployment's model, per (input, output) -------
+        capacity = dep.capacity
+        cmax = np.array(
+            [[capacity.max_concurrency(i + o) for o in output_tokens]
+             for i in input_tokens],
+            dtype=float,
+        )
 
-        oom = np.zeros((nb, ni, no), dtype=bool)
-        if not weights_fit:
-            oom[:] = True
-        oom |= np.broadcast_to(cmax < 1.0, (nb, ni, no))
+        # Weights that do not fit leave no KV budget, so C_max < 1 covers
+        # them too.
+        oom = np.broadcast_to(cmax < 1.0, (nb, ni, no)).copy()
 
         cmax3 = np.maximum(np.broadcast_to(cmax, (nb, ni, no)), 1.0)
         fits = B <= cmax3

@@ -30,13 +30,12 @@ per batch size and evaluates only the point per call.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from repro.core.metrics import LatencyBreakdown
 from repro.core.xp import FLOATS
 from repro.frameworks.base import FrameworkProfile, MultiGpuStyle
-from repro.hardware.memory import MemoryModel
 from repro.hardware.power import PowerModel
 from repro.hardware.roofline import mfu_at_batch, overlap_time, saturation_penalty
 from repro.hardware.spec import HardwareSpec
@@ -50,6 +49,7 @@ from repro.models.ops import (
     lm_head_flops,
 )
 from repro.perf.attention import kv_time_multiplier
+from repro.perf.capacity import Capacity
 from repro.perf.parallelism import (
     ParallelismPlan,
     comm_costs_per_forward,
@@ -112,17 +112,12 @@ class Deployment:
     def num_devices(self) -> int:
         return self.plan.num_devices
 
-    def memory_model(self) -> MemoryModel:
-        """Memory model for this deployment (cached; pure function of the
-        frozen fields, so one instance serves every roofline call)."""
-        cached = self.__dict__.get("_memory_model")
-        if cached is None:
-            cached = MemoryModel(self.hardware, self.num_devices)
-            # Frozen dataclass: stash via object.__setattr__.  The slot is
-            # excluded from generated __eq__/__hash__ (not a field), so
-            # caching never perturbs Deployment identity semantics.
-            object.__setattr__(self, "_memory_model", cached)
-        return cached
+    @cached_property
+    def capacity(self) -> Capacity:
+        """This deployment's capacity model and memory tiers (cached: a
+        pure function of the frozen fields; not a field, so it never
+        enters ``__eq__``/``__hash__``)."""
+        return Capacity(self)
 
     # ------------------------------------------------------------------
 
@@ -266,7 +261,7 @@ class StepModel:
         spec = dep.hardware
         fw = dep.framework
         self.power_model = PowerModel(spec, dep.num_devices)
-        self._memory = dep.memory_model()
+        self._memory = dep.capacity.memory
 
         self._kv_bytes_per_token = kv_bytes_per_token(config, dep.kv_spec.precision)
         self._kv_read_multiplier = kv_time_multiplier(config, fw, dep.kv_spec)

@@ -15,7 +15,7 @@ from repro.frameworks.base import get_framework
 from repro.hardware.zoo import get_hardware
 from repro.models.zoo import get_model
 from repro.perf.parallelism import ParallelismPlan
-from repro.perf.phases import Deployment
+from repro.perf.phases import Deployment, decode_step_traffic
 
 
 def _dep(model="LLaMA-3-8B", hw="A100", fw="vLLM", **kwargs) -> Deployment:
@@ -67,6 +67,15 @@ class TestAnalyze:
         assert large.operational_intensity_decode > (
             small.operational_intensity_decode
         )
+
+    def test_operational_intensity_reads_the_step_model(self):
+        """The decode intensity is the step model's traffic at the
+        effective batch and mean decode context."""
+        config = GenerationConfig(512, 256, 8)
+        report = analyze(_dep(fw="llama.cpp"), config)
+        flops, bytes_moved = decode_step_traffic(_dep(fw="llama.cpp"), 8, 512 + 128)
+        assert report.operational_intensity_decode == flops / bytes_moved
+        assert report.operational_intensity_decode == pytest.approx(6.54, abs=0.01)
 
     def test_render_mentions_bottleneck(self):
         report = analyze(_dep(), GenerationConfig(512, 512, 8))

@@ -2,8 +2,8 @@
 
 Three families: the control-plane primitives themselves (fault
 schedules, retry backoff, autoscale policies), the null-control
-equivalence guarantee (a ControlPlane with no faults and the null
-autoscaler must be bit-identical to the plain simulator), and the
+equivalence guarantee (a ControlPlane with no faults and no autoscaler
+must be bit-identical to the plain simulator), and the
 co-simulation behaviors (crash recovery, slowdown, KV-handoff loss,
 retry-budget exhaustion, mid-run scaling, heterogeneous fleets).
 """
@@ -21,7 +21,6 @@ from repro.control import (
     FaultEvent,
     FaultSchedule,
     FleetView,
-    NullAutoscaler,
     QueueDepthAutoscaler,
     RetryPolicy,
     SLOAutoscaler,
@@ -170,15 +169,11 @@ class TestRetryPolicy:
 class TestAutoscalers:
     def test_registry(self):
         assert list_autoscalers() == sorted(
-            ["null", "queue-depth", "slo", "burn-rate"]
+            ["queue-depth", "slo", "burn-rate"]
         )
-        assert set(AUTOSCALER_NAMES) == {"null", "queue-depth", "slo", "burn-rate"}
+        assert set(AUTOSCALER_NAMES) == {"queue-depth", "slo", "burn-rate"}
         with pytest.raises(KeyError, match="queue-depth"):
             get_autoscaler("nope")
-
-    def test_null_never_scales(self):
-        policy = NullAutoscaler()
-        assert policy.decide(_view(queue_depth=1000)) == 0
 
     def test_queue_depth_scales_up_on_backlog(self):
         policy = QueueDepthAutoscaler(high_watermark=4.0, low_watermark=0.5)
@@ -286,7 +281,7 @@ class TestTelemetryFleetView:
 class TestControlPlane:
     def test_null_detection(self):
         assert ControlPlane().is_null
-        assert ControlPlane(autoscaler=NullAutoscaler()).is_null
+        assert ControlPlane().autoscaler is None
         crash = FaultSchedule((FaultEvent("crash", at_s=1.0, replica="r0"),))
         assert not ControlPlane(faults=crash).is_null
         assert not ControlPlane(autoscaler=QueueDepthAutoscaler()).is_null

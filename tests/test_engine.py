@@ -92,7 +92,7 @@ class TestSchedulingBehaviour:
 
     def test_oversized_request_raises(self):
         engine = _engine()
-        budget = engine.memory.kv_budget_tokens
+        budget = engine.memory.capacity.kv_budget_tokens
         too_big = fixed_batch_trace(1, budget + 10, 10)
         with pytest.raises(OutOfMemoryError):
             engine.run(too_big)

@@ -66,18 +66,19 @@ class TestCapacity:
         block of contiguous)."""
         config = GenerationConfig(100, 100, 1)
         paged_est = _est(fw="vLLM")
-        paged = paged_est.kv_allocated_per_sequence(config)
-        contiguous = _est(fw="llama.cpp").kv_allocated_per_sequence(config)
+        paged = paged_est.capacity(config).kv_allocated_per_sequence_bytes
+        contiguous = _est(fw="llama.cpp").capacity(
+            config
+        ).kv_allocated_per_sequence_bytes
         assert paged > 0 and contiguous > 0
         block = paged_est.deployment.kv_spec.block_size
         per_token = paged / (200 + (block - 200 % block) % block)
         assert abs(paged - contiguous) <= block * per_token
 
     def test_workspace_factor_inflates_gaudi2(self):
-        a100 = _est().kv_allocated_per_sequence(GenerationConfig(512, 512, 1))
-        gaudi = _est(hw="Gaudi2").kv_allocated_per_sequence(
-            GenerationConfig(512, 512, 1)
-        )
+        config = GenerationConfig(512, 512, 1)
+        a100 = _est().capacity(config).kv_allocated_per_sequence_bytes
+        gaudi = _est(hw="Gaudi2").capacity(config).kv_allocated_per_sequence_bytes
         assert gaudi > a100
 
 

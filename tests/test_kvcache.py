@@ -68,13 +68,6 @@ class TestKVCacheSpec:
         assert paged.fragmentation_waste(20, 4096) == 12
         assert contiguous.fragmentation_waste(20, 4096) == 4076
 
-    def test_allocated_bytes_uses_model_kv(self):
-        model = get_model("LLaMA-3-8B")
-        spec = KVCacheSpec(paged=True, block_size=16)
-        assert spec.allocated_bytes(model, 16, 4096) == pytest.approx(
-            16 * kv_bytes_per_token(model)
-        )
-
     def test_rejects_bad_block_size(self):
         with pytest.raises(ValueError, match="block_size"):
             KVCacheSpec(block_size=0)

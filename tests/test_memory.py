@@ -1,20 +1,24 @@
-"""Tests for the memory-system model (capacity + tiered bandwidth)."""
+"""Tests for the memory-system model (usable capacity + tiered bandwidth)
+and the per-deployment capacity model built on it."""
+
+from dataclasses import replace
 
 import pytest
 
-from repro.hardware.memory import MemoryFootprint, MemoryModel
+from repro.frameworks.base import get_framework
+from repro.hardware.memory import MemoryModel
 from repro.hardware.spec import GB
 from repro.hardware.zoo import get_hardware
+from repro.models.kvcache import kv_bytes_per_token
+from repro.models.zoo import get_model
+from repro.perf.parallelism import ParallelismPlan
+from repro.perf.phases import Deployment
 
 
-class TestMemoryFootprint:
-    def test_total(self):
-        fp = MemoryFootprint(1.0, 2.0, 3.0)
-        assert fp.total_bytes == 6.0
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            MemoryFootprint(-1.0, 0.0, 0.0)
+def _dep(model="LLaMA-2-7B", hw="A100", fw="vLLM", tp=1) -> Deployment:
+    return Deployment(
+        get_model(model), get_hardware(hw), get_framework(fw), ParallelismPlan(tp=tp)
+    )
 
 
 class TestCapacity:
@@ -27,38 +31,47 @@ class TestCapacity:
         with pytest.raises(ValueError, match="devices"):
             MemoryModel(a100, 5)
 
-    def test_fits(self, a100):
-        mem = MemoryModel(a100, 1)
-        assert mem.fits(MemoryFootprint(10 * GB, 10 * GB, 1 * GB))
-        assert not mem.fits(MemoryFootprint(50 * GB, 0.0, 0.0))
+    def test_fits(self):
+        assert _dep().capacity.weights_fit
+        assert not _dep(model="LLaMA-2-70B").capacity.weights_fit
 
-    def test_kv_budget_never_negative(self, a100):
-        mem = MemoryModel(a100, 1)
-        assert mem.kv_budget_bytes(1000 * GB, 0.0) == 0.0
+    def test_kv_budget_never_negative(self):
+        capacity = _dep(model="LLaMA-2-70B").capacity
+        assert capacity.kv_budget_bytes == 0.0
+        assert capacity.kv_budget_tokens == 0
+        assert capacity.max_concurrency(1024) == 0
 
-    def test_max_concurrent_sequences(self, a100):
-        mem = MemoryModel(a100, 1)
-        budget = mem.kv_budget_bytes(20 * GB, 0.0)
-        per_seq = 1 * GB
-        assert mem.max_concurrent_sequences(20 * GB, per_seq) == int(
-            budget // per_seq
+    def test_max_concurrent_sequences(self):
+        dep = _dep()
+        capacity = dep.capacity
+        weights = dep.model.total_params * 2.0 * dep.framework.memory_overhead_factor
+        assert capacity.weight_bytes == weights
+        budget = capacity.usable_bytes - weights
+        assert capacity.kv_budget_bytes == budget
+        # Paged: 1000 tokens reserve 63 blocks of 16.
+        per_seq = 1008 * kv_bytes_per_token(dep.model) * 1.05
+        assert capacity.kv_bytes_per_sequence(1000) == per_seq
+        assert capacity.max_concurrency(1000) == int(budget // per_seq)
+
+    def test_max_concurrent_includes_workspace(self):
+        dep = _dep(hw="H100")
+        bare = replace(
+            dep, hardware=replace(dep.hardware, workspace_overhead_factor=0.0)
         )
-
-    def test_max_concurrent_includes_workspace(self, a100):
-        mem = MemoryModel(a100, 1)
-        without = mem.max_concurrent_sequences(20 * GB, 1 * GB)
-        with_ws = mem.max_concurrent_sequences(20 * GB, 1 * GB, 1 * GB)
-        assert with_ws <= without // 2 + 1
-
-    def test_max_concurrent_rejects_zero_kv(self, a100):
-        with pytest.raises(ValueError):
-            MemoryModel(a100, 1).max_concurrent_sequences(0.0, 0.0)
+        with_ws, without = dep.capacity, bare.capacity
+        factor = 1.0 + dep.hardware.workspace_overhead_factor
+        assert with_ws.kv_bytes_per_token == without.kv_bytes_per_token * factor
+        assert with_ws.kv_bytes_per_sequence(4096) == pytest.approx(
+            without.kv_bytes_per_sequence(4096) * factor
+        )
+        assert with_ws.max_concurrency(4096) < without.max_concurrency(4096)
 
     def test_gh200_capacity_includes_grace(self):
-        gh200 = MemoryModel(get_hardware("GH200"), 1)
+        spec = get_hardware("GH200")
+        gh200 = MemoryModel(spec, 1)
         # Usable capacity well beyond the 96 GB HBM: Grace LPDDR5X counts.
         assert gh200.usable_bytes > 200 * GB
-        assert gh200.hbm_bytes < 100 * GB
+        assert spec.usable_memory_bytes(1) < 100 * GB
 
 
 class TestTieredBandwidth:

@@ -18,7 +18,7 @@ def _dep(model="LLaMA-3-8B", hw="A100", fw="vLLM", **kwargs):
 class TestWeightFit:
     def test_7b_fits_on_one_a100(self):
         manager = MemoryManager(_dep())
-        assert manager.kv_budget_bytes > 0
+        assert manager.capacity.kv_budget_bytes > 0
 
     def test_70b_rejected_on_one_a100(self):
         with pytest.raises(OutOfMemoryError, match="exceed"):
@@ -28,7 +28,7 @@ class TestWeightFit:
         manager = MemoryManager(
             _dep(model="LLaMA-2-70B", hw="H100", plan=ParallelismPlan(tp=4))
         )
-        assert manager.kv_budget_tokens > 10000
+        assert manager.capacity.kv_budget_tokens > 10000
 
     def test_llamacpp_70b_rejected_on_a100_node(self):
         """Fig. 32: llama.cpp's buffers push 70B past the 4x40 GB node."""
@@ -42,7 +42,7 @@ class TestWeightFit:
         manager = MemoryManager(
             _dep(model="LLaMA-2-70B", fw="vLLM", plan=ParallelismPlan(tp=4))
         )
-        assert 0 < manager.kv_budget_tokens < 100000
+        assert 0 < manager.capacity.kv_budget_tokens < 100000
 
 
 class TestAllocatorConstruction:
@@ -61,12 +61,12 @@ class TestAllocatorConstruction:
         assert isinstance(allocator, ContiguousKVAllocator)
 
     def test_workspace_inflates_per_token_cost(self):
-        a100 = MemoryManager(_dep()).kv_bytes_per_token
-        gaudi = MemoryManager(_dep(hw="Gaudi2")).kv_bytes_per_token
+        a100 = MemoryManager(_dep()).capacity.kv_bytes_per_token
+        gaudi = MemoryManager(_dep(hw="Gaudi2")).capacity.kv_bytes_per_token
         assert gaudi > a100
 
     def test_budget_tokens_consistent_with_bytes(self):
         manager = MemoryManager(_dep())
-        assert manager.kv_budget_tokens == int(
-            manager.kv_budget_bytes // manager.kv_bytes_per_token
+        assert manager.capacity.kv_budget_tokens == int(
+            manager.capacity.kv_budget_bytes // manager.capacity.kv_bytes_per_token
         )

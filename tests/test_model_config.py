@@ -1,5 +1,7 @@
 """Tests for ModelConfig validation and derived quantities."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.models.config import AttentionType, FFNType, ModelConfig
@@ -107,6 +109,19 @@ class TestDerived:
     def test_dense_total_equals_active(self):
         cfg = _dense()
         assert cfg.total_params == cfg.active_params
+
+    def test_total_params_cache_keeps_identity(self):
+        """``total_params`` is cached on first read without touching
+        equality, hashing or ``dataclasses.replace``."""
+        cold, warm = _dense(), _dense()
+        walked = sum(warm.layer_params_at(i) for i in range(warm.num_layers))
+        assert warm.total_params == walked + warm.embedding_params + warm.hidden_size
+        assert warm.total_params is warm.total_params
+        assert cold == warm and hash(cold) == hash(warm)
+        deeper = replace(warm, num_layers=8)
+        assert deeper.total_params == _dense(num_layers=8).total_params
+        assert deeper.total_params > warm.total_params
+        assert replace(warm, name="copy").total_params == warm.total_params
 
     def test_uses_gqa_flag(self):
         assert _dense().uses_gqa

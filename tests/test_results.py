@@ -68,11 +68,6 @@ class TestResultTable:
         with pytest.raises(ValueError, match="duplicate"):
             table.pivot("hardware", "batch_size", "throughput")
 
-    def test_group_by(self):
-        groups = _sample_table().group_by("hardware")
-        assert set(groups) == {("A100",), ("H100",)}
-        assert len(groups[("A100",)]) == 2
-
     def test_where_predicate(self):
         subset = _sample_table().where(lambda r: r.values["throughput"] > 10)
         assert len(subset) == 2

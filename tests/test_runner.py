@@ -90,28 +90,3 @@ class TestRunSweep:
         dep = runner.deployment("LLaMA-3-8B", "A100", "vLLM")
         runner.run_sweep(table, dep, [GenerationConfig(128, 128, 1)])
         assert "power_w" in table.records[0].values
-
-
-class TestPaperGrid:
-    def test_skips_unsupported_pairs(self):
-        runner = BenchmarkRunner()
-        table = runner.paper_grid(
-            models=["LLaMA-3-8B"],
-            hardwares=["MI250"],
-            frameworks=["TRT-LLM", "vLLM"],
-            lengths=(128,),
-            batch_sizes=(1,),
-        )
-        # TRT-LLM does not run on MI250 (Table III); only vLLM rows appear.
-        assert table.unique("framework") == ["vLLM"]
-
-    def test_grid_shape(self):
-        runner = BenchmarkRunner()
-        table = runner.paper_grid(
-            models=["LLaMA-3-8B", "Mistral-7B"],
-            hardwares=["A100"],
-            frameworks=["vLLM"],
-            lengths=(128, 1024),
-            batch_sizes=(1, 16),
-        )
-        assert len(table) == 2 * 2 * 2
