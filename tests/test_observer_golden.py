@@ -3,7 +3,7 @@
 The CI ``chaos``, ``telemetry`` and ``profile`` jobs diff a run against
 its own second run, and the e2e digests leave traces and telemetry out,
 so this file is what pins every traced event and every telemetry sample
-to the exact bytes of a committed file.  Four runs:
+to the exact bytes of a committed file.  Five runs:
 
 * ``chaos-trace`` — the ``--trace-output`` of the CI ``chaos`` job's
   ``cluster`` command (per-replica lanes plus the ``control`` lane of
@@ -13,7 +13,10 @@ to the exact bytes of a committed file.  Four runs:
 * ``trace-preempt`` — a ``trace`` command whose optimistic admission
   preempts (498 events, 11 of them ``preempt``);
 * ``profile-trace`` — the ``--trace-output`` of the CI ``profile`` job's
-  ``profile`` command (the ``profile`` counter tracks).
+  ``profile`` command (the ``profile`` counter tracks);
+* ``trace-contiguous`` — a ``trace`` command on a contiguous-KV
+  deployment (Gaudi2) whose pool binds: 37 sequences run under a cap of
+  64 (277 events besides the lane-name metadata).
 
 The CI jobs ``cmp`` their outputs against the same files.  Traces carry
 request ids, which come from a process-wide counter, so each run here
@@ -105,6 +108,19 @@ def _trace_preempt() -> str:
     )
 
 
+def _trace_contiguous() -> str:
+    return _run_cli(
+        [
+            "trace",
+            "--model", "LLaMA-2-7B", "--hardware", "Gaudi2", "--framework", "vLLM",
+            "--batch-size", "64", "--input-tokens", "2048",
+            "--output-tokens", "512", "--rate", "8", "--num-requests", "64",
+            "--seed", "1",
+        ],
+        "--output",
+    )
+
+
 def _profile_trace() -> str:
     with tempfile.TemporaryDirectory() as tmp:
         return _run_cli(
@@ -123,6 +139,7 @@ CASES = {
     "chaos-trace": _chaos_trace,
     "telemetry": _telemetry,
     "trace-preempt": _trace_preempt,
+    "trace-contiguous": _trace_contiguous,
     "profile-trace": _profile_trace,
 }
 
