@@ -28,7 +28,7 @@ from repro.perf.phases import Deployment
 from repro.obs.telemetry import TelemetryHub
 from repro.perf.quantization import QuantizationScheme
 from repro.runtime.engine import ServingEngine
-from repro.runtime.memory_manager import OutOfMemoryError
+from repro.runtime.paged_kv import OutOfMemoryError
 from repro.runtime.workload import fixed_batch_trace
 
 __all__ = ["BenchmarkRunner", "default_plan"]

@@ -23,7 +23,7 @@ from repro.models.zoo import SEVEN_B_MODELS, get_model
 from repro.perf.estimator import InferenceEstimator
 from repro.perf.phases import Deployment
 from repro.runtime.engine import ServingEngine
-from repro.runtime.memory_manager import OutOfMemoryError
+from repro.runtime.paged_kv import OutOfMemoryError
 from repro.runtime.workload import fixed_batch_trace
 
 __all__ = ["ValidationPoint", "ValidationSummary", "cross_validate"]

@@ -629,7 +629,7 @@ def _run_engine_workload(args: argparse.Namespace, tracer, profile: bool = False
     ``None`` after printing the ``OOM:`` line.
     """
     from repro.runtime.engine import ServingEngine
-    from repro.runtime.memory_manager import OutOfMemoryError
+    from repro.runtime.paged_kv import OutOfMemoryError
     from repro.runtime.workload import fixed_batch_trace, poisson_trace
 
     dep = BenchmarkRunner().deployment(args.model, args.hardware, args.framework)
@@ -726,7 +726,7 @@ def _simulate(
     reports, and write ``--result-output``.  Returns the result, or
     ``None`` after printing the ``OOM:`` line."""
     from repro.cluster import ClusterSimulator, get_router
-    from repro.runtime.memory_manager import OutOfMemoryError
+    from repro.runtime.paged_kv import OutOfMemoryError
 
     simulator = ClusterSimulator(
         dep,

@@ -27,9 +27,10 @@ from repro.perf.phases import Deployment
 from repro.runtime.loadgen import (
     LoadReport,
     ServiceLevelObjective,
+    bisect_max_rate,
     summarize_requests,
 )
-from repro.runtime.memory_manager import OutOfMemoryError
+from repro.runtime.paged_kv import OutOfMemoryError
 from repro.runtime.workload import open_loop_trace
 
 __all__ = ["CapacityPlan", "ClusterCapacityPlanner", "TraceFactory"]
@@ -158,25 +159,14 @@ class ClusterCapacityPlanner:
         so the closed-form cross-check sees a consistent workload.
         Returns 0.0 when even the lightest probe misses the SLO.
         """
-        if self._single_rate is not None:
-            return self._single_rate
-        target = self.attainment_target
-        lo, hi = tolerance_rps, max_rate_rps
-        if self.simulate(1, lo).slo_attainment < target:
-            self._single_rate = 0.0
-            return 0.0
-        if self.simulate(1, hi).slo_attainment >= target:
-            self._single_rate = hi
-            return hi
-        best = lo
-        while hi - lo > tolerance_rps:
-            mid = (lo + hi) / 2
-            if self.simulate(1, mid).slo_attainment >= target:
-                best, lo = mid, mid
-            else:
-                hi = mid
-        self._single_rate = best
-        return best
+        if self._single_rate is None:
+            self._single_rate, _ = bisect_max_rate(
+                lambda rate: self.simulate(1, rate),
+                self.attainment_target,
+                max_rate_rps,
+                tolerance_rps,
+            )
+        return self._single_rate
 
     # ------------------------------------------------------------------
 

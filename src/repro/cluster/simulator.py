@@ -1,9 +1,9 @@
 """Discrete-event cluster simulator: N serving replicas behind a router.
 
 Each replica is a full :class:`~repro.runtime.engine.ServingEngine` — its
-own scheduler, memory manager and paged-KV allocator — advanced as a
-resumable :class:`~repro.runtime.engine.EngineRun`.  The simulator owns a
-global event heap (request arrivals, disaggregated KV handoffs, control-
+own scheduler and KV pool — advanced as a resumable
+:class:`~repro.runtime.engine.EngineRun`.  The simulator owns a global
+event heap (request arrivals, disaggregated KV handoffs, control-
 plane events) and interleaves replica iterations with routing decisions
 under a min-clock discipline: the least-advanced working replica always
 steps first (a heap pop; clock ties go to the lowest index), so every
@@ -126,7 +126,7 @@ class Replica:
         # that sees every prefix in rotation keeps none of them warm.
         self.prefix_cache_slots = prefix_cache_slots
         self._prefix_lru: dict[int, None] = {}  # insertion-ordered LRU
-        self.served: list[GenerationRequest] = []  # originals routed here
+        self.served = 0  # originals routed here
 
     def apply_telemetry_scale(self, scale: float) -> None:
         """Re-weight routing capacity from an observed utilization signal.
@@ -719,7 +719,7 @@ class ClusterSimulator:
             if chosen.touch_prefix(request.prefix_id) and request.prefix_tokens > 0:
                 cached = request.prefix_tokens
                 self._prefix_hits += 1
-        chosen.served.append(request)
+        chosen.served += 1
         if self.disaggregation is None:
             if not retry:
                 request.cached_prefix_tokens = cached
@@ -759,7 +759,7 @@ class ClusterSimulator:
             self._fail(orig, ts)
             return
         chosen = _least_outstanding(pool)
-        chosen.served.append(orig)
+        chosen.served += 1
         context = orig.input_tokens + 1
         # The KV arrived with the transfer: admission re-prefills a single
         # attach token, then decoding continues from the second token.
@@ -1127,7 +1127,7 @@ class ClusterSimulator:
                 ReplicaReport(
                     name=replica.name,
                     role=replica.role,
-                    requests_served=len(replica.served),
+                    requests_served=replica.served,
                     busy_s=busy,
                     utilization=busy / makespan if makespan > 0 else 0.0,
                     result=result,

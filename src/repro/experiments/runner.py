@@ -37,7 +37,7 @@ from repro.obs.telemetry import TelemetryHub, TelemetrySnapshot
 from repro.obs.tracer import EventTracer
 from repro.runtime.engine import ServingEngine
 from repro.runtime.loadgen import ServiceLevelObjective, summarize_requests
-from repro.runtime.memory_manager import OutOfMemoryError
+from repro.runtime.paged_kv import OutOfMemoryError
 
 __all__ = ["SeedResult", "ReplicationReport", "run_seed", "run_replication"]
 

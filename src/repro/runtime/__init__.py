@@ -1,4 +1,4 @@
-"""Serving runtime: engine, schedulers, KV allocators, memory, workloads.
+"""Serving runtime: engine, schedulers, the KV pool, load tests, workloads.
 
 Observability: every component accepts an optional
 :class:`repro.obs.EventTracer` (``None`` by default, tracing nothing) and
@@ -15,11 +15,9 @@ from repro.runtime.loadgen import (
     run_load_test,
     summarize_requests,
 )
-from repro.runtime.memory_manager import MemoryManager, OutOfMemoryError
 from repro.runtime.paged_kv import (
     AllocationError,
-    ContiguousKVAllocator,
-    KVAllocator,
+    OutOfMemoryError,
     PagedKVAllocator,
 )
 from repro.runtime.scheduler import (
@@ -47,11 +45,8 @@ __all__ = [
     "run_load_test",
     "summarize_requests",
     "ServingEngine",
-    "MemoryManager",
     "OutOfMemoryError",
     "AllocationError",
-    "ContiguousKVAllocator",
-    "KVAllocator",
     "PagedKVAllocator",
     "ContinuousBatchingScheduler",
     "Scheduler",

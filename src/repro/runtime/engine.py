@@ -49,7 +49,7 @@ from repro.obs.timeline import RequestTimeline, build_timelines
 from repro.obs.tracer import EventTracer
 from repro.perf.kernel import get_kernel
 from repro.perf.phases import Deployment, step_model
-from repro.runtime.memory_manager import MemoryManager, OutOfMemoryError
+from repro.runtime.paged_kv import OutOfMemoryError, PagedKVAllocator
 from repro.runtime.scheduler import (
     ContinuousBatchingScheduler,
     Scheduler,
@@ -200,7 +200,14 @@ class ServingEngine:
         self.deployment = deployment
         self.kernel = kernel if kernel is not None else get_kernel(deployment)
         self.tracer = tracer
-        self.memory = MemoryManager(deployment, tracer=tracer)  # raises if weights don't fit
+        capacity = deployment.capacity
+        if not capacity.weights_fit:
+            raise OutOfMemoryError(
+                f"{deployment.model.name} weights "
+                f"({capacity.weight_bytes / 1024**3:.1f} GiB) exceed "
+                f"{deployment.hardware.name} x{deployment.num_devices} usable "
+                f"memory ({capacity.usable_bytes / 1024**3:.1f} GiB)"
+            )
         self.max_concurrency = 1024 if max_concurrency is None else max_concurrency
         self.coalesce = coalesce
         self.optimistic = optimistic
@@ -210,7 +217,31 @@ class ServingEngine:
         self._power = self._step_model.power_model
 
     def _make_scheduler(self) -> Scheduler:
-        allocator = self.memory.build_allocator()
+        """A fresh scheduler over a KV pool sized to the deployment's KV
+        budget.  A contiguous deployment's pool has 1-token blocks, so its
+        conservative admission reserves exactly the final context."""
+        capacity = self.deployment.capacity
+        budget_tokens = capacity.kv_budget_tokens
+        if budget_tokens < 1:
+            raise OutOfMemoryError(
+                f"no KV budget left on {self.deployment.hardware.name} after "
+                f"{capacity.weight_bytes / 1024**3:.1f} GiB of weights"
+            )
+        kv_spec = self.deployment.kv_spec
+        if self.tracer is not None:
+            self.tracer.instant(
+                "kv_alloc",
+                "kv_budget",
+                ts_s=0.0,
+                budget_tokens=budget_tokens,
+                weight_gib=round(capacity.weight_bytes / 1024**3, 3),
+                paged=int(kv_spec.paged),
+            )
+        block_size = kv_spec.block_size if kv_spec.paged else 1
+        total_blocks = budget_tokens // block_size
+        if total_blocks < 1:
+            raise OutOfMemoryError("KV budget smaller than one block")
+        allocator = PagedKVAllocator(total_blocks, block_size, tracer=self.tracer)
         cls = (
             ContinuousBatchingScheduler
             if self.deployment.framework.continuous_batching

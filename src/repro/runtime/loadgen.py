@@ -10,6 +10,7 @@ token throughput.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.core import jsonio
@@ -17,7 +18,7 @@ from repro.core.request import GenerationRequest, mean_itl_s
 from repro.core.stats import mean, percentile
 from repro.perf.phases import Deployment
 from repro.runtime.engine import ServingEngine
-from repro.runtime.memory_manager import OutOfMemoryError
+from repro.runtime.paged_kv import OutOfMemoryError
 from repro.runtime.workload import open_loop_trace
 
 __all__ = [
@@ -26,6 +27,7 @@ __all__ = [
     "LoadReport",
     "summarize_requests",
     "run_load_test",
+    "bisect_max_rate",
     "find_max_sustainable_rate",
 ]
 
@@ -272,6 +274,39 @@ def run_load_test(
     )
 
 
+def bisect_max_rate(
+    probe: Callable[[float], LoadReport],
+    attainment_target: float,
+    max_rate_rps: float,
+    tolerance_rps: float,
+) -> tuple[float, LoadReport]:
+    """The highest offered rate whose ``probe`` meets ``attainment_target``.
+
+    Probes ``tolerance_rps``, then ``max_rate_rps``, then bisects between
+    them until the bracket is no wider than ``tolerance_rps``.  Returns
+    (rate, report at that rate): (0.0, lightest report) when even the
+    lightest probe misses, (``max_rate_rps``, its report) when the
+    heaviest one meets the target.
+    """
+    lo, hi = tolerance_rps, max_rate_rps
+    lo_report = probe(lo)
+    if lo_report.slo_attainment < attainment_target:
+        return 0.0, lo_report  # even the lightest probe misses the SLO
+    hi_report = probe(hi)
+    if hi_report.slo_attainment >= attainment_target:
+        return hi, hi_report  # never saturates within the probe range
+    best_rate, best_report = lo, lo_report
+    while hi - lo > tolerance_rps:
+        mid = (lo + hi) / 2
+        report = probe(mid)
+        if report.slo_attainment >= attainment_target:
+            best_rate, best_report = mid, report
+            lo = mid
+        else:
+            hi = mid
+    return best_rate, best_report
+
+
 def find_max_sustainable_rate(
     deployment: Deployment,
     slo: ServiceLevelObjective | None = None,
@@ -305,20 +340,4 @@ def find_max_sustainable_rate(
             **workload_kwargs,
         )
 
-    lo, hi = tolerance_rps, max_rate_rps
-    lo_report = attainment(lo)
-    if lo_report.slo_attainment < attainment_target:
-        return 0.0, lo_report  # even the lightest probe misses the SLO
-    hi_report = attainment(hi)
-    if hi_report.slo_attainment >= attainment_target:
-        return hi, hi_report  # never saturates within the probe range
-    best_rate, best_report = lo, lo_report
-    while hi - lo > tolerance_rps:
-        mid = (lo + hi) / 2
-        report = attainment(mid)
-        if report.slo_attainment >= attainment_target:
-            best_rate, best_report = mid, report
-            lo = mid
-        else:
-            hi = mid
-    return best_rate, best_report
+    return bisect_max_rate(attainment, attainment_target, max_rate_rps, tolerance_rps)

@@ -1,12 +1,18 @@
-"""KV-cache allocators: paged (vLLM PagedAttention) and contiguous.
+"""The KV pool: a fixed pool of fixed-size blocks with a block table per
+sequence.
 
-The paged allocator manages a fixed pool of fixed-size blocks with a block
-table per sequence — the Fig. 2b mechanism.  The contiguous allocator
-reserves a sequence's full final context up front — llama.cpp / Gaudi2 /
-SambaFlow behaviour, and the reason those stacks OOM earlier.
+A paged deployment (vLLM PagedAttention, Fig. 2b) gets blocks of its
+framework's block size.  A contiguous deployment (llama.cpp / Gaudi2 /
+SambaFlow) gets the same pool with 1-token blocks: conservative admission
+then reserves exactly the sequence's full final context up front, which
+is why those stacks OOM earlier.
 
-Both allocators work in *token* units internally and expose byte accounting
-through the deployment's per-token KV size.
+The pool works in *token* units internally; byte accounting goes through
+the deployment's per-token KV size.  It optionally carries an
+:class:`~repro.obs.tracer.EventTracer` and emits ``kv_alloc`` counter
+samples on admit/free (pool occupancy over time, stamped at the tracer's
+clock).  Per-token appends are not traced — that path is the simulator's
+hottest.
 """
 
 from __future__ import annotations
@@ -15,63 +21,26 @@ from dataclasses import dataclass
 
 from repro.obs.tracer import EventTracer
 
-__all__ = ["AllocationError", "KVAllocator", "PagedKVAllocator", "ContiguousKVAllocator"]
+__all__ = ["AllocationError", "OutOfMemoryError", "PagedKVAllocator"]
 
 
 class AllocationError(RuntimeError):
     """Raised when the KV pool cannot satisfy a reservation."""
 
 
-class KVAllocator:
-    """Interface shared by both allocator flavours.
-
-    Allocators optionally carry an :class:`~repro.obs.tracer.EventTracer`
-    and emit ``kv_alloc`` counter samples on admit/free (pool occupancy
-    over time, stamped at the tracer's clock).  Per-token appends are not
-    traced — that path is the simulator's hottest."""
-
-    tracer: EventTracer | None = None
-
-    def _trace_pool(self, name: str) -> None:
-        self.tracer.counter(
-            "kv_alloc",
-            "kv_pool",
-            event=name,
-            used_tokens=self.used_tokens,
-            capacity_tokens=self.capacity_tokens,
-        )
-
-    def can_admit(self, final_context_tokens: int) -> bool:
-        raise NotImplementedError
-
-    def admit(self, seq_id: int, prompt_tokens: int, final_context_tokens: int) -> None:
-        raise NotImplementedError
-
-    def append_token(self, seq_id: int) -> None:
-        raise NotImplementedError
-
-    def free(self, seq_id: int) -> None:
-        raise NotImplementedError
-
-    @property
-    def used_tokens(self) -> int:
-        raise NotImplementedError
-
-    @property
-    def capacity_tokens(self) -> int:
-        raise NotImplementedError
+class OutOfMemoryError(RuntimeError):
+    """A deployment or admission cannot fit in device memory."""
 
 
 @dataclass
 class _PagedSequence:
-    prompt_tokens: int
     context_tokens: int
     reserved_blocks: int  # conservative reservation for the final context
     mapped_blocks: int  # blocks actually holding tokens so far
     growable: bool = False  # optimistic admission: reservation grows on demand
 
 
-class PagedKVAllocator(KVAllocator):
+class PagedKVAllocator:
     """Fixed-size block pool with per-sequence block tables.
 
     Two admission policies: *conservative* (default) reserves the final
@@ -93,6 +62,15 @@ class PagedKVAllocator(KVAllocator):
         self.tracer = tracer
         self._sequences: dict[int, _PagedSequence] = {}
         self._reserved_blocks = 0
+
+    def _trace_pool(self, name: str) -> None:
+        self.tracer.counter(
+            "kv_alloc",
+            "kv_pool",
+            event=name,
+            used_tokens=self.used_tokens,
+            capacity_tokens=self.capacity_tokens,
+        )
 
     def _blocks_for(self, tokens: int) -> int:
         return -(-tokens // self.block_size)
@@ -134,7 +112,6 @@ class PagedKVAllocator(KVAllocator):
                 f"sequence {seq_id} needs {needed} blocks, {self.free_blocks} free"
             )
         self._sequences[seq_id] = _PagedSequence(
-            prompt_tokens=prompt_tokens,
             context_tokens=prompt_tokens,
             reserved_blocks=needed,
             mapped_blocks=self._blocks_for(prompt_tokens),
@@ -202,79 +179,3 @@ class PagedKVAllocator(KVAllocator):
         if seq is None:
             raise AllocationError(f"sequence {seq_id} not admitted")
         return seq
-
-
-@dataclass
-class _ContiguousSequence:
-    reserved_tokens: int
-    context_tokens: int
-
-
-class ContiguousKVAllocator(KVAllocator):
-    """Whole-context up-front reservation (llama.cpp / Gaudi2 / SambaFlow)."""
-
-    def __init__(self, capacity_tokens: int, tracer: EventTracer | None = None) -> None:
-        if capacity_tokens < 1:
-            raise ValueError(f"capacity_tokens must be >= 1, got {capacity_tokens}")
-        self._capacity = capacity_tokens
-        self.tracer = tracer
-        self._reserved = 0
-        self._sequences: dict[int, _ContiguousSequence] = {}
-
-    @property
-    def free_tokens(self) -> int:
-        return self._capacity - self._reserved
-
-    @property
-    def num_sequences(self) -> int:
-        return len(self._sequences)
-
-    def can_admit(self, final_context_tokens: int) -> bool:
-        return final_context_tokens <= self.free_tokens
-
-    def admit(self, seq_id: int, prompt_tokens: int, final_context_tokens: int) -> None:
-        if seq_id in self._sequences:
-            raise AllocationError(f"sequence {seq_id} already admitted")
-        if prompt_tokens < 1 or final_context_tokens < prompt_tokens:
-            raise ValueError("need 1 <= prompt_tokens <= final_context_tokens")
-        if final_context_tokens > self.free_tokens:
-            raise AllocationError(
-                f"sequence {seq_id} needs {final_context_tokens} tokens, "
-                f"{self.free_tokens} free"
-            )
-        self._sequences[seq_id] = _ContiguousSequence(
-            reserved_tokens=final_context_tokens, context_tokens=prompt_tokens
-        )
-        self._reserved += final_context_tokens
-        if self.tracer is not None:
-            self._trace_pool("admit")
-
-    def append_token(self, seq_id: int) -> None:
-        seq = self._sequences.get(seq_id)
-        if seq is None:
-            raise AllocationError(f"sequence {seq_id} not admitted")
-        if seq.context_tokens + 1 > seq.reserved_tokens:
-            raise AllocationError(f"sequence {seq_id} grew past its reservation")
-        seq.context_tokens += 1
-
-    def free(self, seq_id: int) -> None:
-        seq = self._sequences.pop(seq_id, None)
-        if seq is None:
-            raise AllocationError(f"sequence {seq_id} not admitted")
-        self._reserved -= seq.reserved_tokens
-        if self.tracer is not None:
-            self._trace_pool("free")
-
-    def context_tokens(self, seq_id: int) -> int:
-        seq = self._sequences.get(seq_id)
-        if seq is None:
-            raise AllocationError(f"sequence {seq_id} not admitted")
-        return seq.context_tokens
-
-    @property
-    def used_tokens(self) -> int:
-        return sum(s.context_tokens for s in self._sequences.values())
-
-    @property
-    def capacity_tokens(self) -> int:
-        return self._capacity

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from repro.core.request import GenerationRequest, RequestState
 from repro.obs.tracer import EventTracer
-from repro.runtime.paged_kv import KVAllocator
+from repro.runtime.paged_kv import PagedKVAllocator
 
 __all__ = ["SchedulerStats", "Scheduler", "ContinuousBatchingScheduler", "StaticBatchingScheduler"]
 
@@ -40,9 +40,10 @@ class SchedulerStats:
 class Scheduler:
     """Base scheduler: a waiting queue plus the running set.
 
-    ``optimistic=True`` switches paged admission to vLLM's real policy:
+    ``optimistic=True`` switches admission to vLLM's real policy:
     reserve only the prompt's blocks and grow on demand; the engine then
     handles pool exhaustion by preempting (recompute) via :meth:`preempt`.
+    The engine allows it only on a paged deployment.
 
     ``hold_batch`` makes admission wait for an empty running set, so a
     batch is admitted whole and held to completion (static batching).
@@ -52,17 +53,13 @@ class Scheduler:
 
     def __init__(
         self,
-        allocator: KVAllocator,
+        allocator: PagedKVAllocator,
         max_concurrency: int,
         optimistic: bool = False,
         tracer: EventTracer | None = None,
     ) -> None:
         if max_concurrency < 1:
             raise ValueError(f"max_concurrency must be >= 1, got {max_concurrency}")
-        from repro.runtime.paged_kv import PagedKVAllocator
-
-        if optimistic and not isinstance(allocator, PagedKVAllocator):
-            raise ValueError("optimistic admission requires a paged allocator")
         self.allocator = allocator
         self.max_concurrency = max_concurrency
         self.optimistic = optimistic
@@ -135,12 +132,9 @@ class Scheduler:
     def _admit_one(self, request: GenerationRequest, now: float) -> None:
         final_ctx = request.input_tokens + request.output_tokens
         prompt_ctx = request.prefill_tokens_needed
-        if self.optimistic:
-            self.allocator.admit(
-                request.request_id, prompt_ctx, final_ctx, optimistic=True
-            )
-        else:
-            self.allocator.admit(request.request_id, prompt_ctx, final_ctx)
+        self.allocator.admit(
+            request.request_id, prompt_ctx, final_ctx, optimistic=self.optimistic
+        )
         request.state = RequestState.PREFILLING
         if request.admit_time is None:
             request.admit_time = now

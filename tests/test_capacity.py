@@ -3,7 +3,7 @@
 :class:`repro.perf.capacity.Capacity` is the only place resident weight
 bytes, the KV budget and max concurrency are computed.  These tests hold
 each reader (the closed-form estimator, the sweep grid, the engine's
-memory manager and replica warm-up) to it with exact ``==``, over every
+weight check and KV pool, and replica warm-up) to it with exact ``==``, over every
 supported default-plan deployment and the TP x quantization variants of
 the paper-zoo optimizer space, and hold the object itself to the
 documented formula.
@@ -25,8 +25,8 @@ from repro.models.zoo import get_model, list_models
 from repro.perf.estimator import InferenceEstimator
 from repro.perf.kernel import StepCostKernel
 from repro.perf.phases import Deployment
-from repro.runtime.memory_manager import MemoryManager, OutOfMemoryError
-from repro.runtime.paged_kv import PagedKVAllocator
+from repro.runtime.engine import ServingEngine
+from repro.runtime.paged_kv import OutOfMemoryError
 
 INPUTS = (128, 1024, 4000)
 OUTPUTS = (1, 512, 2048)
@@ -124,28 +124,27 @@ def test_estimator_and_grid_read_the_capacity_model(deployments):
                     assert bool(grid.oom[k, i, j]) == oom
 
 
-def test_memory_manager_reads_the_capacity_model(deployments):
+def test_engine_pool_reads_the_capacity_model(deployments):
     for dep in deployments:
         cap = dep.capacity
         try:
-            manager = MemoryManager(dep)
+            engine = ServingEngine(dep)
         except OutOfMemoryError:
             assert not cap.weights_fit
             continue
         assert cap.weights_fit
-        assert manager.capacity.kv_budget_tokens == cap.kv_budget_tokens
-        if cap.kv_budget_tokens < 1:
-            continue
         try:
-            allocator = manager.build_allocator()
+            pool = engine.start().scheduler.allocator
         except OutOfMemoryError:
-            assert cap.kv_budget_tokens < dep.kv_spec.block_size
+            block = dep.kv_spec.block_size if dep.kv_spec.paged else 1
+            assert cap.kv_budget_tokens < block
             continue
-        if isinstance(allocator, PagedKVAllocator):
+        if dep.kv_spec.paged:
             block = dep.kv_spec.block_size
-            assert allocator.capacity_tokens == cap.kv_budget_tokens // block * block
+            assert pool.capacity_tokens == cap.kv_budget_tokens // block * block
         else:
-            assert allocator.capacity_tokens == cap.kv_budget_tokens
+            assert pool.block_size == 1
+            assert pool.capacity_tokens == cap.kv_budget_tokens
 
 
 def test_warmup_loads_the_resident_weights(deployments):

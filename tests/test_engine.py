@@ -10,7 +10,7 @@ from repro.perf.estimator import InferenceEstimator
 from repro.perf.parallelism import ParallelismPlan
 from repro.perf.phases import Deployment
 from repro.runtime.engine import ServingEngine
-from repro.runtime.memory_manager import OutOfMemoryError
+from repro.runtime.paged_kv import OutOfMemoryError
 from repro.runtime.workload import fixed_batch_trace, poisson_trace
 
 
@@ -92,7 +92,7 @@ class TestSchedulingBehaviour:
 
     def test_oversized_request_raises(self):
         engine = _engine()
-        budget = engine.memory.capacity.kv_budget_tokens
+        budget = engine.deployment.capacity.kv_budget_tokens
         too_big = fixed_batch_trace(1, budget + 10, 10)
         with pytest.raises(OutOfMemoryError):
             engine.run(too_big)

@@ -10,7 +10,7 @@ from repro.obs import tracer as tracer_module
 from repro.obs.tracer import CATEGORIES, EventTracer, TraceEvent
 from repro.perf.phases import Deployment
 from repro.runtime.engine import ServingEngine
-from repro.runtime.paged_kv import KVAllocator
+from repro.runtime.paged_kv import PagedKVAllocator
 from repro.runtime.workload import fixed_batch_trace
 
 
@@ -36,7 +36,6 @@ class TestNullTracer:
         engine, run, _ = _untraced_run()
         scheduler = run.scheduler
         assert engine.tracer is None and run.tracer is None
-        assert engine.memory.tracer is None
         assert scheduler.tracer is None and scheduler.allocator.tracer is None
         for module in (repro, repro.obs, tracer_module):
             assert not hasattr(module, "NULL_TRACER")
@@ -50,8 +49,8 @@ class TestNullTracer:
         assert result.metrics is None
 
     def test_no_event_storage(self):
-        # Allocators built outside an engine default to no tracer too.
-        assert KVAllocator.tracer is None
+        # Pools built outside an engine default to no tracer too.
+        assert PagedKVAllocator(1, 1).tracer is None
 
     def test_shared_instance_is_stateless(self):
         # No tracer object is shared between engines, so back-to-back

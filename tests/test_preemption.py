@@ -89,14 +89,6 @@ class TestSchedulerPreemption:
             assert sched.waiting[0] is b
             assert sched.stats.preemptions == 1
 
-    def test_optimistic_requires_paged(self):
-        from repro.runtime.paged_kv import ContiguousKVAllocator
-
-        with pytest.raises(ValueError, match="paged"):
-            ContinuousBatchingScheduler(
-                ContiguousKVAllocator(100), 8, optimistic=True
-            )
-
     def test_preempt_rejects_non_running(self):
         sched = ContinuousBatchingScheduler(
             PagedKVAllocator(100, 16), 8, optimistic=True
