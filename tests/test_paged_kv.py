@@ -152,7 +152,7 @@ class TestContiguousAllocator:
 
 # ---------------------------------------------------------------------------
 # Oracle: the pool with 1-token blocks against the whole-context allocator
-# it replaced, kept here verbatim as the reference.
+# it replaced, kept here as the reference (its tracing hooks left out).
 
 
 @dataclass
@@ -231,7 +231,7 @@ def _outcome(call):
 
 
 class TestContiguousOracle:
-    @given(capacity=st.integers(-2, 3))
+    @pytest.mark.parametrize("capacity", [-1, 0, 1, 2])
     def test_construction_matches(self, capacity):
         assert _outcome(lambda: _contiguous(capacity).capacity_tokens) == _outcome(
             lambda: _ContiguousReference(capacity).capacity_tokens
