@@ -9,7 +9,11 @@ committed ``ProfileReport.to_json_dict()``.  Two runs:
   ``profile`` command (one engine, per-phase and per-request tables);
 * ``cluster-2r`` — the merged fleet report of a profiled two-replica
   :class:`~repro.cluster.simulator.ClusterSimulator` run, per-request
-  components included.
+  components included;
+* ``straggler-2r`` — the ``--profile-output`` file of a two-replica
+  ``cluster`` command whose fault schedule slows replica1 2.5x from
+  1.217 s for 0.6 s, so it pins profiled steps priced under a straggler
+  cost scale (the CI ``profile`` job ``cmp``s the same file).
 
 The fleet merge adds its scalar fields with
 :func:`repro.core.stats.total`, so the bytes do not depend on the
@@ -22,6 +26,7 @@ and review the diff.
 
 from __future__ import annotations
 
+import json
 import tempfile
 from pathlib import Path
 
@@ -64,9 +69,38 @@ def _cluster_profile_json() -> str:
     return dumps(result.profile.to_json_dict())
 
 
+def _straggler_profile_json() -> str:
+    from repro.cli import main
+    from repro.control import FaultSchedule
+
+    schedule = FaultSchedule.generate(
+        replicas=["replica0", "replica1"],
+        horizon_s=6.0,
+        seed=11,
+        num_crashes=0,
+        num_slowdowns=1,
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        faults = Path(tmp) / "faults.json"
+        with open(faults, "w") as fh:
+            json.dump(schedule.to_json_dict(), fh, indent=1)
+        output = Path(tmp) / "profile.json"
+        code = main([
+            "cluster",
+            "--model", "Mistral-7B", "--hardware", "A100", "--framework", "vLLM",
+            "--replicas", "2", "--rate", "8", "--num-requests", "48",
+            "--seed", "7", "--max-concurrency", "8",
+            "--faults", str(faults),
+            "--profile-output", str(output),
+        ])
+        assert code == 0
+        return output.read_text(encoding="utf-8")
+
+
 CASES = {
     "cli-profile": _cli_profile_json,
     "cluster-2r": _cluster_profile_json,
+    "straggler-2r": _straggler_profile_json,
 }
 
 
