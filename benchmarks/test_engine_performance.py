@@ -16,7 +16,7 @@ from repro.frameworks.base import get_framework
 from repro.hardware.zoo import get_hardware
 from repro.models.zoo import get_model
 from repro.perf.estimator import InferenceEstimator
-from repro.perf.phases import Deployment, decode_step_breakdown
+from repro.perf.phases import Deployment, decode_step_cost
 from repro.runtime.engine import ServingEngine
 from repro.runtime.paged_kv import PagedKVAllocator
 from repro.runtime.workload import fixed_batch_trace
@@ -30,8 +30,8 @@ def _dep() -> Deployment:
 
 def test_bench_decode_step_model(benchmark):
     dep = _dep()
-    result = benchmark(decode_step_breakdown, dep, 32, 2048)
-    assert result.total_s > 0
+    result = benchmark(decode_step_cost, dep, 32, 2048)
+    assert result.breakdown.total_s > 0
 
 
 def test_bench_estimator_point(benchmark):

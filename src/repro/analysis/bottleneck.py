@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from repro.core.metrics import CostComponents, LatencyBreakdown
 from repro.core.request import GenerationConfig
 from repro.perf.estimator import InferenceEstimator
-from repro.perf.phases import Deployment, decode_step_traffic
+from repro.perf.phases import Deployment, decode_step_cost
 
 __all__ = ["Bottleneck", "PhaseAttribution", "BottleneckReport", "analyze"]
 
@@ -156,8 +156,8 @@ def analyze(dep: Deployment, config: GenerationConfig) -> BottleneckReport:
     # the step model prices it.
     batch = int(metrics.effective_concurrency or config.batch_size)
     mean_ctx = config.input_tokens + config.output_tokens // 2
-    flops, bytes_moved = decode_step_traffic(dep, batch, mean_ctx)
-    intensity = flops / bytes_moved
+    step = decode_step_cost(dep, batch, mean_ctx)
+    intensity = step.flops / step.bytes_moved
 
     ridge = (
         dep.hardware.peak_flops(dep.quant.activation_compute_precision(dep.hardware))

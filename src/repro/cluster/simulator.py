@@ -96,7 +96,6 @@ class Replica:
         run: EngineRun,
         role: str = "unified",
         prefix_cache_slots: int = 2,
-        deployment: Deployment | None = None,
         capacity_weight: float = 1.0,
         start_s: float = 0.0,
         created_s: float = 0.0,
@@ -106,7 +105,6 @@ class Replica:
         self.engine = engine
         self.run = run
         self.role = role
-        self.deployment = deployment if deployment is not None else engine.deployment
         # Relative serving rate (kernel-predicted decode speed over the
         # fleet's base deployment); exactly 1.0 in homogeneous fleets so
         # load normalization cannot perturb routing order.
@@ -407,9 +405,9 @@ class ClusterSimulator:
     def _capacity_weight(self, dep: Deployment) -> float:
         if dep is self.deployment or dep == self.deployment:
             return 1.0
-        base_s = self.kernel.decode_step(1, _CAPACITY_PROBE_CONTEXT).total_s
-        rep_s = get_kernel(dep).decode_step(1, _CAPACITY_PROBE_CONTEXT).total_s
-        return base_s / rep_s
+        base = self.kernel.decode_cost(1, _CAPACITY_PROBE_CONTEXT).breakdown
+        rep = get_kernel(dep).decode_cost(1, _CAPACITY_PROBE_CONTEXT).breakdown
+        return base.total_s / rep.total_s
 
     def _make_replica(
         self,
@@ -440,7 +438,6 @@ class ClusterSimulator:
             engine.start(pressure=self._pressure),
             role,
             prefix_cache_slots=self.prefix_cache_slots,
-            deployment=dep,
             capacity_weight=self._capacity_weight(dep),
             start_s=start_s,
             created_s=created_s,

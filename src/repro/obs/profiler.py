@@ -6,8 +6,9 @@ steady-state deployment; this module explains a *run*.  A
 (and, per replica, inside the cluster simulator), attributing every
 committed step — each prefill chunk, each coalesced decode span, each idle
 gap — to the roofline components the step model priced, plus the FLOPs and
-DRAM bytes the step moved (from the kernel's traffic accessors) and the
-energy it drew.  At the end of the run the accumulated state snapshots
+DRAM bytes the step moved and the energy it drew, all read from the
+:class:`~repro.perf.phases.StepCost` the engine committed (the profiler
+prices nothing).  At the end of the run the accumulated state snapshots
 into an immutable :class:`ProfileReport`: per-phase and per-request
 attribution tables, MFU/MBU against datasheet peaks, tokens/s,
 joules-per-token, and a dominant-bottleneck classification reusing
@@ -17,7 +18,7 @@ Two invariants keep the attribution honest (both enforced by
 ``tests/test_profiler.py``):
 
 * **exact sums** — every recorded step's component times sum to the
-  kernel's committed step cost to <= 1e-12 relative (the
+  engine's committed step cost to <= 1e-12 relative (the
   :class:`~repro.core.metrics.CostComponents` remainder construction);
 * **zero overhead** — the engine default is no profiler at all
   (``EngineRun.profiler is None``, checked before every ``record_*``
@@ -51,7 +52,6 @@ from repro.core.metrics import (
 )
 from repro.core.stats import total
 from repro.obs.tracer import EventTracer
-from repro.perf.kernel import get_kernel
 from repro.perf.phases import Deployment
 
 __all__ = [
@@ -486,10 +486,10 @@ class StepProfiler:
     """Recording profiler: accumulates per-step roofline attribution.
 
     The engine calls ``record_*`` with the *committed* breakdown (after
-    any fault-injected ``cost_scale``), the step's integrated energy and
-    the participating requests; the profiler derives the component
-    partition, fetches the step's modeled FLOPs/bytes from the kernel's
-    traffic accessors (O(1), memoized) and charges each participant its
+    any fault-injected ``cost_scale``), the priced step's modeled FLOPs
+    and bytes (unscaled: a straggler does the same work slower), the
+    step's integrated energy and the participating requests; the profiler
+    derives the component partition and charges each participant its
     equal share.  Recording only adds floats in place; the frozen
     :class:`CostComponents` are built by :meth:`report`.
     """
@@ -497,11 +497,9 @@ class StepProfiler:
     def __init__(
         self,
         deployment: Deployment,
-        kernel=None,  # noqa: ANN001 - StepCostKernel | DirectStepCost
         tracer: EventTracer | None = None,
     ) -> None:
         self.deployment = deployment
-        self.kernel = kernel if kernel is not None else get_kernel(deployment)
         self.tracer = tracer
         spec = deployment.hardware
         self.peak_flops_per_s = (
@@ -521,6 +519,8 @@ class StepProfiler:
         self,
         ts_s: float,
         breakdown: LatencyBreakdown,
+        flops: float,
+        bytes_moved: float,
         batch_size: int,
         chunk_tokens: int,
         energy_j: float,
@@ -528,7 +528,6 @@ class StepProfiler:
     ) -> None:
         """Attribute one prefill chunk (committed cost ``breakdown``)."""
         components = component_partition(breakdown)
-        flops, bytes_moved = self.kernel.prefill_traffic(batch_size, chunk_tokens)
         self._record(
             "prefill", ts_s, breakdown.total_s, components,
             batch_size * chunk_tokens, flops, bytes_moved, energy_j,
@@ -539,8 +538,9 @@ class StepProfiler:
         self,
         ts_s: float,
         step_breakdown: LatencyBreakdown,
+        flops: float,
+        bytes_moved: float,
         batch_size: int,
-        span_ctx: int,
         steps: int,
         energy_j: float,
         requests,  # noqa: ANN001 - list[GenerationRequest]
@@ -548,7 +548,6 @@ class StepProfiler:
         """Attribute one coalesced decode span (``steps`` iterations)."""
         scale = float(steps)
         components = [value * scale for value in component_partition(step_breakdown)]
-        flops, bytes_moved = self.kernel.decode_step_traffic(batch_size, span_ctx)
         self._record(
             "decode", ts_s, step_breakdown.total_s * steps, components,
             batch_size * steps, flops * steps, bytes_moved * steps, energy_j,

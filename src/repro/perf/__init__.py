@@ -26,10 +26,10 @@ from repro.perf.phases import (
     StepCoeffs,
     StepCost,
     StepModel,
-    decode_step_breakdown,
+    decode_step_cost,
     forward_flops,
     moe_expected_active_experts,
-    prefill_breakdown,
+    prefill_cost,
     step_weight_bytes,
 )
 from repro.perf.quantization import (
@@ -71,10 +71,10 @@ __all__ = [
     "StepCoeffs",
     "StepCost",
     "StepModel",
-    "decode_step_breakdown",
+    "decode_step_cost",
     "forward_flops",
     "moe_expected_active_experts",
-    "prefill_breakdown",
+    "prefill_cost",
     "step_weight_bytes",
     "FP8_SCHEME",
     "FP16_SCHEME",

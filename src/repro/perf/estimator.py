@@ -80,17 +80,17 @@ class InferenceEstimator:
     def _decode_total(
         self, batch_size: int, config: GenerationConfig
     ) -> tuple[LatencyBreakdown, LatencyBreakdown]:
-        """(single representative step, whole decode phase) breakdowns.
-
-        The per-step cost is affine in context length, so evaluating at the
-        mean context and multiplying by the step count is exact.
+        """(single representative step, whole decode phase) breakdowns:
+        the step at the mean context times the step count (the midpoint
+        rule), exact only while the phase stays between the roofline's
+        breakpoints, the compute/memory crossover and a memory-tier spill.
         """
         steps = config.output_tokens - 1
         if steps == 0:
             zero = LatencyBreakdown()
             return zero, zero
         mean_ctx = config.input_tokens + (config.output_tokens + 1) / 2.0
-        step = self.kernel.decode_step(batch_size, max(1, round(mean_ctx)))
+        step = self.kernel.decode_cost(batch_size, max(1, round(mean_ctx))).breakdown
         return step, step.scaled(float(steps))
 
     def estimate(self, config: GenerationConfig) -> InferenceMetrics:
@@ -118,7 +118,7 @@ class InferenceEstimator:
                 config.batch_size, config.input_tokens, config.output_tokens
             )
 
-        prefill = self.kernel.prefill(effective, config.input_tokens)
+        prefill = self.kernel.prefill_cost(effective, config.input_tokens).breakdown
         step, decode = self._decode_total(effective, config)
         e2e_one_wave = prefill.total_s + decode.total_s
         e2e = e2e_one_wave * waves

@@ -8,9 +8,11 @@ evaluate it millions of times.  :class:`StepCostKernel` calls the same
 expression two ways:
 
 * **scalar steps** — :meth:`StepCostKernel.decode_cost` and
-  :meth:`StepCostKernel.prefill_cost` memoize each priced step
-  (:class:`~repro.perf.phases.StepCost`: breakdown, watts, FLOPs and
-  bytes) in a bounded LRU.  With the KV cache on, a decode step's
+  :meth:`StepCostKernel.prefill_cost`, the only scalar accessors, memoize
+  each priced step in a bounded LRU.  A step is one
+  :class:`~repro.perf.phases.StepCost` record (breakdown, watts, FLOPs and
+  bytes); callers read the field they need from it, so every view of a
+  step comes from one lookup.  With the KV cache on, a decode step's
   :class:`~repro.perf.phases.StepCoeffs` do not depend on its context, so
   they are built once per batch size and a new context only evaluates the
   roofline at that point.  The results are the direct functions' bytes,
@@ -29,8 +31,10 @@ simulator's replicas all share one memo store.  Cached state is derived
 purely from the frozen deployment, so there is no invalidation protocol: a
 different deployment is a different cache key.
 
-:class:`DirectStepCost` adapts the un-memoized ``phases.py`` functions to
-the same call surface; the equivalence tests use it as the reference.
+:class:`DirectStepCost` adapts the un-memoized ``phases.py`` functions
+(:func:`~repro.perf.phases.prefill_cost`,
+:func:`~repro.perf.phases.decode_step_cost`) to the same two accessors;
+the equivalence tests use it as the reference.
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.core.metrics import LatencyBreakdown
 from repro.core.xp import ARRAYS, FLOATS
 from repro.perf.phases import (
     Deployment,
@@ -116,8 +119,9 @@ class SweepGrid:
 
 
 class _GridParts(NamedTuple):
-    """A breakdown over a sweep grid: :class:`LatencyBreakdown`'s fields
-    as arrays (or floats where a bucket is constant)."""
+    """A breakdown over a sweep grid:
+    :class:`~repro.core.metrics.LatencyBreakdown`'s fields as arrays (or
+    floats where a bucket is constant)."""
 
     compute_s: np.ndarray
     weight_memory_s: np.ndarray
@@ -131,7 +135,7 @@ class _GridParts(NamedTuple):
 class DirectStepCost:
     """Un-memoized pass-through to the ``phases.py`` step functions.
 
-    Same call surface as :class:`StepCostKernel` for the scalar step costs,
+    Same scalar accessors as :class:`StepCostKernel`,
     so engines, estimators and cluster replicas can be pointed at the
     direct path (benchmark baselines, equivalence tests) without branching.
     """
@@ -144,26 +148,6 @@ class DirectStepCost:
 
     def decode_cost(self, batch_size: int, context_length: int) -> StepCost:
         return decode_step_cost(self.deployment, batch_size, context_length)
-
-    def prefill(self, batch_size: int, input_tokens: int) -> LatencyBreakdown:
-        return self.prefill_cost(batch_size, input_tokens).breakdown
-
-    def decode_step(
-        self, batch_size: int, context_length: int
-    ) -> LatencyBreakdown:
-        return self.decode_cost(batch_size, context_length).breakdown
-
-    def prefill_traffic(
-        self, batch_size: int, input_tokens: int
-    ) -> tuple[float, float]:
-        cost = self.prefill_cost(batch_size, input_tokens)
-        return cost.flops, cost.bytes_moved
-
-    def decode_step_traffic(
-        self, batch_size: int, context_length: int
-    ) -> tuple[float, float]:
-        cost = self.decode_cost(batch_size, context_length)
-        return cost.flops, cost.bytes_moved
 
 
 class _LruDict(OrderedDict):
@@ -209,58 +193,12 @@ class StepCostKernel:
             batch_size, self._model.decode_coeffs(FLOATS, batch_size)
         )
 
-    # The public accessors read the memo directly rather than through each
-    # other, so each step costs one kernel call.
-
     def decode_cost(self, batch_size: int, context_length: int) -> StepCost:
         """One decode iteration, priced (memoized)."""
-        return self._decode_memo.touch(
-            (batch_size, context_length)
-        ) or self._price_decode(batch_size, context_length)
-
-    def prefill_cost(self, batch_size: int, input_tokens: int) -> StepCost:
-        """One prefill pass, priced (memoized)."""
-        return self._prefill_memo.touch(
-            (batch_size, input_tokens)
-        ) or self._price_prefill(batch_size, input_tokens)
-
-    def decode_step(
-        self, batch_size: int, context_length: int
-    ) -> LatencyBreakdown:
-        """One decode iteration's breakdown."""
-        return (
-            self._decode_memo.touch((batch_size, context_length))
-            or self._price_decode(batch_size, context_length)
-        ).breakdown
-
-    def prefill(self, batch_size: int, input_tokens: int) -> LatencyBreakdown:
-        """One prefill pass's breakdown."""
-        return (
-            self._prefill_memo.touch((batch_size, input_tokens))
-            or self._price_prefill(batch_size, input_tokens)
-        ).breakdown
-
-    def decode_step_traffic(
-        self, batch_size: int, context_length: int
-    ) -> tuple[float, float]:
-        """``(flops, bytes_moved)`` of one decode iteration, read from the
-        memo entry the engine just priced."""
-        cost = self._decode_memo.touch(
-            (batch_size, context_length)
-        ) or self._price_decode(batch_size, context_length)
-        return cost.flops, cost.bytes_moved
-
-    def prefill_traffic(
-        self, batch_size: int, input_tokens: int
-    ) -> tuple[float, float]:
-        """``(flops, bytes_moved)`` of one prefill pass, read from the memo
-        entry the engine just priced."""
-        cost = self._prefill_memo.touch(
-            (batch_size, input_tokens)
-        ) or self._price_prefill(batch_size, input_tokens)
-        return cost.flops, cost.bytes_moved
-
-    def _price_decode(self, batch_size: int, context_length: int) -> StepCost:
+        key = (batch_size, context_length)
+        cost = self._decode_memo.touch(key)
+        if cost is not None:
+            return cost
         model = self._model
         if not self.deployment.kv_spec.enabled:
             # Recompute regime: the step re-prefills the whole context, so
@@ -270,16 +208,21 @@ class StepCostKernel:
             if batch_size < 1 or context_length < 1:
                 raise ValueError("batch_size and context_length must be >= 1")
             cost = model.price(self.decode_coeffs(batch_size), context_length)
-        return self._decode_memo.store((batch_size, context_length), cost)
+        return self._decode_memo.store(key, cost)
 
-    def _price_prefill(self, batch_size: int, input_tokens: int) -> StepCost:
+    def prefill_cost(self, batch_size: int, input_tokens: int) -> StepCost:
+        """One prefill pass, priced (memoized)."""
+        key = (batch_size, input_tokens)
+        cost = self._prefill_memo.touch(key)
+        if cost is not None:
+            return cost
         # Prefill cost is quadratic in the prompt length (causal attention)
         # and its GEMM rows scale with ``batch * input``, so its coefficients
         # are built per call; the memo still collapses the engine's
         # chunked-prefill loops and repeated admissions.
         model = self._model
         cost = model.price(*model.prefill_point(FLOATS, batch_size, input_tokens))
-        return self._prefill_memo.store((batch_size, input_tokens), cost)
+        return self._prefill_memo.store(key, cost)
 
     # ------------------------------------------------------------------
     # Vectorized sweep grid

@@ -69,10 +69,6 @@ __all__ = [
     "phase_utilization",
     "prefill_cost",
     "decode_step_cost",
-    "prefill_breakdown",
-    "decode_step_breakdown",
-    "prefill_traffic",
-    "decode_step_traffic",
 ]
 
 
@@ -488,32 +484,3 @@ def decode_step_cost(
     model = step_model(dep)
     return model.price(*model.decode_point(FLOATS, batch_size, context_length))
 
-
-def prefill_breakdown(
-    dep: Deployment, batch_size: int, input_tokens: int
-) -> LatencyBreakdown:
-    """Latency of prefilling ``batch_size`` prompts of ``input_tokens``."""
-    return prefill_cost(dep, batch_size, input_tokens).breakdown
-
-
-def decode_step_breakdown(
-    dep: Deployment, batch_size: int, context_length: int
-) -> LatencyBreakdown:
-    """Latency of one decode iteration: one new token per sequence."""
-    return decode_step_cost(dep, batch_size, context_length).breakdown
-
-
-def prefill_traffic(
-    dep: Deployment, batch_size: int, input_tokens: int
-) -> tuple[float, float]:
-    """``(flops, bytes_moved)`` of one prefill pass."""
-    cost = prefill_cost(dep, batch_size, input_tokens)
-    return cost.flops, cost.bytes_moved
-
-
-def decode_step_traffic(
-    dep: Deployment, batch_size: int, context_length: int
-) -> tuple[float, float]:
-    """``(flops, bytes_moved)`` of one decode iteration."""
-    cost = decode_step_cost(dep, batch_size, context_length)
-    return cost.flops, cost.bytes_moved

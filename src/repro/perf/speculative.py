@@ -27,7 +27,7 @@ from repro.models.config import ModelConfig
 from repro.models.quality import estimate_loss
 from repro.perf.phases import (
     Deployment,
-    decode_step_breakdown,
+    decode_step_cost,
     forward_flops,
     step_weight_bytes,
 )
@@ -89,7 +89,7 @@ def _verify_step_seconds(
     read happens once, but the token-parallel work (GEMMs, expert weight
     traffic for MoE) covers ``gamma + 1`` positions.
     """
-    base = decode_step_breakdown(dep, batch_size, context_length)
+    base = decode_step_cost(dep, batch_size, context_length).breakdown
     tokens = batch_size * (gamma + 1)
     # Recompute the token-scaled legs.
     flops_scale = (
@@ -135,8 +135,8 @@ def speculative_speedup(
         kv_spec=target_dep.kv_spec,
     )
 
-    t_target = decode_step_breakdown(target_dep, batch, mean_ctx).total_s
-    t_draft = decode_step_breakdown(draft_dep, batch, mean_ctx).total_s
+    t_target = decode_step_cost(target_dep, batch, mean_ctx).breakdown.total_s
+    t_draft = decode_step_cost(draft_dep, batch, mean_ctx).breakdown.total_s
     t_verify = _verify_step_seconds(target_dep, batch, mean_ctx, spec.gamma)
 
     a = acceptance_rate(target_dep.model, spec.draft_model, mean_ctx)

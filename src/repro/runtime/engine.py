@@ -12,16 +12,22 @@ them on the paper's fixed-shape workloads.
 
 Running-set state lives on the request objects alone.  Iteration
 coalescing: a decode span advances every running sequence in lockstep,
-evaluating the step cost at the span's mean context — exact for the
-affine-in-context step model.  Each span is bounded by the *next
-scheduling event* (the caller's horizon, the next future arrival, a
-completion) so saturated runs cost O(events) instead of O(tokens); an
-arrived-but-blocked queue head cannot shorten a span, since only a
-retirement (which ends the span anyway) can unblock admission.  Because
-no request finishes mid-span, the default admission policy commits a
-span in one O(batch) pass over the running requests.  Optimistic
-admission grows KV token by token and may preempt mid-span, so it
-commits token by token instead.
+evaluating the step cost at the span's mean context (the midpoint rule).
+That is exact only while the span stays between the step model's
+breakpoints, the compute/memory crossover and the memory-tier spill; a
+span that crosses one is priced at its midpoint.  Each span is bounded by
+the *next scheduling event* (the caller's horizon, the next future
+arrival, a completion) so saturated runs cost O(events) instead of
+O(tokens); an arrived-but-blocked queue head cannot shorten a span, since
+only a retirement (which ends the span anyway) can unblock admission.
+Because no request finishes mid-span, the default admission policy
+commits a span in one O(batch) pass over the running requests.
+Optimistic admission grows KV token by token and may preempt mid-span,
+so it commits token by token instead.
+
+Each prefill chunk and decode span prices one
+:class:`~repro.perf.phases.StepCost`; :meth:`ServingEngine._charge`
+commits it, and a profiler reads the committed step.
 
 Execution is resumable: :meth:`ServingEngine.start` returns an
 :class:`EngineRun` whose ``submit``/``step`` pair lets a caller interleave
@@ -38,7 +44,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
-from repro.core.metrics import InferenceMetrics
+from repro.core.metrics import InferenceMetrics, LatencyBreakdown
 from repro.core.request import GenerationRequest, RequestState, mean_itl_s
 from repro.core.stats import mean
 from repro.core.xp import FLOATS
@@ -48,7 +54,7 @@ from repro.obs.telemetry import TelemetryHub, TelemetrySnapshot, trace_alerts
 from repro.obs.timeline import RequestTimeline, build_timelines
 from repro.obs.tracer import EventTracer
 from repro.perf.kernel import get_kernel
-from repro.perf.phases import Deployment, step_model
+from repro.perf.phases import Deployment, StepCost, step_model
 from repro.runtime.paged_kv import OutOfMemoryError, PagedKVAllocator
 from repro.runtime.scheduler import (
     ContinuousBatchingScheduler,
@@ -318,15 +324,12 @@ class ServingEngine:
         tracer = self.tracer
         profiler = run.profiler
         for chunk in range(chunks):
-            breakdown, power_w, _, _ = self.kernel.prefill_cost(batch, chunk_len)
-            if run.cost_scale != 1.0:  # fault-injected straggler multiplier
-                breakdown = breakdown.scaled(run.cost_scale)
-                power_w = self._step_model.power_w(FLOATS, breakdown)
-            run.energy_j += breakdown.total_s * power_w
+            cost = self.kernel.prefill_cost(batch, chunk_len)
+            breakdown, power_w, _, energy_j = self._charge(run, cost, 1)
             if profiler is not None:
                 profiler.record_prefill(
-                    now, breakdown, batch, chunk_len,
-                    breakdown.total_s * power_w, admitted,
+                    now, breakdown, cost.flops, cost.bytes_moved,
+                    batch, chunk_len, energy_j, admitted,
                 )
             if tracer is not None:
                 tracer.complete(
@@ -376,16 +379,12 @@ class ServingEngine:
         mean_ctx = ctx_sum / batch
         # Context at the span's midpoint (contexts grow one token per step).
         span_ctx = max(1, round(mean_ctx + (steps - 1) / 2.0))
-        step_bd, step_power_w, _, _ = self.kernel.decode_cost(batch, span_ctx)
-        if run.cost_scale != 1.0:  # fault-injected straggler multiplier
-            step_bd = step_bd.scaled(run.cost_scale)
-            step_power_w = self._step_model.power_w(FLOATS, step_bd)
-        span_s = step_bd.total_s * float(steps)
-        run.energy_j += span_s * step_power_w
+        cost = self.kernel.decode_cost(batch, span_ctx)
+        step_bd, step_power_w, span_s, energy_j = self._charge(run, cost, steps)
         if run.profiler is not None:
             run.profiler.record_decode(
-                now, step_bd, batch, span_ctx, steps,
-                span_s * step_power_w, running,
+                now, step_bd, cost.flops, cost.bytes_moved,
+                batch, steps, energy_j, running,
             )
         if self.tracer is not None:
             self.tracer.complete(
@@ -403,6 +402,22 @@ class ServingEngine:
         commit = self._commit_tokens if self.optimistic else self._commit_span
         commit(run, running, steps, step_bd.total_s)
         run.now = now + span_s
+
+    def _charge(
+        self, run: "EngineRun", cost: StepCost, steps: int
+    ) -> tuple[LatencyBreakdown, float, float, float]:
+        """Charge ``run`` the energy of ``steps`` iterations of ``cost``
+        under a straggler's ``cost_scale`` (watts recomputed when scaled);
+        return the committed ``(breakdown, watts, span_s, energy_j)``.
+        ``x * 1.0`` is exact, so a one-step span is its step time."""
+        breakdown, power_w = cost.breakdown, cost.power_w
+        if run.cost_scale != 1.0:
+            breakdown = breakdown.scaled(run.cost_scale)
+            power_w = self._step_model.power_w(FLOATS, breakdown)
+        span_s = breakdown.total_s * float(steps)
+        energy_j = span_s * power_w
+        run.energy_j += energy_j
+        return breakdown, power_w, span_s, energy_j
 
     def _commit_span(
         self,
@@ -534,9 +549,7 @@ class EngineRun:
         self.telemetry = engine.telemetry
         self._pressure = pressure
         self.profiler: StepProfiler | None = (
-            StepProfiler(
-                engine.deployment, kernel=engine.kernel, tracer=engine.tracer
-            )
+            StepProfiler(engine.deployment, tracer=engine.tracer)
             if engine.profile
             else None
         )
@@ -745,9 +758,9 @@ class EngineRun:
         if limit is None:
             return min_remaining
         batch = len(scheduler.running)
-        est = engine.kernel.decode_step(
+        est = engine.kernel.decode_cost(
             batch, max(1, round(ctx_sum / batch))
-        ).total_s
+        ).breakdown.total_s
         if self.cost_scale != 1.0:
             est *= self.cost_scale
         k = math.ceil((limit - self.now) / est)

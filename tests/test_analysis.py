@@ -15,7 +15,7 @@ from repro.frameworks.base import get_framework
 from repro.hardware.zoo import get_hardware
 from repro.models.zoo import get_model
 from repro.perf.parallelism import ParallelismPlan
-from repro.perf.phases import Deployment, decode_step_traffic
+from repro.perf.phases import Deployment, decode_step_cost
 
 
 def _dep(model="LLaMA-3-8B", hw="A100", fw="vLLM", **kwargs) -> Deployment:
@@ -73,8 +73,8 @@ class TestAnalyze:
         effective batch and mean decode context."""
         config = GenerationConfig(512, 256, 8)
         report = analyze(_dep(fw="llama.cpp"), config)
-        flops, bytes_moved = decode_step_traffic(_dep(fw="llama.cpp"), 8, 512 + 128)
-        assert report.operational_intensity_decode == flops / bytes_moved
+        step = decode_step_cost(_dep(fw="llama.cpp"), 8, 512 + 128)
+        assert report.operational_intensity_decode == step.flops / step.bytes_moved
         assert report.operational_intensity_decode == pytest.approx(6.54, abs=0.01)
 
     def test_render_mentions_bottleneck(self):

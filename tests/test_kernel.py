@@ -40,10 +40,8 @@ from repro.perf.kernel import (
 from repro.perf.parallelism import ParallelismPlan
 from repro.perf.phases import (
     Deployment,
-    decode_step_breakdown,
     decode_step_cost,
     phase_utilization,
-    prefill_breakdown,
     prefill_cost,
     step_model,
 )
@@ -65,7 +63,7 @@ _LATENCY_FIELDS = (
 )
 
 
-def assert_breakdowns_match(direct, kernel, label: str = "") -> None:
+def assert_steps_match(direct, kernel, label: str = "") -> None:
     assert direct == kernel, f"{label}: direct={direct!r} kernel={kernel!r}"
 
 
@@ -134,7 +132,7 @@ class TestScalarEquivalence:
                 direct = decode_step_cost(dep, batch, ctx)
                 memo = kernel.decode_cost(batch, ctx)
                 assert direct == memo, f"b={batch} ctx={ctx}"
-                assert kernel.decode_step(batch, ctx) == direct.breakdown
+                assert kernel.decode_cost(batch, ctx) == direct  # memo hit
 
     @pytest.mark.parametrize("dep", _GRID, ids=_GRID_IDS)
     def test_prefill_matches_direct(self, dep):
@@ -144,20 +142,20 @@ class TestScalarEquivalence:
                 direct = prefill_cost(dep, batch, tokens)
                 memo = kernel.prefill_cost(batch, tokens)
                 assert direct == memo, f"b={batch} in={tokens}"
-                assert kernel.prefill(batch, tokens) == direct.breakdown
+                assert kernel.prefill_cost(batch, tokens) == direct  # memo hit
 
     def test_direct_step_cost_is_passthrough(self):
         dep = _deployment("LLaMA-3-8B", "A100", "vLLM")
         direct = DirectStepCost(dep)
-        assert direct.decode_step(4, 512) == decode_step_breakdown(dep, 4, 512)
-        assert direct.prefill(4, 512) == prefill_breakdown(dep, 4, 512)
+        assert direct.decode_cost(4, 512) == decode_step_cost(dep, 4, 512)
+        assert direct.prefill_cost(4, 512) == prefill_cost(dep, 4, 512)
 
     def test_decode_rejects_invalid_arguments(self):
         kernel = StepCostKernel(_deployment("LLaMA-3-8B", "A100", "vLLM"))
         with pytest.raises(ValueError):
-            kernel.decode_step(0, 128)
+            kernel.decode_cost(0, 128)
         with pytest.raises(ValueError):
-            kernel.decode_step(4, 0)
+            kernel.decode_cost(4, 0)
 
 
 class TestEdgeCaseEquivalence:
@@ -173,9 +171,9 @@ class TestEdgeCaseEquivalence:
         sat = dep.hardware.saturation_batch
         assert sat is not None
         for batch in (sat - 1, sat, sat + 1, 2 * sat):
-            direct = decode_step_breakdown(dep, batch, 1024)
-            assert_breakdowns_match(
-                direct, kernel.decode_step(batch, 1024), f"b={batch}"
+            direct = decode_step_cost(dep, batch, 1024)
+            assert_steps_match(
+                direct, kernel.decode_cost(batch, 1024), f"b={batch}"
             )
 
     def test_sn40l_request_setup_cost(self):
@@ -184,9 +182,9 @@ class TestEdgeCaseEquivalence:
         assert dep.hardware.request_setup_s > 0.0
         kernel = StepCostKernel(dep)
         for batch in (1, 8, 64):
-            direct = prefill_breakdown(dep, batch, 1024)
-            assert_breakdowns_match(
-                direct, kernel.prefill(batch, 1024), f"b={batch}"
+            direct = prefill_cost(dep, batch, 1024)
+            assert_steps_match(
+                direct, kernel.prefill_cost(batch, 1024), f"b={batch}"
             )
 
     def test_sn40l_tier_crossing(self):
@@ -197,9 +195,9 @@ class TestEdgeCaseEquivalence:
         kernel = StepCostKernel(dep)
         for batch in (1, 64, 256):
             for ctx in (128, 8192, 32768):
-                direct = decode_step_breakdown(dep, batch, ctx)
-                assert_breakdowns_match(
-                    direct, kernel.decode_step(batch, ctx), f"b={batch} ctx={ctx}"
+                direct = decode_step_cost(dep, batch, ctx)
+                assert_steps_match(
+                    direct, kernel.decode_cost(batch, ctx), f"b={batch} ctx={ctx}"
                 )
 
     def test_kv_cache_disabled_recompute(self):
@@ -210,16 +208,16 @@ class TestEdgeCaseEquivalence:
         )
         kernel = StepCostKernel(dep)
         for ctx in (1, 512, 4096):
-            direct = decode_step_breakdown(dep, 8, ctx)
-            assert_breakdowns_match(direct, kernel.decode_step(8, ctx), f"ctx={ctx}")
+            direct = decode_step_cost(dep, 8, ctx)
+            assert_steps_match(direct, kernel.decode_cost(8, ctx), f"ctx={ctx}")
 
     def test_paged_kv_block_size(self):
         dep = _deployment("LLaMA-3-8B", "A100", "vLLM").with_kv_spec(
             KVCacheSpec(paged=True, block_size=8)
         )
         kernel = StepCostKernel(dep)
-        direct = decode_step_breakdown(dep, 16, 2048)
-        assert_breakdowns_match(direct, kernel.decode_step(16, 2048))
+        direct = decode_step_cost(dep, 16, 2048)
+        assert_steps_match(direct, kernel.decode_cost(16, 2048))
 
     @pytest.mark.parametrize(
         "plan",
@@ -230,21 +228,21 @@ class TestEdgeCaseEquivalence:
         dep = _deployment("LLaMA-3-8B", "A100", "vLLM", plan=plan)
         kernel = StepCostKernel(dep)
         for batch in (1, 16, 64):
-            direct = decode_step_breakdown(dep, batch, 1024)
-            assert_breakdowns_match(
-                direct, kernel.decode_step(batch, 1024), f"b={batch}"
+            direct = decode_step_cost(dep, batch, 1024)
+            assert_steps_match(
+                direct, kernel.decode_cost(batch, 1024), f"b={batch}"
             )
-            directp = prefill_breakdown(dep, batch, 512)
-            assert_breakdowns_match(directp, kernel.prefill(batch, 512))
+            directp = prefill_cost(dep, batch, 512)
+            assert_steps_match(directp, kernel.prefill_cost(batch, 512))
 
     def test_layer_split_multi_device(self):
         """llama.cpp's LAYER_SPLIT takes a different pipeline-factor branch."""
         dep = _deployment("LLaMA-2-7B", "A100", "llama.cpp", plan=ParallelismPlan(pp=2))
         kernel = StepCostKernel(dep)
         for batch in (1, 8, 32):
-            direct = decode_step_breakdown(dep, batch, 1024)
-            assert_breakdowns_match(
-                direct, kernel.decode_step(batch, 1024), f"b={batch}"
+            direct = decode_step_cost(dep, batch, 1024)
+            assert_steps_match(
+                direct, kernel.decode_cost(batch, 1024), f"b={batch}"
             )
 
     def test_moe_expert_parallel(self):
@@ -253,9 +251,9 @@ class TestEdgeCaseEquivalence:
         )
         kernel = StepCostKernel(dep)
         for batch in (1, 16, 64):
-            direct = decode_step_breakdown(dep, batch, 2048)
-            assert_breakdowns_match(
-                direct, kernel.decode_step(batch, 2048), f"b={batch}"
+            direct = decode_step_cost(dep, batch, 2048)
+            assert_steps_match(
+                direct, kernel.decode_cost(batch, 2048), f"b={batch}"
             )
 
 
@@ -393,14 +391,27 @@ class TestEngineEquivalence:
         return ServingEngine(dep, **engine_kwargs).run(trace)
 
     def _assert_runs_match(self, dep, make_trace, **engine_kwargs):
-        direct = self._run(dep, make_trace(), kernel=DirectStepCost(dep), **engine_kwargs)
-        fast = self._run(dep, make_trace(), kernel=StepCostKernel(dep), **engine_kwargs)
-        assert direct.iterations == fast.iterations
-        assert direct.total_time_s == fast.total_time_s
-        assert direct.average_power_w == fast.average_power_w
-        for a, b in zip(direct.requests, fast.requests):
-            assert a.ttft_s == b.ttft_s
-            assert a.finish_time == b.finish_time
+        """Unprofiled and profiled, the two kernels give the same run; the
+        profiled runs also give the same profile."""
+        for profile in (False, True):
+            direct = self._run(
+                dep, make_trace(), kernel=DirectStepCost(dep), profile=profile,
+                **engine_kwargs,
+            )
+            fast = self._run(
+                dep, make_trace(), kernel=StepCostKernel(dep), profile=profile,
+                **engine_kwargs,
+            )
+            assert direct.iterations == fast.iterations
+            assert direct.total_time_s == fast.total_time_s
+            assert direct.average_power_w == fast.average_power_w
+            for a, b in zip(direct.requests, fast.requests):
+                assert a.ttft_s == b.ttft_s
+                assert a.finish_time == b.finish_time
+            if profile:
+                assert direct.profile.to_json_dict() == fast.profile.to_json_dict()
+            else:
+                assert direct.profile is None and fast.profile is None
 
     def test_fixed_batch_run(self):
         dep = _deployment("LLaMA-3-8B", "A100", "vLLM")
@@ -511,11 +522,11 @@ class TestKernelCache:
         kernel = StepCostKernel(dep)
         kernel._decode_memo.max_size = 32  # shrink for the test
         for ctx in range(1, 100):
-            kernel.decode_step(1, ctx)
+            kernel.decode_cost(1, ctx)
         assert len(kernel._decode_memo) <= 32
         # Still correct after eviction churn.
-        direct = decode_step_breakdown(dep, 1, 5)
-        assert_breakdowns_match(direct, kernel.decode_step(1, 5))
+        direct = decode_step_cost(dep, 1, 5)
+        assert_steps_match(direct, kernel.decode_cost(1, 5))
 
     def test_global_kernel_cache_is_bounded(self):
         from repro.perf import kernel as kernel_mod

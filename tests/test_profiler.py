@@ -34,10 +34,8 @@ from repro.obs import EventTracer, StepProfiler, counter_series, merge_profiles
 from repro.perf.parallelism import ParallelismPlan
 from repro.perf.phases import (
     Deployment,
-    decode_step_breakdown,
-    decode_step_traffic,
-    prefill_breakdown,
-    prefill_traffic,
+    decode_step_cost,
+    prefill_cost,
 )
 from repro.perf.kernel import StepCostKernel
 from repro.runtime.engine import ServingEngine
@@ -95,8 +93,8 @@ class TestComponentExactness:
     def test_breakdown_partition_is_exact(self, dep):
         for batch, tokens in ((1, 128), (8, 512), (32, 2048)):
             for bd in (
-                prefill_breakdown(dep, batch, tokens),
-                decode_step_breakdown(dep, batch, tokens),
+                prefill_cost(dep, batch, tokens).breakdown,
+                decode_step_cost(dep, batch, tokens).breakdown,
             ):
                 components = CostComponents.from_breakdown(bd)
                 assert rel_close(components.total_s, bd.total_s)
@@ -127,15 +125,14 @@ class TestComponentExactness:
 
     @pytest.mark.parametrize("dep", _CORNERS, ids=_CORNER_IDS)
     def test_kernel_traffic_matches_direct(self, dep):
+        """The kernel's priced steps, FLOPs and bytes included, equal the
+        direct functions' records."""
         kernel = StepCostKernel(dep)
         for batch, tokens in ((1, 1), (4, 128), (16, 4096)):
-            for fast, direct in (
-                (kernel.prefill_traffic(batch, tokens),
-                 prefill_traffic(dep, batch, tokens)),
-                (kernel.decode_step_traffic(batch, tokens),
-                 decode_step_traffic(dep, batch, tokens)),
-            ):
-                assert fast == direct
+            assert kernel.prefill_cost(batch, tokens) == prefill_cost(dep, batch, tokens)
+            assert kernel.decode_cost(batch, tokens) == decode_step_cost(
+                dep, batch, tokens
+            )
 
     def test_energy_matches_engine_accounting(self):
         dep = _deployment("LLaMA-3-8B", "A100", "vLLM")
@@ -305,9 +302,13 @@ class TestCounterTracks:
     def test_untraced_profiled_run_emits_nothing(self):
         dep = _deployment("LLaMA-3-8B", "A100", "vLLM")
         profiler = StepProfiler(dep)  # no tracer by default
-        bd = prefill_breakdown(dep, 2, 128)
-        profiler.record_prefill(0.0, bd, 2, 128, 1.0, [])
-        profiler.record_decode(1.0, bd, 2, 128, 4, 1.0, [])
+        step = prefill_cost(dep, 2, 128)
+        profiler.record_prefill(
+            0.0, step.breakdown, step.flops, step.bytes_moved, 2, 128, 1.0, []
+        )
+        profiler.record_decode(
+            1.0, step.breakdown, step.flops, step.bytes_moved, 2, 4, 1.0, []
+        )
         assert profiler.tracer is None
 
 

@@ -17,7 +17,7 @@ from repro.models.zoo import get_model
 from repro.perf.attention import paged_block_multiplier
 from repro.perf.estimator import InferenceEstimator
 from repro.perf.parallelism import ParallelismPlan, pipeline_factor
-from repro.perf.phases import Deployment, decode_step_breakdown
+from repro.perf.phases import Deployment, decode_step_cost
 from repro.perf.speculative import expected_tokens_per_iteration
 from repro.runtime.paged_kv import PagedKVAllocator
 
@@ -94,7 +94,7 @@ class TestPerfModelProperties:
     @given(batch=st.integers(1, 64), ctx=st.integers(1, 4096))
     @settings(max_examples=40, deadline=None)
     def test_decode_step_finite_positive(self, batch, ctx):
-        bd = decode_step_breakdown(_DEP, batch, ctx)
+        bd = decode_step_cost(_DEP, batch, ctx).breakdown
         assert math.isfinite(bd.total_s)
         assert bd.total_s > 0
 
@@ -102,8 +102,8 @@ class TestPerfModelProperties:
     @settings(max_examples=40, deadline=None)
     def test_decode_step_monotone_in_context(self, ctx, delta):
         assert (
-            decode_step_breakdown(_DEP, 8, ctx + delta).total_s
-            >= decode_step_breakdown(_DEP, 8, ctx).total_s
+            decode_step_cost(_DEP, 8, ctx + delta).breakdown.total_s
+            >= decode_step_cost(_DEP, 8, ctx).breakdown.total_s
         )
 
     @given(batch=st.integers(1, 64), length=st.integers(16, 2048))
