@@ -155,8 +155,7 @@ def analyze(dep: Deployment, config: GenerationConfig) -> BottleneckReport:
     # Decode operational intensity: FLOPs per modeled byte in one step, as
     # the step model prices it.
     batch = int(metrics.effective_concurrency or config.batch_size)
-    mean_ctx = config.input_tokens + config.output_tokens // 2
-    step = decode_step_cost(dep, batch, mean_ctx)
+    step = decode_step_cost(dep, batch, config.midpoint_context)
     intensity = step.flops / step.bytes_moved
 
     ridge = (

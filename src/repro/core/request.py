@@ -52,8 +52,11 @@ class GenerationConfig:
         """Total tokens processed across the batch (Eq. 2 numerator)."""
         return self.batch_size * self.total_tokens_per_sequence
 
-    def with_batch_size(self, batch_size: int) -> "GenerationConfig":
-        return GenerationConfig(self.input_tokens, self.output_tokens, batch_size)
+    @property
+    def midpoint_context(self) -> int:
+        """The decode phase's mean context: the step priced at it, times
+        the step count, stands for the whole phase (the midpoint rule)."""
+        return max(1, round(self.input_tokens + (self.output_tokens + 1) / 2))
 
 
 class RequestState:

@@ -168,7 +168,7 @@ def verify_replay(
         if dumps(stored) == dumps(again):
             continue
         differences = json_differences(stored, again)
-        shown = list(itertools.islice(differences, _FIELDS_SHOWN))
+        shown = [str(d) for d in itertools.islice(differences, _FIELDS_SHOWN)]
         more = sum(1 for _ in differences)
         line = f"seed {original.seed}: replayed result differs at {'; '.join(shown)}"
         if more:

@@ -28,6 +28,7 @@ import math
 import struct
 from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.core.jsonio import json_num
 from repro.core.metrics import COMPONENT_FIELDS
@@ -41,6 +42,7 @@ __all__ = [
     "ProfileDiff",
     "diff_profiles",
     "diff_replicated_profiles",
+    "JsonDifference",
     "json_differences",
     "ulp_distance",
 ]
@@ -368,38 +370,59 @@ def _brief(value: object) -> str:
     return repr(value)
 
 
-def json_differences(a: object, b: object, path: str = "$") -> Iterator[str]:
-    """Yield ``"<path>: <a> -> <b>"`` for each leaf where two JSON payloads
-    differ, in the sorted-key order of the canonical JSON text.
+def _finite(value: object) -> bool:
+    return type(value) in (int, float) and math.isfinite(value)
+
+
+class JsonDifference(NamedTuple):
+    """A differing leaf: its path, both values as text, the ulp distance
+    of two floats and the relative move ``|b - a| / |a|`` of two numbers;
+    ``str`` is ``"<path>: <a> -> <b> (<n> ulp)"``."""
+
+    path: str
+    a: str
+    b: str
+    ulp: int | None = None
+    rel: float | None = None
+
+    def __str__(self) -> str:
+        line = f"{self.path}: {self.a} -> {self.b}"
+        return line if self.ulp is None else f"{line} ({self.ulp} ulp)"
+
+
+def json_differences(
+    a: object, b: object, path: str = "$"
+) -> Iterator[JsonDifference]:
+    """Yield each leaf where two JSON payloads differ, in the sorted-key
+    order of the canonical JSON text.
 
     Object keys extend the path as ``.key``, array positions as ``[i]``.
     Leaves differ when their JSON text does (so ``1`` and ``1.0``
-    differ); two differing finite floats add ``(<n> ulp)``.
+    differ).
     """
     if isinstance(a, dict) and isinstance(b, dict):
         for key in sorted(a.keys() | b.keys()):
             sub = f"{path}.{key}"
             if key not in b:
-                yield f"{sub}: {_brief(a[key])} -> (absent)"
+                yield JsonDifference(sub, _brief(a[key]), "(absent)")
             elif key not in a:
-                yield f"{sub}: (absent) -> {_brief(b[key])}"
+                yield JsonDifference(sub, "(absent)", _brief(b[key]))
             else:
                 yield from json_differences(a[key], b[key], sub)
         return
     if isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):
-            yield f"{path}: length {len(a)} -> {len(b)}"
+            yield JsonDifference(path, f"length {len(a)}", str(len(b)))
         for i, (x, y) in enumerate(zip(a, b)):
             yield from json_differences(x, y, f"{path}[{i}]")
         return
     if json.dumps(a) == json.dumps(b):
         return
-    line = f"{path}: {_brief(a)} -> {_brief(b)}"
-    if (
-        type(a) is float
-        and type(b) is float
-        and math.isfinite(a)
-        and math.isfinite(b)
-    ):
-        line += f" ({ulp_distance(a, b)} ulp)"
-    yield line
+    numbers = _finite(a) and _finite(b)
+    yield JsonDifference(
+        path,
+        _brief(a),
+        _brief(b),
+        ulp_distance(a, b) if numbers and type(a) is type(b) is float else None,
+        abs(b - a) / abs(a) if numbers and a else None,
+    )

@@ -44,10 +44,6 @@ class EnergyReport:
     def tokens_per_joule(self) -> float:
         return self.tokens / self.total_energy_j
 
-    @property
-    def watt_hours(self) -> float:
-        return self.total_energy_j / 3600.0
-
     def scaled_to_requests(self, requests_per_day: float) -> float:
         """Projected daily energy (kWh) at a sustained request rate."""
         if requests_per_day <= 0:

@@ -194,10 +194,6 @@ class HardwareSpec:
     def total_node_memory_bytes(self) -> float:
         return self.devices_per_node * self.memory_per_device_bytes
 
-    @property
-    def node_memory_gb(self) -> float:
-        return self.total_node_memory_bytes / GB
-
     def usable_memory_bytes(self, num_devices: int) -> float:
         """Memory available for weights + KV across a TP/PP group."""
         if not 1 <= num_devices <= self.devices_per_node:
@@ -223,7 +219,3 @@ class HardwareSpec:
     @property
     def effective_bandwidth_bytes_s(self) -> float:
         return self.memory_bandwidth_bytes_s * self.bandwidth_efficiency
-
-    @property
-    def has_tiered_memory(self) -> bool:
-        return self.sram_tier is not None or self.ddr_tier is not None

@@ -74,7 +74,3 @@ class KVCacheSpec:
         if self.paged:
             return self.blocks_for(context_length) * self.block_size
         return max_context
-
-    def fragmentation_waste(self, context_length: int, max_context: int) -> int:
-        """Tokens of capacity reserved but unused at this context length."""
-        return self.allocated_tokens(context_length, max_context) - context_length

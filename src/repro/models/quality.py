@@ -143,6 +143,3 @@ class QualityModel:
     @property
     def perplexity(self) -> float:
         return estimate_perplexity(self.config, self.training_tokens)
-
-    def perplexity_at(self, precision: Precision | str) -> float:
-        return estimate_perplexity(self.config, self.training_tokens, precision)

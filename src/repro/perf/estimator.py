@@ -89,8 +89,7 @@ class InferenceEstimator:
         if steps == 0:
             zero = LatencyBreakdown()
             return zero, zero
-        mean_ctx = config.input_tokens + (config.output_tokens + 1) / 2.0
-        step = self.kernel.decode_cost(batch_size, max(1, round(mean_ctx))).breakdown
+        step = self.kernel.decode_cost(batch_size, config.midpoint_context).breakdown
         return step, step.scaled(float(steps))
 
     def estimate(self, config: GenerationConfig) -> InferenceMetrics:

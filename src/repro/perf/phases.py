@@ -120,9 +120,6 @@ class Deployment:
     def with_kv_spec(self, kv_spec: KVCacheSpec) -> "Deployment":
         return replace(self, kv_spec=kv_spec)
 
-    def with_plan(self, plan: ParallelismPlan) -> "Deployment":
-        return replace(self, plan=plan)
-
     def with_quant(self, quant: QuantizationScheme) -> "Deployment":
         return replace(self, quant=quant)
 

@@ -125,7 +125,7 @@ def speculative_speedup(
             f"{target_dep.framework.name} does not implement speculative decoding"
         )
     batch = config.batch_size
-    mean_ctx = config.input_tokens + (config.output_tokens + 1) // 2
+    mean_ctx = config.midpoint_context
     draft_dep = Deployment(
         model=spec.draft_model,
         hardware=target_dep.hardware,

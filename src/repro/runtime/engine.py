@@ -47,7 +47,6 @@ from functools import cached_property
 from repro.core.metrics import InferenceMetrics, LatencyBreakdown
 from repro.core.request import GenerationRequest, RequestState, mean_itl_s
 from repro.core.stats import mean
-from repro.core.xp import FLOATS
 from repro.obs.metrics import MetricsRegistry, MetricsSnapshot, record_latencies
 from repro.obs.profiler import ProfileReport, StepProfiler
 from repro.obs.telemetry import TelemetryHub, TelemetrySnapshot, trace_alerts
@@ -219,8 +218,7 @@ class ServingEngine:
         self.optimistic = optimistic
         self.profile = profile
         self.telemetry = telemetry
-        self._step_model = step_model(deployment)
-        self._power = self._step_model.power_model
+        self._power = step_model(deployment).power_model
 
     def _make_scheduler(self) -> Scheduler:
         """A fresh scheduler over a KV pool sized to the deployment's KV
@@ -407,13 +405,13 @@ class ServingEngine:
         self, run: "EngineRun", cost: StepCost, steps: int
     ) -> tuple[LatencyBreakdown, float, float, float]:
         """Charge ``run`` the energy of ``steps`` iterations of ``cost``
-        under a straggler's ``cost_scale`` (watts recomputed when scaled);
-        return the committed ``(breakdown, watts, span_s, energy_j)``.
-        ``x * 1.0`` is exact, so a one-step span is its step time."""
+        under a straggler's ``cost_scale`` (watts unchanged: a uniform
+        scale keeps the utilization ratios they come from); return the
+        committed ``(breakdown, watts, span_s, energy_j)``.  ``x * 1.0``
+        is exact, so a one-step span is its step time."""
         breakdown, power_w = cost.breakdown, cost.power_w
         if run.cost_scale != 1.0:
             breakdown = breakdown.scaled(run.cost_scale)
-            power_w = self._step_model.power_w(FLOATS, breakdown)
         span_s = breakdown.total_s * float(steps)
         energy_j = span_s * power_w
         run.energy_j += energy_j

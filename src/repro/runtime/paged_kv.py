@@ -79,10 +79,6 @@ class PagedKVAllocator:
     def free_blocks(self) -> int:
         return self.total_blocks - self._reserved_blocks
 
-    @property
-    def num_sequences(self) -> int:
-        return len(self._sequences)
-
     def can_admit(self, final_context_tokens: int) -> bool:
         return self._blocks_for(final_context_tokens) <= self.free_blocks
 

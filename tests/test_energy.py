@@ -37,7 +37,6 @@ class TestEnergyReport:
         assert report.tokens_per_joule == pytest.approx(
             1.0 / report.joules_per_token
         )
-        assert report.watt_hours == pytest.approx(report.total_energy_j / 3600)
 
     def test_daily_projection(self):
         report = energy_report(_metrics())

@@ -60,6 +60,17 @@ class TestBasicRuns:
         spec = get_hardware("A100")
         assert spec.idle_power_w * 0.5 < result.average_power_w < spec.tdp_w
 
+    def test_straggler_step_keeps_the_priced_watts(self):
+        engine = _engine()
+        run = engine.start()
+        run.cost_scale = 2.5
+        cost = engine.kernel.decode_cost(8, 640)
+        breakdown, power_w, span_s, energy_j = engine._charge(run, cost, 3)
+        assert breakdown == cost.breakdown.scaled(2.5)
+        assert power_w == cost.power_w
+        assert span_s == breakdown.total_s * 3.0
+        assert energy_j == span_s * cost.power_w == run.energy_j
+
 
 class TestCoalescing:
     def test_coalesced_matches_stepwise(self):

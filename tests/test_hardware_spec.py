@@ -85,7 +85,6 @@ class TestPeakFlops:
 class TestMemoryQueries:
     def test_node_memory(self):
         assert _spec().total_node_memory_bytes == 160 * GB
-        assert _spec().node_memory_gb == pytest.approx(160.0)
 
     def test_usable_memory_scales_with_devices(self):
         spec = _spec(memory_utilization=0.9)
@@ -98,11 +97,6 @@ class TestMemoryQueries:
     def test_effective_bandwidth(self):
         spec = _spec(bandwidth_efficiency=0.8)
         assert spec.effective_bandwidth_bytes_s == pytest.approx(1.2e12)
-
-    def test_tiered_memory_flag(self):
-        assert not _spec().has_tiered_memory
-        tiered = _spec(sram_tier=MemoryTierSpec("sram", 1e8, 1e13))
-        assert tiered.has_tiered_memory
 
 
 class TestInterconnectSpec:

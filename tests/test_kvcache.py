@@ -62,12 +62,6 @@ class TestKVCacheSpec:
         spec = KVCacheSpec(paged=False)
         assert spec.allocated_tokens(20, 4096) == 4096
 
-    def test_fragmentation_waste(self):
-        paged = KVCacheSpec(paged=True, block_size=16)
-        contiguous = KVCacheSpec(paged=False)
-        assert paged.fragmentation_waste(20, 4096) == 12
-        assert contiguous.fragmentation_waste(20, 4096) == 4076
-
     def test_rejects_bad_block_size(self):
         with pytest.raises(ValueError, match="block_size"):
             KVCacheSpec(block_size=0)

@@ -51,7 +51,7 @@ class TestPagedAllocator:
         alloc.admit(1, 10, 100)
         alloc.free(1)
         assert alloc.free_blocks == 10
-        assert alloc.num_sequences == 0
+        alloc.admit(1, 10, 100)  # the freed id is no longer admitted
 
     def test_double_admit_raises(self):
         alloc = PagedKVAllocator(10, 16)

@@ -35,12 +35,6 @@ class TestDeployment:
         with pytest.raises(ValueError, match="Table III"):
             _dep(fw="TRT-LLM", hw="MI250")
 
-    def test_with_helpers_return_new(self):
-        dep = _dep()
-        other = dep.with_plan(ParallelismPlan(tp=2))
-        assert other.num_devices == 2
-        assert dep.num_devices == 1
-
 
 class TestMoEActivation:
     def test_batch_one_touches_topk(self, mixtral):

@@ -441,7 +441,7 @@ class TestBundles:
         two_ulp = math.nextafter(math.nextafter(0.1, 1.0), 1.0)
         a = {"h": {"p": [1.0, 2, {"q": 0.1}]}, "gone": {"k": 1}, "z": 0.0}
         b = {"h": {"p": [1.0, 2.0, {"q": two_ulp}, 5]}, "new": 3, "z": -0.0}
-        assert list(json_differences(a, b)) == [
+        assert [str(d) for d in json_differences(a, b)] == [
             "$.gone: {1 keys} -> (absent)",
             "$.h.p: length 3 -> 4",
             "$.h.p[1]: 2 -> 2.0",

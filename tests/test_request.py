@@ -27,11 +27,6 @@ class TestGenerationConfig:
         with pytest.raises(ValueError, match=field):
             GenerationConfig(**kwargs)
 
-    def test_with_batch_size(self):
-        config = GenerationConfig(10, 20, 1).with_batch_size(8)
-        assert config.batch_size == 8
-        assert config.input_tokens == 10
-
 
 class TestGenerationRequest:
     def test_unique_ids(self):

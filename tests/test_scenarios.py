@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import copy
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,7 +37,6 @@ from repro.scenarios import (
     trace_json_dicts,
 )
 
-DATA_DIR = Path(__file__).parent / "data"
 
 ALL_ARRIVALS = (
     ConstantArrivals(rate_rps=2.0),
@@ -267,14 +265,6 @@ class TestScenario:
         assert trace_json_dicts(clone.build(0)) == trace_json_dicts(
             scenario.build(0)
         )
-
-    def test_golden_trace(self):
-        scenario = get_scenario("chat-sharegpt").with_sessions(4)
-        trace = trace_json_dicts(scenario.build(seed=42))
-        golden = json.loads(
-            (DATA_DIR / "golden_chat_sharegpt_s4_seed42.json").read_text()
-        )
-        assert trace == golden
 
     def test_multi_turn_semantics(self):
         scenario = get_scenario("chat-sharegpt")
