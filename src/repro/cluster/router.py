@@ -25,7 +25,9 @@ Load reads are O(1) per replica: ``EngineRun`` maintains its
 outstanding-token tally incrementally at every submit/token/preemption
 event, so a routing instant costs O(replicas consulted) rather than
 O(resident requests) — the least-outstanding and power-of-two policies
-touch no per-request state at all.
+touch no per-request state at all.  The simulator hands every router its
+kept routable pool (alive, warmed, not draining, in index order), so no
+policy scans the fleet either.
 
 Routers are deterministic given their seed, so cluster simulations are
 reproducible end to end.
@@ -88,11 +90,19 @@ def _least_outstanding(replicas: Sequence["Replica"]) -> "Replica":
     fleet's base deployment), so a 2x-faster replica in a heterogeneous
     fleet absorbs 2x the queue before looking equally busy.  Homogeneous
     fleets carry weight exactly 1.0 and order as before.
+
+    One pass in the ``(load, index)`` order, whatever order ``replicas``
+    comes in: under least-outstanding routing the simulator calls this
+    on every arrival, over the whole routable pool.
     """
-    return min(
-        replicas,
-        key=lambda r: (r.outstanding_tokens / r.capacity_weight, r.index),
-    )
+    best = replicas[0]
+    best_load = best.outstanding_tokens / best.capacity_weight
+    for replica in replicas:
+        load = replica.outstanding_tokens / replica.capacity_weight
+        if load < best_load or (load == best_load and replica.index < best.index):
+            best = replica
+            best_load = load
+    return best
 
 
 class RoundRobinRouter(Router):

@@ -42,6 +42,7 @@ import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from repro.cluster.disagg import DisaggregationSpec, kv_transfer_time
 from repro.cluster.router import LeastOutstandingTokensRouter, Router, _least_outstanding
@@ -79,13 +80,15 @@ _TICK = "tick"
 #: Batch-1 decode context at which replica capacity weights are compared.
 _CAPACITY_PROBE_CONTEXT = 1024
 
+_by_index = attrgetter("index")
+
 
 class Replica:
     """One serving engine plus the router-visible state around it.
 
     While it is alive and has work, the simulator keeps the replica on its
-    runnable heap under the key ``(run.now, index)``: the key is fixed
-    between steps because only a step moves ``run.now``.
+    runnable heap under the key ``(run.now, index)`` and sets ``queued``:
+    the key is fixed between steps because only a step moves ``run.now``.
     """
 
     def __init__(
@@ -125,6 +128,7 @@ class Replica:
         self.prefix_cache_slots = prefix_cache_slots
         self._prefix_lru: dict[int, None] = {}  # insertion-ordered LRU
         self.served = 0  # originals routed here
+        self.queued = False  # on the simulator's runnable heap
 
     def apply_telemetry_scale(self, scale: float) -> None:
         """Re-weight routing capacity from an observed utilization signal.
@@ -431,11 +435,14 @@ class ClusterSimulator:
             profile=self.profiled,
             tracer=EventTracer() if self.traced else None,
         )
+        # Only a prefill fleet injects work mid-span (its KV handoffs), so
+        # only a disaggregated fleet installs the pressure hook.
+        pressure = self._pressure if self.disaggregation is not None else None
         return Replica(
             index,
             name,
             engine,
-            engine.start(pressure=self._pressure),
+            engine.start(pressure=pressure),
             role,
             prefix_cache_slots=self.prefix_cache_slots,
             capacity_weight=self._capacity_weight(dep),
@@ -456,11 +463,45 @@ class ClusterSimulator:
                 )
             )
         self._replicas = []
+        # Per role, the routable pool (alive, warmed, not draining) and the
+        # warming replicas (alive, not draining, ``start_s`` ahead), both in
+        # index order.  Replicas enter warming when built or scaled up,
+        # move to the pool on the first read at or after ``start_s``, and
+        # leave either list when they crash or drain.
+        self._ready = {"prefill": [], self._serving_role: []}
+        self._warming = {"prefill": [], self._serving_role: []}
         for index, (role, dep) in enumerate(specs):
             name = f"{role}{index}" if disagg is not None else f"replica{index}"
-            self._replicas.append(self._make_replica(index, name, dep, role))
+            self._enlist(self._make_replica(index, name, dep, role))
         self._next_index = len(specs)
         self._prefill_fleet = [r for r in self._replicas if r.role == "prefill"]
+
+    def _enlist(self, replica: Replica) -> None:
+        self._replicas.append(replica)
+        self._warming[replica.role].append(replica)
+
+    def _delist(self, replica: Replica) -> None:
+        """Take a crashed or draining replica out of routing."""
+        for pool in (self._ready[replica.role], self._warming[replica.role]):
+            if replica in pool:
+                pool.remove(replica)
+
+    def _routable(
+        self, role: str, now: float
+    ) -> tuple[list[Replica], list[Replica]]:
+        """The kept (ready, warming) lists of ``role`` at ``now``; warming
+        replicas whose ``start_s`` has come join the pool first.
+
+        Callers read these lists and never keep them: ``now`` only moves
+        forward (events pop in time order), so promotion is one-way.
+        """
+        ready = self._ready[role]
+        warming = self._warming[role]
+        if warming and any(r.start_s <= now for r in warming):
+            ready.extend(r for r in warming if r.start_s <= now)
+            ready.sort(key=_by_index)
+            warming[:] = [r for r in warming if r.start_s > now]
+        return ready, warming
 
     def _pressure(self) -> bool:
         """More work may still arrive *before* the step horizon: hold
@@ -469,21 +510,21 @@ class ClusterSimulator:
         Heap events are already covered by the horizon each step
         receives, so only work that can be injected mid-loop — a live
         prefill replica whose next retirement spawns a KV handoff — forces
-        single-stepping.
+        single-stepping.  Installed on disaggregated fleets only.
         """
-        return any(r.alive and r.has_work for r in self._prefill_fleet)
+        return any(r.alive and r.run.has_work for r in self._prefill_fleet)
 
     def _wake(self, replica: Replica) -> None:
         """Put ``replica`` on the runnable heap if it is alive, has work
-        and is not there already (called after every submit and step)."""
-        index = replica.index
-        if index not in self._queued and replica.alive and replica.run.has_work:
-            self._queued.add(index)
-            heapq.heappush(self._runnable, (replica.run.now, index, replica))
+        and is not there already (called after every submit; the run loop
+        pushes a stepped replica back itself)."""
+        if not replica.queued and replica.alive and replica.run.has_work:
+            replica.queued = True
+            heapq.heappush(self._runnable, (replica.run.now, replica.index, replica))
 
     def _select(self, bound: float | None) -> Replica | None:
         """Pop the least-advanced replica that is alive and has work
-        (clock < ``bound`` if given); the caller steps it and wakes it.
+        (clock < ``bound`` if given); the caller steps it.
 
         The heap key ``(run.now, index)`` sends clock ties to the lowest
         replica index.  Entries of replicas that crashed (or ran out of
@@ -491,15 +532,16 @@ class ClusterSimulator:
         """
         runnable = self._runnable
         while runnable:
-            now, index, replica = runnable[0]
+            entry = runnable[0]
+            replica = entry[2]
             if replica.alive and replica.run.has_work:
-                if bound is not None and now >= bound:
+                if bound is not None and entry[0] >= bound:
                     return None
                 heapq.heappop(runnable)
-                self._queued.discard(index)
+                replica.queued = False
                 return replica
             heapq.heappop(runnable)
-            self._queued.discard(index)
+            replica.queued = False
         return None
 
     def _submit(self, replica: Replica, request: GenerationRequest) -> None:
@@ -515,7 +557,6 @@ class ClusterSimulator:
         self._events = []
         self._seq = itertools.count()
         self._runnable = []  # heap of (run.now, index, replica)
-        self._queued = set()  # indices of replicas on the runnable heap
         self._orig_by_proxy = {}
         self._registry = MetricsRegistry()
         self._prefix_hits = 0
@@ -565,31 +606,44 @@ class ClusterSimulator:
         if self._control_ticks or hub is not None:
             self._push(self._tick_every, _TICK, None)
 
+        # Step the least-advanced replica while its clock is behind the
+        # next event (any replica once the heap is empty), else handle the
+        # event.  A stepped replica was just popped from the runnable heap
+        # and is alive, so it goes back whenever it still has work.
+        events = self._events
+        runnable = self._runnable
+        select = self._select
         while True:
-            if self._events:
-                t_next = self._events[0][0]
-                replica = self._select(t_next)
-                if replica is not None:
-                    self._step(replica, horizon=t_next)
-                    continue
-                ts, _, kind, payload = heapq.heappop(self._events)
-                if kind == _ARRIVAL:
-                    self._dispatch_arrival(payload, ts)
-                elif kind == _HANDOFF:
-                    self._dispatch_handoff(payload, ts)
-                elif kind == _RETRY:
-                    self._dispatch_arrival(payload, ts, retry=True)
-                elif kind == _FAULT:
-                    self._apply_fault(payload, ts)
-                elif kind == _FAULT_END:
-                    self._end_fault(payload, ts)
-                else:  # _TICK
-                    self._autoscale_tick(ts)
+            horizon = events[0][0] if events else None
+            replica = select(horizon)
+            if replica is not None:
+                run = replica.run
+                retired = run.step(horizon)
+                if run.has_work:
+                    replica.queued = True
+                    heapq.heappush(runnable, (run.now, replica.index, replica))
+                if retired and (
+                    self._orig_by_proxy
+                    or self._control_ticks
+                    or self.telemetry is not None
+                ):
+                    self._settle(replica, retired)
                 continue
-            replica = self._select(None)
-            if replica is None:
+            if not events:
                 break
-            self._step(replica, horizon=None)
+            ts, _, kind, payload = heapq.heappop(events)
+            if kind == _ARRIVAL:
+                self._dispatch_arrival(payload, ts)
+            elif kind == _HANDOFF:
+                self._dispatch_handoff(payload, ts)
+            elif kind == _RETRY:
+                self._dispatch_arrival(payload, ts, retry=True)
+            elif kind == _FAULT:
+                self._apply_fault(payload, ts)
+            elif kind == _FAULT_END:
+                self._end_fault(payload, ts)
+            else:  # _TICK
+                self._autoscale_tick(ts)
 
         return self._finalize(trace)
 
@@ -598,15 +652,9 @@ class ClusterSimulator:
     def _push(self, ts: float, kind: str, payload: object) -> None:
         heapq.heappush(self._events, (ts, next(self._seq), kind, payload))
 
-    def _step(self, replica: Replica, horizon: float | None) -> None:
-        retired = replica.run.step(horizon=horizon)
-        self._wake(replica)
-        if (
-            not self._orig_by_proxy
-            and not self._control_ticks
-            and self.telemetry is None
-        ):
-            return
+    def _settle(self, replica: Replica, retired: list[GenerationRequest]) -> None:
+        """Stitch the requests ``replica`` just retired to their originals;
+        record finished ones with the control plane and the hub."""
         for proxy in retired:
             orig = self._orig_by_proxy.pop(proxy.request_id, None)
             if orig is not None:
@@ -671,31 +719,19 @@ class ClusterSimulator:
     ) -> list[Replica] | None:
         """Routable replicas of ``role`` at ``now``.
 
-        Ready replicas (alive, warmed, not draining) when any exist;
-        otherwise the dispatch is deferred until the first warming replica
-        comes online (returns ``None`` after re-pushing the event), then
-        draining replicas as a last resort, then an empty list — the
-        caller fails the request.
+        The kept pool of ready replicas (alive, warmed, not draining) when
+        it is not empty; otherwise the dispatch is deferred until the
+        first warming replica comes online (returns ``None`` after
+        re-pushing the event), then draining replicas as a last resort,
+        then an empty list — the caller fails the request.
         """
-        ready, warming = self._partition(role, now)
+        ready, warming = self._routable(role, now)
         if ready:
             return ready
         if warming:
             self._push(min(r.start_s for r in warming), kind, payload)
             return None
         return [r for r in self._replicas if r.role == role and r.alive]
-
-    def _partition(
-        self, role: str, now: float
-    ) -> tuple[list[Replica], list[Replica]]:
-        """Alive, non-draining replicas of ``role``: (ready, warming) at
-        ``now``, in one pass over the fleet."""
-        ready: list[Replica] = []
-        warming: list[Replica] = []
-        for r in self._replicas:
-            if r.role == role and r.alive and not r.draining:
-                (ready if r.start_s <= now else warming).append(r)
-        return ready, warming
 
     def _dispatch_arrival(
         self, request: GenerationRequest, ts: float, retry: bool = False
@@ -856,6 +892,7 @@ class ClusterSimulator:
         # (queued or mid-flight) re-enters the router under backoff.
         replica.alive = False
         replica.status = "crashed"
+        self._delist(replica)
         victims = [r for r in replica.run.submitted if not r.is_finished]
         self._fault_log.append(
             {
@@ -920,7 +957,7 @@ class ClusterSimulator:
         )
 
     def _autoscale_tick(self, ts: float) -> None:
-        serving, warming = self._partition(self._serving_role, ts)
+        serving, warming = self._routable(self._serving_role, ts)
         if self.telemetry is not None:
             self._telemetry_tick(ts, serving, warming)
         if self._control_ticks:
@@ -1045,7 +1082,7 @@ class ClusterSimulator:
             index, name, dep, self._serving_role, start_s=ts + warmup, created_s=ts
         )
         replica.status = "scaled"
-        self._replicas.append(replica)
+        self._enlist(replica)
         self._last_scale_s = ts
         self._scale_log.append(
             {"action": "up", "ts_s": ts, "replica": name, "ready_s": ts + warmup}
@@ -1057,11 +1094,7 @@ class ClusterSimulator:
 
     def _scale_down(self, ts: float) -> None:
         role = self._serving_role
-        candidates = [
-            r
-            for r in self._replicas
-            if r.role == role and r.alive and not r.draining
-        ]
+        candidates = self._ready[role] + self._warming[role]
         if not candidates:
             return
         # Prefer the emptiest replica; among the idle, the one that came
@@ -1071,6 +1104,7 @@ class ClusterSimulator:
         )
         victim.draining = True
         victim.status = "draining"
+        self._delist(victim)
         self._last_scale_s = ts
         self._scale_log.append(
             {"action": "down", "ts_s": ts, "replica": victim.name}

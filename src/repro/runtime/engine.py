@@ -26,8 +26,10 @@ Optimistic admission grows KV token by token and may preempt mid-span,
 so it commits token by token instead.
 
 Each prefill chunk and decode span prices one
-:class:`~repro.perf.phases.StepCost`; :meth:`ServingEngine._charge`
-commits it, and a profiler reads the committed step.
+:class:`~repro.perf.phases.StepCost` and charges it under the straggler
+``cost_scale`` (:meth:`ServingEngine._charge` for prefill, inline in the
+one decode-span method :meth:`EngineRun._decode_span`); a profiler reads
+the committed step.
 
 Execution is resumable: :meth:`ServingEngine.start` returns an
 :class:`EngineRun` whose ``submit``/``step`` pair lets a caller interleave
@@ -39,10 +41,10 @@ arrivals between steps.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
+from math import ceil
 
 from repro.core.metrics import InferenceMetrics, LatencyBreakdown
 from repro.core.request import GenerationRequest, RequestState, mean_itl_s
@@ -351,55 +353,17 @@ class ServingEngine:
             for request in decoding:
                 if request.generated_tokens < request.output_tokens:
                     request.record_token(now)
-                    run._outstanding -= 1
+                    run.outstanding_tokens -= 1
         for request in admitted:
             if request.generated_tokens == 0:
                 request.record_token(now)  # prefill emits the first token
-                run._outstanding -= 1
+                run.outstanding_tokens -= 1
             else:
                 # A preempted request resumed: the re-prefill recreated its
                 # KV state; its next token comes from the next decode step.
                 request.state = RequestState.DECODING
-        run._outstanding -= owed
+        run.outstanding_tokens -= owed
         run.now = now
-
-    def _run_decode_span(
-        self,
-        run: "EngineRun",
-        running: list[GenerationRequest],
-        steps: int,
-        ctx_sum: int,
-    ) -> None:
-        """Cost and commit ``steps`` decode steps of the ``running`` batch,
-        whose contexts sum to ``ctx_sum``."""
-        now = run.now
-        batch = len(running)
-        mean_ctx = ctx_sum / batch
-        # Context at the span's midpoint (contexts grow one token per step).
-        span_ctx = max(1, round(mean_ctx + (steps - 1) / 2.0))
-        cost = self.kernel.decode_cost(batch, span_ctx)
-        step_bd, step_power_w, span_s, energy_j = self._charge(run, cost, steps)
-        if run.profiler is not None:
-            run.profiler.record_decode(
-                now, step_bd, cost.flops, cost.bytes_moved,
-                batch, steps, energy_j, running,
-            )
-        if self.tracer is not None:
-            self.tracer.complete(
-                "decode_span",
-                "decode",
-                now,
-                span_s,
-                batch=batch,
-                steps=steps,
-                span_ctx=span_ctx,
-            )
-            self.tracer.counter(
-                "power_sample", "power_w", ts_s=now, watts=round(step_power_w, 3)
-            )
-        commit = self._commit_tokens if self.optimistic else self._commit_span
-        commit(run, running, steps, step_bd.total_s)
-        run.now = now + span_s
 
     def _charge(
         self, run: "EngineRun", cost: StepCost, steps: int
@@ -408,7 +372,10 @@ class ServingEngine:
         under a straggler's ``cost_scale`` (watts unchanged: a uniform
         scale keeps the utilization ratios they come from); return the
         committed ``(breakdown, watts, span_s, energy_j)``.  ``x * 1.0``
-        is exact, so a one-step span is its step time."""
+        is exact, so a one-step span is its step time.
+
+        Prefill chunks charge through here; :meth:`EngineRun._decode_span`
+        applies the same three lines inline, once per engine step."""
         breakdown, power_w = cost.breakdown, cost.power_w
         if run.cost_scale != 1.0:
             breakdown = breakdown.scaled(run.cost_scale)
@@ -439,7 +406,7 @@ class ServingEngine:
             if generated == request.output_tokens:
                 request.finish_time = last_time
                 request.state = RequestState.FINISHED
-        run._outstanding -= len(running) * steps
+        run.outstanding_tokens -= len(running) * steps
 
     def _commit_tokens(
         self,
@@ -466,7 +433,7 @@ class ServingEngine:
                     continue  # preempted earlier within this step
                 self._append_or_preempt(run, active, request)
                 request.record_token(token_time)
-                run._outstanding -= 1
+                run.outstanding_tokens -= 1
 
     def _append_or_preempt(
         self,
@@ -498,7 +465,7 @@ class ServingEngine:
                 scheduler.preempt(victim)
                 # Back in the queue the victim owes a full re-prefill of
                 # its restart context (beyond whatever it owed running).
-                run._outstanding += victim.prefill_tokens_needed - pre
+                run.outstanding_tokens += victim.prefill_tokens_needed - pre
                 if victim in active:
                     active.remove(victim)
 
@@ -562,11 +529,16 @@ class EngineRun:
         self.energy_j = 0.0
         self.idle_s = 0.0
         self.submitted: list[GenerationRequest] = []
-        # Outstanding-token tally, maintained incrementally at every
-        # submit/record_token/prefill/preemption event so the router-facing
-        # ``outstanding_tokens`` property is O(1) instead of an O(n) scan
-        # per routing instant (tests assert it equals the scan).
-        self._outstanding = 0
+        # Work not yet done: prefill still owed plus output still to emit.
+        # A plain counter, kept at every submit, token, prefill and
+        # preemption event, so a router reads it in O(1) per replica;
+        # :meth:`outstanding_tokens_scan` recomputes it from scheduler
+        # state, and tests assert the two agree after every step.
+        self.outstanding_tokens = 0
+        # ``scheduler.has_work`` as one attribute read for the cluster's
+        # runnable heap: work only arrives by :meth:`submit` and only
+        # leaves when :meth:`step` retires requests.
+        self.has_work = False
 
     # ------------------------------------------------------------------
 
@@ -574,71 +546,104 @@ class EngineRun:
         """Queue a request; callers submit in nondecreasing arrival order."""
         self.scheduler.submit(request)
         self.submitted.append(request)
-        self._outstanding += (
+        self.has_work = True
+        self.outstanding_tokens += (
             request.prefill_tokens_needed
             + request.output_tokens
             - request.generated_tokens
         )
 
-    @property
-    def has_work(self) -> bool:
-        return self.scheduler.has_work
-
     def step(self, horizon: float | None = None) -> list[GenerationRequest]:
         """Execute one engine iteration; returns the requests it retired."""
         scheduler = self.scheduler
-        if not scheduler.has_work:
+        if not self.has_work:
             raise RuntimeError("step() called on a drained run")
-        if horizon is not None and horizon <= self.now:
-            raise ValueError(f"horizon {horizon} is not ahead of t={self.now}")
-        engine = self.engine
+        now = self.now
+        if horizon is not None and horizon <= now:
+            raise ValueError(f"horizon {horizon} is not ahead of t={now}")
         self.iterations += 1
         if self.iterations > _MAX_ITERATIONS:
             raise RuntimeError("engine exceeded the iteration safeguard")
         if self.tracer is not None or self.telemetry is not None:
             self._sample_state(self.telemetry)
 
-        admitted = scheduler.admit(self.now)
-        if admitted:
-            admitted_ids = {id(r) for r in admitted}
-            decoding = [
-                r
-                for r in scheduler.running
-                if id(r) not in admitted_ids
-                and r.state == RequestState.DECODING
-                and r.generated_tokens < r.output_tokens
-            ]
-            engine._run_prefill(self, admitted, decoding)
-            retired = scheduler.retire_finished()  # 1-token requests
-            self._observe_retired(retired)
-            return retired
+        # FIFO admission stops at a waiting head that has not arrived, so
+        # only an arrived head can admit anything.
+        waiting = scheduler.waiting
+        if waiting and waiting[0].arrival_time <= now:
+            admitted = scheduler.admit(now)
+            if admitted:
+                admitted_ids = {id(r) for r in admitted}
+                decoding = [
+                    r
+                    for r in scheduler.running
+                    if id(r) not in admitted_ids
+                    and r.state == RequestState.DECODING
+                    and r.generated_tokens < r.output_tokens
+                ]
+                self.engine._run_prefill(self, admitted, decoding)
+                return self._retire()  # 1-token requests
 
         running = scheduler.running
-        if not running:
-            next_arrival = scheduler.next_arrival()
-            if next_arrival > self.now:
-                # Idle until the next arrival (or the caller's horizon).
-                target = next_arrival if horizon is None else min(next_arrival, horizon)
-                span = target - self.now
-                self.energy_j += span * engine._power.group_power_w(0.0)
-                self.idle_s += span
-                if self.profiler is not None:
-                    self.profiler.record_idle(
-                        self.now, span, span * engine._power.group_power_w(0.0)
-                    )
-                if self.tracer is not None:
-                    self.tracer.complete("engine", "idle", self.now, span)
-                self.now = target
-                return []
-            raise OutOfMemoryError(
-                "a queued request cannot fit even on an idle engine "
-                f"({engine.deployment.hardware.name} x"
-                f"{engine.deployment.num_devices})"
-            )
+        if running:
+            return self._decode_span(running, horizon)
+        engine = self.engine
+        next_arrival = scheduler.next_arrival()
+        if next_arrival > now:
+            # Idle until the next arrival (or the caller's horizon).
+            target = next_arrival if horizon is None else min(next_arrival, horizon)
+            span = target - now
+            self.energy_j += span * engine._power.group_power_w(0.0)
+            self.idle_s += span
+            if self.profiler is not None:
+                self.profiler.record_idle(
+                    now, span, span * engine._power.group_power_w(0.0)
+                )
+            if self.tracer is not None:
+                self.tracer.complete("engine", "idle", now, span)
+            self.now = target
+            return []
+        raise OutOfMemoryError(
+            "a queued request cannot fit even on an idle engine "
+            f"({engine.deployment.hardware.name} x"
+            f"{engine.deployment.num_devices})"
+        )
 
+    def _decode_span(
+        self, running: list[GenerationRequest], horizon: float | None
+    ) -> list[GenerationRequest]:
+        """Length, price, charge and commit one decode span of the
+        ``running`` batch; returns the requests it retired.
+
+        **Length.** The span ends at the next *scheduling event*: the
+        caller's ``horizon`` or the next future arrival.  An
+        arrived-but-blocked head is no bound: FIFO admission stays blocked
+        until a retirement, and a retirement ends the span anyway.  The
+        step count to reach the bound is estimated from the current batch
+        state (one kernel probe at the mean context); a span may overshoot
+        the bound by part of a step, matching the atomic in-flight
+        iteration a real engine finishes before admitting new work.
+        ``pressure`` (work that may be injected *before* the horizon, e.g.
+        disaggregated handoffs) forces single steps.  No span is longer
+        than the fewest tokens any running request still owes, so no
+        request finishes mid-span.
+
+        **Price.** One step at the span's midpoint context (contexts grow
+        one token per step), charged ``steps`` times under the straggler
+        ``cost_scale`` exactly as :meth:`ServingEngine._charge` does.
+
+        **Commit.** Through ``ServingEngine._commit_span`` (one pass) or,
+        under optimistic admission, ``_commit_tokens`` (token by token).
+        """
+        engine = self.engine
+        kernel = engine.kernel
+        scheduler = self.scheduler
+        cost_scale = self.cost_scale
+        now = self.now
+        batch = len(running)
         # One pass over the running set gives the span rule its bound (the
-        # fewest tokens any request still owes) and the span cost its
-        # integer context sum.
+        # fewest tokens any request still owes) and the price its integer
+        # context sum.
         min_remaining = running[0].output_tokens
         ctx_sum = 0
         for r in running:
@@ -647,12 +652,76 @@ class EngineRun:
             if left < min_remaining:
                 min_remaining = left
             ctx_sum += r.input_tokens + generated
-        steps = self._coalesced_steps(horizon, min_remaining, ctx_sum)
-        engine._run_decode_span(self, running, steps, ctx_sum)
+
+        steps = 1
+        if (
+            min_remaining > 1
+            and engine.coalesce
+            and (self._pressure is None or not self._pressure())
+        ):
+            limit = horizon
+            if scheduler.waiting:
+                at = scheduler.next_future_arrival(now)
+                if at is not None and (limit is None or at < limit):
+                    limit = at
+            if limit is None:
+                steps = min_remaining
+            else:
+                probe_ctx = round(ctx_sum / batch)
+                est = kernel.decode_cost(
+                    batch, probe_ctx if probe_ctx > 1 else 1
+                ).breakdown.total_s
+                if cost_scale != 1.0:
+                    est *= cost_scale
+                k = ceil((limit - now) / est)
+                if k < 1:
+                    k = 1
+                steps = min_remaining if min_remaining < k else k
+
+        span_ctx = round(ctx_sum / batch + (steps - 1) / 2.0)
+        if span_ctx < 1:
+            span_ctx = 1
+        cost = kernel.decode_cost(batch, span_ctx)
+        step_bd = cost.breakdown
+        if cost_scale != 1.0:
+            step_bd = step_bd.scaled(cost_scale)
+        span_s = step_bd.total_s * float(steps)
+        energy_j = span_s * cost.power_w
+        self.energy_j += energy_j
+        if self.profiler is not None:
+            self.profiler.record_decode(
+                now, step_bd, cost.flops, cost.bytes_moved,
+                batch, steps, energy_j, running,
+            )
+        tracer = self.tracer
+        if tracer is not None:
+            tracer.complete(
+                "decode_span",
+                "decode",
+                now,
+                span_s,
+                batch=batch,
+                steps=steps,
+                span_ctx=span_ctx,
+            )
+            tracer.counter(
+                "power_sample", "power_w", ts_s=now, watts=round(cost.power_w, 3)
+            )
+        if engine.optimistic:
+            engine._commit_tokens(self, running, steps, step_bd.total_s)
+        else:
+            engine._commit_span(self, running, steps, step_bd.total_s)
+        self.now = now + span_s
         self.decode_steps += steps
         if steps < min_remaining:
             return []  # the span rule: nothing can have finished
+        return self._retire()
+
+    def _retire(self) -> list[GenerationRequest]:
+        """Retire finished requests and record them with the observers."""
+        scheduler = self.scheduler
         retired = scheduler.retire_finished()
+        self.has_work = scheduler.has_work
         self._observe_retired(retired)
         return retired
 
@@ -688,18 +757,6 @@ class EngineRun:
     # ------------------------------------------------------------------
     # Router-facing state summaries (cheap, read-only).
 
-    @property
-    def outstanding_tokens(self) -> int:
-        """Work not yet done: prefill still owed plus output still to emit.
-
-        O(1): the tally is maintained incrementally at every submit,
-        token, prefill and preemption event.  Routers poll this per
-        routing instant, so the fleet no longer pays an O(requests) scan
-        per arrival.  :meth:`outstanding_tokens_scan` recomputes it from
-        scheduler state; tests assert the two agree after every step.
-        """
-        return self._outstanding
-
     def outstanding_tokens_scan(self) -> int:
         """Reference O(n) recomputation of :attr:`outstanding_tokens`."""
         total = 0
@@ -721,50 +778,6 @@ class EngineRun:
         return allocator.used_tokens / allocator.capacity_tokens
 
     # ------------------------------------------------------------------
-
-    def _coalesced_steps(
-        self, horizon: float | None, min_remaining: int, ctx_sum: int
-    ) -> int:
-        """How many decode steps to commit as one span.
-
-        Bound the span by the next *scheduling event* —
-        the caller's ``horizon`` and the next future arrival.  An
-        arrived-but-blocked head is no bound: FIFO admission stays blocked
-        until a retirement, and a retirement ends the span anyway.  The
-        step count to reach the bound is estimated from the current batch
-        state (one kernel probe); spans may overshoot the bound by part of
-        a step, matching the atomic in-flight iteration a real engine
-        finishes before admitting new work.  ``pressure`` (work that may
-        be injected *before* the horizon, e.g. disaggregated handoffs)
-        still forces single-step boundaries.
-
-        ``min_remaining`` (fewest tokens any running request still owes)
-        and ``ctx_sum`` (the running set's total context) come from the
-        caller's single pass over the running set.
-        """
-        scheduler = self.scheduler
-        engine = self.engine
-        if min_remaining <= 1 or not engine.coalesce:
-            return 1
-        if self._pressure is not None and self._pressure():
-            return 1
-        limit = horizon
-        if scheduler.waiting:
-            at = scheduler.next_future_arrival(self.now)
-            if at is not None and (limit is None or at < limit):
-                limit = at
-        if limit is None:
-            return min_remaining
-        batch = len(scheduler.running)
-        est = engine.kernel.decode_cost(
-            batch, max(1, round(ctx_sum / batch))
-        ).breakdown.total_s
-        if self.cost_scale != 1.0:
-            est *= self.cost_scale
-        k = math.ceil((limit - self.now) / est)
-        if k < 1:
-            k = 1
-        return min(min_remaining, k)
 
     # ------------------------------------------------------------------
     # Observability helpers: the gauge registry on traced runs, the

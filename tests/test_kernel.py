@@ -528,6 +528,38 @@ class TestKernelCache:
         direct = decode_step_cost(dep, 1, 5)
         assert_steps_match(direct, kernel.decode_cost(1, 5))
 
+    @pytest.mark.parametrize(
+        "accessor, memo",
+        [
+            ("decode_cost", "_decode_memo"),
+            ("prefill_cost", "_prefill_memo"),
+            ("decode_coeffs", "_coeffs"),
+        ],
+    )
+    def test_hit_refreshes_recency(self, accessor, memo):
+        """A memo hit returns the stored object and makes its key the most
+        recently used: an overflow right after evicts the oldest key that
+        was not touched, not the hit one.  (A FIFO memo prices the same
+        bytes but misses more once a workload overflows it.)"""
+        kernel = StepCostKernel(_deployment("LLaMA-3-8B", "A100", "vLLM"))
+        table = getattr(kernel, memo)
+        table.max_size = 3  # shrink for the test
+        price = getattr(kernel, accessor)
+        if accessor == "decode_coeffs":
+            keys = [1, 2, 3, 4]
+            args = [(k,) for k in keys]
+        else:
+            keys = [(1, 100), (1, 200), (1, 300), (1, 400)]
+            args = keys
+        first = price(*args[0])
+        price(*args[1])
+        price(*args[2])
+        assert price(*args[0]) is first  # hit: the identical object
+        price(*args[3])  # overflow
+        assert list(table) == [keys[2], keys[0], keys[3]]
+        assert keys[1] not in table
+        assert price(*args[0]) is first
+
     def test_global_kernel_cache_is_bounded(self):
         from repro.perf import kernel as kernel_mod
 

@@ -11,7 +11,9 @@ timestamps, trace events, profile reports, and the cluster's
 seed-deterministic control-plane JSON — must be *bit-identical* between
 the two, across the corner matrix (MI250 saturation, SN40L, MoE EP,
 disaggregation, faults, autoscaling, scenarios) and across a seeded
-randomized trace generator.
+randomized trace generator.  Decision-level oracles hold the runnable
+heap to a scan at every selection and the kept routable pools to a
+fleet scan at every dispatch.
 
 The file keeps the name it had when the engine shipped two cores, so the
 test IDs stay stable.
@@ -26,7 +28,8 @@ from unittest import mock
 
 import pytest
 
-from repro.cluster import ClusterSimulator, DisaggregationSpec
+from repro.cluster import ClusterSimulator, DisaggregationSpec, SessionAffinityRouter
+from repro.cluster import router as router_module
 from repro.cluster import simulator as simulator_module
 from repro.control import (
     BurnRateAutoscaler,
@@ -40,6 +43,7 @@ from repro.core.request import GenerationRequest
 from repro.frameworks.base import get_framework
 from repro.hardware.zoo import get_hardware
 from repro.models.zoo import get_model
+from repro.obs import TelemetryHub
 from repro.obs.tracer import EventTracer
 from repro.perf.parallelism import ParallelismPlan
 from repro.perf.phases import Deployment
@@ -107,7 +111,7 @@ class _PerTokenEngine(ServingEngine):
                 self.tracer.advance(token_time)
             for request in running:
                 request.record_token(token_time)
-                run._outstanding -= 1
+                run.outstanding_tokens -= 1
 
 
 def _scan_select(replicas, bound):
@@ -514,6 +518,218 @@ class TestHeapSelection:
     def test_random_trace_wide_fleet(self, seed):
         trace = random_trace(200 + seed, n=96)
         _checked_run(trace, 16 + 8 * seed, max_concurrency=3)
+
+
+def _scan_partition(replicas, role, now):
+    """The fleet scan the kept pools replace: alive, non-draining replicas
+    of ``role`` as (ready, warming) at ``now``, in index order."""
+    ready, warming = [], []
+    for r in replicas:
+        if r.role == role and r.alive and not r.draining:
+            (ready if r.start_s <= now else warming).append(r)
+    return ready, warming
+
+
+def _keyed_min(pool):
+    return min(
+        pool, key=lambda r: (r.outstanding_tokens / r.capacity_weight, r.index)
+    )
+
+
+class _CheckedRouteCluster(ClusterSimulator):
+    """Asserts at every dispatch (and control tick) that the kept routable
+    pool equals the fleet scan, and at every least-outstanding choice —
+    the least-outstanding router, affinity fallbacks and re-pins,
+    power-of-two pairs and KV handoffs — that the one-pass choice is the
+    keyed ``min``.  Records each read's ``(now, ready)``."""
+
+    def run(self, trace):
+        self.reads = []
+        self.choices = 0
+        single_pass = router_module._least_outstanding
+
+        def checked(pool):
+            chosen = single_pass(pool)
+            expected = _keyed_min(pool)
+            assert chosen is expected, (
+                f"one pass chose {chosen.name}, keyed min chose {expected.name}"
+            )
+            self.choices += 1
+            return chosen
+
+        with mock.patch.object(
+            router_module, "_least_outstanding", checked
+        ), mock.patch.object(simulator_module, "_least_outstanding", checked):
+            return super().run(trace)
+
+    def _routable(self, role, now):
+        ready, warming = super()._routable(role, now)
+        expected = _scan_partition(self._replicas, role, now)
+        assert (ready, warming) == expected, (
+            f"{role} at t={now}: kept "
+            f"{[r.name for r in ready]}/{[r.name for r in warming]}, scan "
+            f"{[r.name for r in expected[0]]}/{[r.name for r in expected[1]]}"
+        )
+        self.reads.append((now, list(ready)))
+        return ready, warming
+
+
+def _clone_sessions(trace):
+    """``_clone`` that keeps scenario identity (session, turn, tenant)."""
+    clones = _clone(trace)
+    for clone, r in zip(clones, trace):
+        clone.session_id, clone.turn_index, clone.tenant = (
+            r.session_id, r.turn_index, r.tenant
+        )
+    return clones
+
+
+def _route_checked(trace, replicas, **kwargs):
+    """Run the checked cluster and require the plain run's exact JSON.
+
+    ``router`` and ``telemetry`` are factories: each run gets fresh ones.
+    """
+    dep = kwargs.pop("dep", _dep())
+    make_router = kwargs.pop("router", lambda: None)
+    make_hub = kwargs.pop("telemetry", lambda: None)
+    sim = _CheckedRouteCluster(
+        dep, replicas, router=make_router(), telemetry=make_hub(), **kwargs
+    )
+    result = sim.run(_clone_sessions(trace))
+    assert sim.reads and sim.choices > 0
+    plain = ClusterSimulator(
+        dep, replicas, router=make_router(), telemetry=make_hub(), **kwargs
+    ).run(_clone_sessions(trace))
+    assert json.dumps(result.to_json_dict(), sort_keys=True) == json.dumps(
+        plain.to_json_dict(), sort_keys=True
+    )
+    return sim, result
+
+
+class TestRoutingPool:
+    def test_crash_and_retry(self):
+        trace = open_loop_trace(48, 10.0, 256, 64, seed=3)
+        control = ControlPlane(
+            faults=FaultSchedule(
+                (
+                    FaultEvent("crash", at_s=1.0, replica="replica1"),
+                    FaultEvent("crash", at_s=2.5, replica="replica2"),
+                )
+            ),
+            retry=RetryPolicy(max_retries=3),
+        )
+        _, result = _route_checked(trace, 4, max_concurrency=6, control=control)
+        assert result.retries > 0
+        assert [r.status for r in result.replicas].count("crashed") == 2
+
+    def test_burn_rate_scale_up_and_drain(self):
+        scenario = Scenario(
+            name="flash",
+            description="flash crowd over a 2-replica fleet",
+            arrival=FlashCrowdArrivals(
+                base_rps=0.8, flash_at_s=20.0, flash_factor=6.0,
+                ramp_s=2.0, hold_s=6.0, decay_s=8.0,
+            ),
+            lengths=LognormalLengths(
+                mean_input_tokens=400.0, mean_output_tokens=160.0
+            ),
+            sessions=SingleShot(),
+            num_sessions=96,
+        )
+        control = ControlPlane(
+            autoscaler=BurnRateAutoscaler(
+                slo=ServiceLevelObjective(ttft_s=1.5, itl_s=1 / 12),
+                max_replicas=6,
+            ),
+        )
+        sim, result = _route_checked(
+            scenario.build(0), 2, max_concurrency=4, control=control
+        )
+        ups = [e for e in result.scale_log if e["action"] == "up"]
+        downs = [e for e in result.scale_log if e["action"] == "down"]
+        assert ups and downs
+        # Every scaled replica was routable from its first read at or
+        # after its ready instant, and never before.
+        for up in ups:
+            routable = [
+                now for now, ready in sim.reads
+                if up["replica"] in {r.name for r in ready}
+            ]
+            assert routable and min(routable) >= up["ready_s"]
+
+    def test_warming_replica_routable_exactly_at_start(self):
+        """The only serving replica crashes while a scaled-up one warms:
+        its requeued work defers to the ready instant and lands there."""
+        trace = open_loop_trace(40, 8.0, 256, 64, seed=3)
+
+        def control(faults=()):
+            return ControlPlane(
+                faults=FaultSchedule(tuple(faults)),
+                autoscaler=QueueDepthAutoscaler(high_watermark=2.0, max_replicas=4),
+                retry=RetryPolicy(backoff_base_s=1e-3),
+                tick_interval_s=0.25,
+            )
+
+        probe = ClusterSimulator(_dep(), 1, max_concurrency=2, control=control())
+        up = next(
+            e for e in probe.run(_clone(trace)).scale_log if e["action"] == "up"
+        )
+        crash = FaultEvent(
+            "crash", at_s=(up["ts_s"] + up["ready_s"]) / 2, replica="replica0"
+        )
+        sim, result = _route_checked(
+            trace, 1, max_concurrency=2, control=control([crash])
+        )
+        assert result.retries > 0
+        at_start = [
+            ready for now, ready in sim.reads if now == up["ready_s"]
+        ]
+        assert at_start and all(
+            up["replica"] in {r.name for r in ready} for ready in at_start
+        )
+
+    def test_disaggregated_prefill_pool(self):
+        trace = open_loop_trace(32, 5.0, 512, 64, seed=19)
+        _, result = _route_checked(
+            trace, 2, disaggregation=DisaggregationSpec(num_prefill_replicas=2)
+        )
+        assert result.handoffs > 0
+
+    def test_heterogeneous_fleet(self):
+        h100 = _dep(hw="H100")
+        trace = open_loop_trace(64, 12.0, 256, 96, seed=23)
+        sim, _ = _route_checked(
+            trace, 3, max_concurrency=4, fleet=[_dep(), h100, _dep()]
+        )
+        assert {r.capacity_weight for r in sim._replicas} - {1.0}
+
+    def test_profiled_hub_scaled_weights(self):
+        trace = open_loop_trace(64, 10.0, 256, 96, seed=29)
+        sim, result = _route_checked(
+            trace, 3, max_concurrency=4, profiled=True, telemetry=TelemetryHub
+        )
+        assert result.telemetry is not None
+        assert {r.capacity_weight for r in sim._replicas} - {1.0}
+
+    def test_session_affinity_repin_after_crash(self):
+        trace = get_scenario("chat-sharegpt").build(seed=5)[:96]
+        routers = []
+
+        def make_router():
+            routers.append(SessionAffinityRouter())
+            return routers[-1]
+
+        control = ControlPlane(
+            faults=FaultSchedule(
+                (FaultEvent("crash", at_s=trace[40].arrival_time, replica="replica1"),)
+            ),
+            retry=RetryPolicy(max_retries=3),
+        )
+        _route_checked(
+            trace, 3, max_concurrency=8, prefix_cache_slots=32,
+            control=control, router=make_router,
+        )
+        assert routers[0].reassignments > 0
 
 
 ADMISSION_CASES = [
