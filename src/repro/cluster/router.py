@@ -21,9 +21,9 @@ mirror the llm-d / production serving literature:
   earlier turns, so the session's accumulated KV stays hot; re-pins
   gracefully when the home replica crashes or drains.
 
-Load reads are O(1) per replica: ``EngineRun`` maintains its
-outstanding-token tally incrementally at every submit/token/preemption
-event, so a routing instant costs O(replicas consulted) rather than
+Load reads are O(1) per replica: a replica is its ``EngineRun``, which
+keeps its outstanding-token tally as a plain attribute, updated at every
+submit/token/preemption event, so a routing instant costs O(replicas consulted) rather than
 O(resident requests) — the least-outstanding and power-of-two policies
 touch no per-request state at all.  The simulator hands every router its
 kept routable pool (alive, warmed, not draining, in index order), so no

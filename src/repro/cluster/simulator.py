@@ -1,8 +1,9 @@
 """Discrete-event cluster simulator: N serving replicas behind a router.
 
-Each replica is a full :class:`~repro.runtime.engine.ServingEngine` — its
-own scheduler and KV pool — advanced as a resumable
-:class:`~repro.runtime.engine.EngineRun`.  The simulator owns a global
+Each replica is a resumable :class:`~repro.runtime.engine.EngineRun` —
+its own scheduler and KV pool, built by a
+:class:`~repro.runtime.engine.ServingEngine` — plus the routing and
+lifecycle state around it (:class:`Replica`).  The simulator owns a global
 event heap (request arrivals, disaggregated KV handoffs, control-
 plane events) and interleaves replica iterations with routing decisions
 under a min-clock discipline: the least-advanced working replica always
@@ -40,7 +41,7 @@ import dataclasses
 import heapq
 import itertools
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from operator import attrgetter
 
@@ -83,30 +84,32 @@ _CAPACITY_PROBE_CONTEXT = 1024
 _by_index = attrgetter("index")
 
 
-class Replica:
-    """One serving engine plus the router-visible state around it.
+class Replica(EngineRun):
+    """One replica: its engine run plus the routing and lifecycle state
+    around it.
 
-    While it is alive and has work, the simulator keeps the replica on its
-    runnable heap under the key ``(run.now, index)`` and sets ``queued``:
-    the key is fixed between steps because only a step moves ``run.now``.
+    Routers and the simulator read the run's own ``now``, ``has_work``,
+    ``outstanding_tokens`` and ``queue_depth``.  While the replica is
+    alive and has work, the simulator keeps it on its runnable heap under
+    the key ``(now, index)`` and sets ``queued``: the key is fixed between
+    steps because only a step moves ``now``.
     """
 
     def __init__(
         self,
+        engine: ServingEngine,
         index: int,
         name: str,
-        engine: ServingEngine,
-        run: EngineRun,
         role: str = "unified",
         prefix_cache_slots: int = 2,
         capacity_weight: float = 1.0,
         start_s: float = 0.0,
         created_s: float = 0.0,
+        pressure: Callable[[], bool] | None = None,
     ) -> None:
+        super().__init__(engine, pressure=pressure)
         self.index = index
         self.name = name
-        self.engine = engine
-        self.run = run
         self.role = role
         # Relative serving rate (kernel-predicted decode speed over the
         # fleet's base deployment); exactly 1.0 in homogeneous fleets so
@@ -152,24 +155,6 @@ class Replica:
         while len(lru) > self.prefix_cache_slots:
             lru.pop(next(iter(lru)))  # evict least-recently-used
         return hit
-
-    # Router-facing summaries (delegated to the live run).
-
-    @property
-    def now(self) -> float:
-        return self.run.now
-
-    @property
-    def has_work(self) -> bool:
-        return self.run.has_work
-
-    @property
-    def outstanding_tokens(self) -> int:
-        return self.run.outstanding_tokens
-
-    @property
-    def queue_depth(self) -> int:
-        return self.run.queue_depth
 
 
 @dataclass(frozen=True)
@@ -435,19 +420,18 @@ class ClusterSimulator:
             profile=self.profiled,
             tracer=EventTracer() if self.traced else None,
         )
-        # Only a prefill fleet injects work mid-span (its KV handoffs), so
-        # only a disaggregated fleet installs the pressure hook.
-        pressure = self._pressure if self.disaggregation is not None else None
         return Replica(
+            engine,
             index,
             name,
-            engine,
-            engine.start(pressure=pressure),
             role,
             prefix_cache_slots=self.prefix_cache_slots,
             capacity_weight=self._capacity_weight(dep),
             start_s=start_s,
             created_s=created_s,
+            # Only a prefill fleet injects work mid-span (its KV handoffs),
+            # so only a disaggregated fleet installs the pressure hook.
+            pressure=self._pressure if self.disaggregation is not None else None,
         )
 
     def _build_replicas(self) -> None:
@@ -512,21 +496,21 @@ class ClusterSimulator:
         prefill replica whose next retirement spawns a KV handoff — forces
         single-stepping.  Installed on disaggregated fleets only.
         """
-        return any(r.alive and r.run.has_work for r in self._prefill_fleet)
+        return any(r.alive and r.has_work for r in self._prefill_fleet)
 
     def _wake(self, replica: Replica) -> None:
         """Put ``replica`` on the runnable heap if it is alive, has work
         and is not there already (called after every submit; the run loop
         pushes a stepped replica back itself)."""
-        if not replica.queued and replica.alive and replica.run.has_work:
+        if not replica.queued and replica.alive and replica.has_work:
             replica.queued = True
-            heapq.heappush(self._runnable, (replica.run.now, replica.index, replica))
+            heapq.heappush(self._runnable, (replica.now, replica.index, replica))
 
     def _select(self, bound: float | None) -> Replica | None:
         """Pop the least-advanced replica that is alive and has work
         (clock < ``bound`` if given); the caller steps it.
 
-        The heap key ``(run.now, index)`` sends clock ties to the lowest
+        The heap key ``(now, index)`` sends clock ties to the lowest
         replica index.  Entries of replicas that crashed (or ran out of
         work) since they were pushed are dropped on the way.
         """
@@ -534,7 +518,7 @@ class ClusterSimulator:
         while runnable:
             entry = runnable[0]
             replica = entry[2]
-            if replica.alive and replica.run.has_work:
+            if replica.alive and replica.has_work:
                 if bound is not None and entry[0] >= bound:
                     return None
                 heapq.heappop(runnable)
@@ -545,7 +529,7 @@ class ClusterSimulator:
         return None
 
     def _submit(self, replica: Replica, request: GenerationRequest) -> None:
-        replica.run.submit(request)
+        replica.submit(request)
         self._wake(replica)
 
     # ------------------------------------------------------------------
@@ -556,7 +540,7 @@ class ClusterSimulator:
             raise ValueError("trace is empty")
         self._events = []
         self._seq = itertools.count()
-        self._runnable = []  # heap of (run.now, index, replica)
+        self._runnable = []  # heap of (now, index, replica)
         self._orig_by_proxy = {}
         self._registry = MetricsRegistry()
         self._prefix_hits = 0
@@ -617,11 +601,10 @@ class ClusterSimulator:
             horizon = events[0][0] if events else None
             replica = select(horizon)
             if replica is not None:
-                run = replica.run
-                retired = run.step(horizon)
-                if run.has_work:
+                retired = replica.step(horizon)
+                if replica.has_work:
                     replica.queued = True
-                    heapq.heappush(runnable, (run.now, replica.index, replica))
+                    heapq.heappush(runnable, (replica.now, replica.index, replica))
                 if retired and (
                     self._orig_by_proxy
                     or self._control_ticks
@@ -869,7 +852,7 @@ class ClusterSimulator:
         if replica is None or not replica.alive:
             return
         if event.kind == "slowdown":
-            replica.run.cost_scale = event.factor
+            replica.cost_scale = event.factor
             self._fault_log.append(
                 {
                     "kind": "slowdown",
@@ -893,7 +876,7 @@ class ClusterSimulator:
         replica.alive = False
         replica.status = "crashed"
         self._delist(replica)
-        victims = [r for r in replica.run.submitted if not r.is_finished]
+        victims = [r for r in replica.submitted if not r.is_finished]
         self._fault_log.append(
             {
                 "kind": "crash",
@@ -917,7 +900,7 @@ class ClusterSimulator:
     def _end_fault(self, event, ts: float) -> None:
         replica = self._find_replica(event.replica)
         if replica is not None and replica.alive:
-            replica.run.cost_scale = 1.0
+            replica.cost_scale = 1.0
             if self._ctl_tracer is not None:
                 self._ctl_tracer.instant(
                     "control", "fault:slowdown_end", ts_s=ts, replica=replica.name
@@ -1013,8 +996,8 @@ class ClusterSimulator:
                 float(replica.outstanding_tokens),
                 unit="tokens",
             )
-            hub.sample(f"{prefix}.kv_occupancy", ts, replica.run.kv_used_fraction)
-            profiler = replica.run.profiler
+            hub.sample(f"{prefix}.kv_occupancy", ts, replica.kv_used_fraction)
+            profiler = replica.profiler
             if profiler is not None:
                 self._sample_profiler_totals(
                     prefix, ts, replica, profiler.running_totals()
@@ -1044,7 +1027,7 @@ class ClusterSimulator:
         elapsed = min(window, ts - replica.created_s)
         if elapsed <= 0:
             return
-        profiler = replica.run.profiler
+        profiler = replica.profiler
         d_flops = hub.series(f"{prefix}.flops").delta(window, ts)
         d_bytes = hub.series(f"{prefix}.bytes").delta(window, ts)
         d_energy = hub.series(f"{prefix}.energy_j").delta(window, ts)
@@ -1131,8 +1114,7 @@ class ClusterSimulator:
         events: dict[str, list[TraceEvent]] = {}
         profiles: list[ProfileReport] = []
         for replica in replicas:
-            run = replica.run
-            result = run.result()
+            result = replica.result()
             if result.profile is not None:
                 # Label the replica's profile with its fleet name (frozen
                 # report: rebuild rather than mutate).
@@ -1140,15 +1122,15 @@ class ClusterSimulator:
                     result.profile, name=replica.name
                 )
                 profiles.append(result.profile)
-            busy = max(0.0, run.now - run.idle_s)
-            energy_j += run.energy_j
-            idle_w = replica.engine._power.group_power_w(0.0)
+            busy = max(0.0, replica.now - replica.idle_s)
+            energy_j += replica.energy_j
+            idle_w = replica.idle_power_w
             if replica.alive and not replica.draining:
                 # Replicas that drain early idle until the cluster finishes;
                 # crashed/draining replicas stop drawing at their last step.
-                energy_j += (makespan - run.now) * idle_w
+                energy_j += (makespan - replica.now) * idle_w
             if replica.created_s > 0.0 and (
-                run.now > 0.0 or (replica.alive and not replica.draining)
+                replica.now > 0.0 or (replica.alive and not replica.draining)
             ):
                 # A scaled-up replica's accounting starts at t=0 (the idle
                 # fast-forward and the idle top-up both integrate from
@@ -1166,8 +1148,8 @@ class ClusterSimulator:
                 )
             )
             registry.counter("preemptions").inc(result.scheduler_stats.preemptions)
-            if replica.engine.tracer is not None:
-                events[replica.name] = replica.engine.tracer.events
+            if replica.tracer is not None:
+                events[replica.name] = replica.tracer.events
         if self._ctl_tracer is not None and self._ctl_tracer.events:
             events["control"] = self._ctl_tracer.events
 

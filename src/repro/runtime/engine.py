@@ -26,17 +26,18 @@ Optimistic admission grows KV token by token and may preempt mid-span,
 so it commits token by token instead.
 
 Each prefill chunk and decode span prices one
-:class:`~repro.perf.phases.StepCost` and charges it under the straggler
-``cost_scale`` (:meth:`ServingEngine._charge` for prefill, inline in the
-one decode-span method :meth:`EngineRun._decode_span`); a profiler reads
-the committed step.
+:class:`~repro.perf.phases.StepCost` and charges it inline under the
+straggler ``cost_scale`` by one rule (breakdown scaled, watts unchanged,
+energy = time x watts), in :meth:`EngineRun._run_prefill` and
+:meth:`EngineRun._decode_span`; a profiler reads the committed step.
 
 Execution is resumable: :meth:`ServingEngine.start` returns an
 :class:`EngineRun` whose ``submit``/``step`` pair lets a caller interleave
-request injection with engine iterations.  :meth:`ServingEngine.run` is
-the classic submit-everything-then-drain wrapper; the cluster simulator
-(:mod:`repro.cluster`) drives one ``EngineRun`` per replica and routes
-arrivals between steps.
+request injection with engine iterations.  The engine is configuration;
+the run owns every step.  :meth:`ServingEngine.run` is the classic
+submit-everything-then-drain wrapper; in the cluster simulator
+(:mod:`repro.cluster`) each replica is an ``EngineRun`` subclass, and the
+simulator routes arrivals between steps.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import ceil
 
-from repro.core.metrics import InferenceMetrics, LatencyBreakdown
+from repro.core.metrics import InferenceMetrics
 from repro.core.request import GenerationRequest, RequestState, mean_itl_s
 from repro.core.stats import mean
 from repro.obs.metrics import MetricsRegistry, MetricsSnapshot, record_latencies
@@ -55,8 +56,12 @@ from repro.obs.telemetry import TelemetryHub, TelemetrySnapshot, trace_alerts
 from repro.obs.timeline import RequestTimeline, build_timelines
 from repro.obs.tracer import EventTracer
 from repro.perf.kernel import get_kernel
-from repro.perf.phases import Deployment, StepCost, step_model
-from repro.runtime.paged_kv import OutOfMemoryError, PagedKVAllocator
+from repro.perf.phases import Deployment, step_model
+from repro.runtime.paged_kv import (
+    AllocationError,
+    OutOfMemoryError,
+    PagedKVAllocator,
+)
 from repro.runtime.scheduler import (
     ContinuousBatchingScheduler,
     Scheduler,
@@ -148,11 +153,9 @@ class EngineResult:
 class ServingEngine:
     """Simulates a serving stack for one deployment.
 
-    Each run keeps its running set as the scheduler's list of request
-    objects; a decode span commits through :meth:`_commit_span` (one pass
-    that adds the span's steps to every request) or, under optimistic
-    admission, through :meth:`_commit_tokens` (token by token, growing KV
-    and preempting as it goes).
+    The engine is configuration: it checks that the weights fit, builds
+    each run's scheduler and KV pool, and hands out :class:`EngineRun`
+    objects, which own every step.
     """
 
     def __init__(
@@ -220,7 +223,6 @@ class ServingEngine:
         self.optimistic = optimistic
         self.profile = profile
         self.telemetry = telemetry
-        self._power = step_model(deployment).power_model
 
     def _make_scheduler(self) -> Scheduler:
         """A fresh scheduler over a KV pool sized to the deployment's KV
@@ -288,208 +290,22 @@ class ServingEngine:
             run.step()
         return run.result(requests=list(trace))
 
-    # ------------------------------------------------------------------
-
-    def _run_prefill(
-        self,
-        run: "EngineRun",
-        admitted: list[GenerationRequest],
-        decoding: list[GenerationRequest],
-    ) -> None:
-        """Prefill newly admitted prompts (advances ``run`` in place).
-
-        With chunked prefill (vLLM chunked prefill / DS-MII Dynamic
-        SplitFuse / TRT-LLM in-flight batching), the prompt is processed
-        in chunks and already-decoding streams advance one token per
-        chunk instead of stalling for the whole prefill — the mechanism
-        behind those frameworks' smoother tail ITL under load.
-
-        ``decoding`` lists the rider requests: running streams admitted
-        before this pass that still owe output.
-        """
-        batch = len(admitted)
-        riders = len(decoding)
-        # Preempted requests re-prefill their full context (recompute).
-        max_input = max(r.prefill_tokens_needed for r in admitted)
-        # Captured before any mutation: the prefill work this pass retires.
-        owed = sum(r.prefill_tokens_needed for r in admitted)
-        fw = self.deployment.framework
-        chunks = 1
-        if fw.chunked_prefill and riders:
-            per_chunk_len = max(1, fw.prefill_chunk_tokens // max(1, batch))
-            chunks = -(-max_input // per_chunk_len)
-        chunk_len = -(-max_input // chunks)
-
-        now = run.now
-        tracer = self.tracer
-        profiler = run.profiler
-        for chunk in range(chunks):
-            cost = self.kernel.prefill_cost(batch, chunk_len)
-            breakdown, power_w, _, energy_j = self._charge(run, cost, 1)
-            if profiler is not None:
-                profiler.record_prefill(
-                    now, breakdown, cost.flops, cost.bytes_moved,
-                    batch, chunk_len, energy_j, admitted,
-                )
-            if tracer is not None:
-                tracer.complete(
-                    "prefill",
-                    "prefill" if chunks == 1 else f"prefill_chunk_{chunk}",
-                    now,
-                    breakdown.total_s,
-                    batch=batch,
-                    tokens=chunk_len,
-                    riders=riders,
-                )
-                tracer.counter(
-                    "power_sample", "power_w", ts_s=now, watts=round(power_w, 3)
-                )
-            now += breakdown.total_s
-            if tracer is not None:
-                tracer.advance(now)
-            # Decoding streams ride along with the chunk (their token is
-            # folded into the fused chunk's batch at negligible marginal
-            # cost — the SplitFuse effect).
-            for request in decoding:
-                if request.generated_tokens < request.output_tokens:
-                    request.record_token(now)
-                    run.outstanding_tokens -= 1
-        for request in admitted:
-            if request.generated_tokens == 0:
-                request.record_token(now)  # prefill emits the first token
-                run.outstanding_tokens -= 1
-            else:
-                # A preempted request resumed: the re-prefill recreated its
-                # KV state; its next token comes from the next decode step.
-                request.state = RequestState.DECODING
-        run.outstanding_tokens -= owed
-        run.now = now
-
-    def _charge(
-        self, run: "EngineRun", cost: StepCost, steps: int
-    ) -> tuple[LatencyBreakdown, float, float, float]:
-        """Charge ``run`` the energy of ``steps`` iterations of ``cost``
-        under a straggler's ``cost_scale`` (watts unchanged: a uniform
-        scale keeps the utilization ratios they come from); return the
-        committed ``(breakdown, watts, span_s, energy_j)``.  ``x * 1.0``
-        is exact, so a one-step span is its step time.
-
-        Prefill chunks charge through here; :meth:`EngineRun._decode_span`
-        applies the same three lines inline, once per engine step."""
-        breakdown, power_w = cost.breakdown, cost.power_w
-        if run.cost_scale != 1.0:
-            breakdown = breakdown.scaled(run.cost_scale)
-        span_s = breakdown.total_s * float(steps)
-        energy_j = span_s * power_w
-        run.energy_j += energy_j
-        return breakdown, power_w, span_s, energy_j
-
-    def _commit_span(
-        self,
-        run: "EngineRun",
-        running: list[GenerationRequest],
-        steps: int,
-        step_s: float,
-    ) -> None:
-        """Advance every running request ``steps`` tokens in one pass.
-
-        The span rule (``steps <= min_remaining``) guarantees no request
-        finishes mid-span, so each finisher's last token lands at the span
-        end — the same float expression :meth:`_commit_tokens` gives it.
-        """
-        last_time = run.now + step_s * steps
-        if self.tracer is not None:
-            self.tracer.advance(last_time)
-        for request in running:
-            generated = request.generated_tokens + steps
-            request.generated_tokens = generated
-            if generated == request.output_tokens:
-                request.finish_time = last_time
-                request.state = RequestState.FINISHED
-        run.outstanding_tokens -= len(running) * steps
-
-    def _commit_tokens(
-        self,
-        run: "EngineRun",
-        running: list[GenerationRequest],
-        steps: int,
-        step_s: float,
-    ) -> None:
-        """Commit a span token by token.
-
-        The engine uses this only under optimistic admission, where each
-        token grows its request's KV allocation and may preempt newer
-        requests mid-span when the pool runs dry.
-        """
-        now = run.now
-        tracer = self.tracer
-        active = list(running)
-        for i in range(steps):
-            token_time = now + step_s * (i + 1)
-            if tracer is not None:
-                tracer.advance(token_time)
-            for request in list(active):
-                if request not in active:
-                    continue  # preempted earlier within this step
-                self._append_or_preempt(run, active, request)
-                request.record_token(token_time)
-                run.outstanding_tokens -= 1
-
-    def _append_or_preempt(
-        self,
-        run: "EngineRun",
-        active: list[GenerationRequest],
-        request: GenerationRequest,
-    ) -> None:
-        """Grow ``request``'s KV by one token, evicting newer requests
-        (recompute preemption) until the pool has room."""
-        from repro.runtime.paged_kv import AllocationError
-
-        scheduler = run.scheduler
-        while True:
-            try:
-                scheduler.allocator.append_token(request.request_id)
-                return
-            except AllocationError:
-                victim = self._choose_victim(scheduler, request)
-                if victim is None:
-                    raise OutOfMemoryError(
-                        f"request {request.request_id} cannot grow and no "
-                        "victim remains to preempt"
-                    )
-                pre = (
-                    victim.prefill_tokens_needed
-                    if victim.state == RequestState.PREFILLING
-                    else 0
-                )
-                scheduler.preempt(victim)
-                # Back in the queue the victim owes a full re-prefill of
-                # its restart context (beyond whatever it owed running).
-                run.outstanding_tokens += victim.prefill_tokens_needed - pre
-                if victim in active:
-                    active.remove(victim)
-
-    @staticmethod
-    def _choose_victim(
-        scheduler: Scheduler, protect: GenerationRequest
-    ) -> GenerationRequest | None:
-        """Newest running request other than ``protect`` (vLLM evicts the
-        most recently admitted sequence first)."""
-        for candidate in reversed(scheduler.running):
-            if candidate is not protect and not candidate.is_finished:
-                return candidate
-        return None
-
 
 class EngineRun:
-    """Resumable execution state of one :class:`ServingEngine`.
+    """Resumable execution state of one :class:`ServingEngine`, and the
+    owner of its steps.
 
     Holds everything a run accumulates — scheduler, simulation clock,
     energy, iteration counters, metrics registry — so callers can
     interleave :meth:`submit` and :meth:`step`.  ``ServingEngine.run`` is
     the submit-all-then-drain wrapper; the cluster simulator steps many
-    runs against a shared arrival stream, routing each request when the
-    fleet has caught up to its arrival time.
+    runs against a shared arrival stream (each replica *is* a run),
+    routing each request when the fleet has caught up to its arrival
+    time.  The running set is the scheduler's list of request objects; a
+    decode span commits through :meth:`_commit_span` (one pass that adds
+    the span's steps to every request) or, under optimistic admission,
+    through :meth:`_commit_tokens` (token by token, growing KV and
+    preempting as it goes).
 
     ``horizon`` on :meth:`step` caps *voluntary* idle jumps and bounds
     coalesced decode spans: an idle
@@ -505,7 +321,11 @@ class EngineRun:
         engine: ServingEngine,
         pressure: Callable[[], bool] | None = None,
     ) -> None:
-        self.engine = engine
+        deployment = engine.deployment
+        self.deployment = deployment
+        self.kernel = engine.kernel
+        self.coalesce = engine.coalesce
+        self.optimistic = engine.optimistic
         self.scheduler = engine._make_scheduler()
         self.tracer = engine.tracer
         self._registry: MetricsRegistry | None = (
@@ -514,10 +334,12 @@ class EngineRun:
         self.telemetry = engine.telemetry
         self._pressure = pressure
         self.profiler: StepProfiler | None = (
-            StepProfiler(engine.deployment, tracer=engine.tracer)
+            StepProfiler(deployment, tracer=engine.tracer)
             if engine.profile
             else None
         )
+        # Group power at zero utilization: what an idle fast-forward draws.
+        self.idle_power_w = step_model(deployment).power_model.group_power_w(0.0)
         self.now = 0.0
         # Control-plane hook: every committed step cost is multiplied by
         # this factor.  1.0 (the default) is checked by identity before any
@@ -581,33 +403,112 @@ class EngineRun:
                     and r.state == RequestState.DECODING
                     and r.generated_tokens < r.output_tokens
                 ]
-                self.engine._run_prefill(self, admitted, decoding)
+                self._run_prefill(admitted, decoding)
                 return self._retire()  # 1-token requests
 
         running = scheduler.running
         if running:
             return self._decode_span(running, horizon)
-        engine = self.engine
         next_arrival = scheduler.next_arrival()
         if next_arrival > now:
             # Idle until the next arrival (or the caller's horizon).
             target = next_arrival if horizon is None else min(next_arrival, horizon)
             span = target - now
-            self.energy_j += span * engine._power.group_power_w(0.0)
+            idle_j = span * self.idle_power_w
+            self.energy_j += idle_j
             self.idle_s += span
             if self.profiler is not None:
-                self.profiler.record_idle(
-                    now, span, span * engine._power.group_power_w(0.0)
-                )
+                self.profiler.record_idle(now, span, idle_j)
             if self.tracer is not None:
                 self.tracer.complete("engine", "idle", now, span)
             self.now = target
             return []
         raise OutOfMemoryError(
             "a queued request cannot fit even on an idle engine "
-            f"({engine.deployment.hardware.name} x"
-            f"{engine.deployment.num_devices})"
+            f"({self.deployment.hardware.name} x"
+            f"{self.deployment.num_devices})"
         )
+
+    def _run_prefill(
+        self,
+        admitted: list[GenerationRequest],
+        decoding: list[GenerationRequest],
+    ) -> None:
+        """Prefill newly admitted prompts.
+
+        With chunked prefill (vLLM chunked prefill / DS-MII Dynamic
+        SplitFuse / TRT-LLM in-flight batching), the prompt is processed
+        in chunks and already-decoding streams advance one token per
+        chunk instead of stalling for the whole prefill — the mechanism
+        behind those frameworks' smoother tail ITL under load.
+
+        ``decoding`` lists the rider requests: running streams admitted
+        before this pass that still owe output.  Each chunk is one step,
+        charged by the rule :meth:`_decode_span` applies to a span.
+        """
+        batch = len(admitted)
+        riders = len(decoding)
+        # Preempted requests re-prefill their full context (recompute).
+        max_input = max(r.prefill_tokens_needed for r in admitted)
+        # Captured before any mutation: the prefill work this pass retires.
+        owed = sum(r.prefill_tokens_needed for r in admitted)
+        fw = self.deployment.framework
+        chunks = 1
+        if fw.chunked_prefill and riders:
+            per_chunk_len = max(1, fw.prefill_chunk_tokens // max(1, batch))
+            chunks = -(-max_input // per_chunk_len)
+        chunk_len = -(-max_input // chunks)
+
+        now = self.now
+        kernel = self.kernel
+        cost_scale = self.cost_scale
+        tracer = self.tracer
+        profiler = self.profiler
+        for chunk in range(chunks):
+            cost = kernel.prefill_cost(batch, chunk_len)
+            breakdown = cost.breakdown
+            if cost_scale != 1.0:
+                breakdown = breakdown.scaled(cost_scale)
+            energy_j = breakdown.total_s * cost.power_w
+            self.energy_j += energy_j
+            if profiler is not None:
+                profiler.record_prefill(
+                    now, breakdown, cost.flops, cost.bytes_moved,
+                    batch, chunk_len, energy_j, admitted,
+                )
+            if tracer is not None:
+                tracer.complete(
+                    "prefill",
+                    "prefill" if chunks == 1 else f"prefill_chunk_{chunk}",
+                    now,
+                    breakdown.total_s,
+                    batch=batch,
+                    tokens=chunk_len,
+                    riders=riders,
+                )
+                tracer.counter(
+                    "power_sample", "power_w", ts_s=now, watts=round(cost.power_w, 3)
+                )
+            now += breakdown.total_s
+            if tracer is not None:
+                tracer.advance(now)
+            # Decoding streams ride along with the chunk (their token is
+            # folded into the fused chunk's batch at negligible marginal
+            # cost — the SplitFuse effect).
+            for request in decoding:
+                if request.generated_tokens < request.output_tokens:
+                    request.record_token(now)
+                    self.outstanding_tokens -= 1
+        for request in admitted:
+            if request.generated_tokens == 0:
+                request.record_token(now)  # prefill emits the first token
+                self.outstanding_tokens -= 1
+            else:
+                # A preempted request resumed: the re-prefill recreated its
+                # KV state; its next token comes from the next decode step.
+                request.state = RequestState.DECODING
+        self.outstanding_tokens -= owed
+        self.now = now
 
     def _decode_span(
         self, running: list[GenerationRequest], horizon: float | None
@@ -630,13 +531,15 @@ class EngineRun:
 
         **Price.** One step at the span's midpoint context (contexts grow
         one token per step), charged ``steps`` times under the straggler
-        ``cost_scale`` exactly as :meth:`ServingEngine._charge` does.
+        ``cost_scale``: the breakdown scales, the watts do not (a uniform
+        scale keeps the utilization ratios they come from), and the
+        energy is span time times watts.  ``x * 1.0`` is exact, so a
+        one-step span is its step time.
 
-        **Commit.** Through ``ServingEngine._commit_span`` (one pass) or,
-        under optimistic admission, ``_commit_tokens`` (token by token).
+        **Commit.** Through :meth:`_commit_span` (one pass) or, under
+        optimistic admission, :meth:`_commit_tokens` (token by token).
         """
-        engine = self.engine
-        kernel = engine.kernel
+        kernel = self.kernel
         scheduler = self.scheduler
         cost_scale = self.cost_scale
         now = self.now
@@ -656,7 +559,7 @@ class EngineRun:
         steps = 1
         if (
             min_remaining > 1
-            and engine.coalesce
+            and self.coalesce
             and (self._pressure is None or not self._pressure())
         ):
             limit = horizon
@@ -707,15 +610,97 @@ class EngineRun:
             tracer.counter(
                 "power_sample", "power_w", ts_s=now, watts=round(cost.power_w, 3)
             )
-        if engine.optimistic:
-            engine._commit_tokens(self, running, steps, step_bd.total_s)
+        if self.optimistic:
+            self._commit_tokens(running, steps, step_bd.total_s)
         else:
-            engine._commit_span(self, running, steps, step_bd.total_s)
+            self._commit_span(running, steps, step_bd.total_s)
         self.now = now + span_s
         self.decode_steps += steps
         if steps < min_remaining:
             return []  # the span rule: nothing can have finished
         return self._retire()
+
+    def _commit_span(
+        self, running: list[GenerationRequest], steps: int, step_s: float
+    ) -> None:
+        """Advance every running request ``steps`` tokens in one pass.
+
+        The span rule (``steps <= min_remaining``) guarantees no request
+        finishes mid-span, so each finisher's last token lands at the span
+        end — the same float expression :meth:`_commit_tokens` gives it.
+        """
+        last_time = self.now + step_s * steps
+        if self.tracer is not None:
+            self.tracer.advance(last_time)
+        for request in running:
+            generated = request.generated_tokens + steps
+            request.generated_tokens = generated
+            if generated == request.output_tokens:
+                request.finish_time = last_time
+                request.state = RequestState.FINISHED
+        self.outstanding_tokens -= len(running) * steps
+
+    def _commit_tokens(
+        self, running: list[GenerationRequest], steps: int, step_s: float
+    ) -> None:
+        """Commit a span token by token.
+
+        The engine uses this only under optimistic admission, where each
+        token grows its request's KV allocation and may preempt newer
+        requests mid-span when the pool runs dry.
+        """
+        now = self.now
+        tracer = self.tracer
+        active = list(running)
+        for i in range(steps):
+            token_time = now + step_s * (i + 1)
+            if tracer is not None:
+                tracer.advance(token_time)
+            for request in list(active):
+                if request not in active:
+                    continue  # preempted earlier within this step
+                self._append_or_preempt(active, request)
+                request.record_token(token_time)
+                self.outstanding_tokens -= 1
+
+    def _append_or_preempt(
+        self, active: list[GenerationRequest], request: GenerationRequest
+    ) -> None:
+        """Grow ``request``'s KV by one token, evicting newer requests
+        (recompute preemption) until the pool has room."""
+        scheduler = self.scheduler
+        while True:
+            try:
+                scheduler.allocator.append_token(request.request_id)
+                return
+            except AllocationError:
+                victim = self._choose_victim(request)
+                if victim is None:
+                    raise OutOfMemoryError(
+                        f"request {request.request_id} cannot grow and no "
+                        "victim remains to preempt"
+                    )
+                pre = (
+                    victim.prefill_tokens_needed
+                    if victim.state == RequestState.PREFILLING
+                    else 0
+                )
+                scheduler.preempt(victim)
+                # Back in the queue the victim owes a full re-prefill of
+                # its restart context (beyond whatever it owed running).
+                self.outstanding_tokens += victim.prefill_tokens_needed - pre
+                if victim in active:
+                    active.remove(victim)
+
+    def _choose_victim(
+        self, protect: GenerationRequest
+    ) -> GenerationRequest | None:
+        """Newest running request other than ``protect`` (vLLM evicts the
+        most recently admitted sequence first)."""
+        for candidate in reversed(self.scheduler.running):
+            if candidate is not protect and not candidate.is_finished:
+                return candidate
+        return None
 
     def _retire(self) -> list[GenerationRequest]:
         """Retire finished requests and record them with the observers."""

@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.core.request import GenerationConfig
+from repro.core.request import GenerationConfig, GenerationRequest
 from repro.frameworks.base import get_framework
 from repro.hardware.zoo import get_hardware
 from repro.models.zoo import get_model
+from repro.obs.tracer import EventTracer
 from repro.perf.estimator import InferenceEstimator
 from repro.perf.parallelism import ParallelismPlan
 from repro.perf.phases import Deployment
@@ -61,15 +62,58 @@ class TestBasicRuns:
         assert spec.idle_power_w * 0.5 < result.average_power_w < spec.tdp_w
 
     def test_straggler_step_keeps_the_priced_watts(self):
-        engine = _engine()
+        """Under a straggler's ``cost_scale`` every committed prefill chunk
+        and decode span carries the priced breakdown scaled, the priced
+        watts unscaled, and energy = span time x watts."""
+        engine = _engine(profile=True, tracer=EventTracer(), max_concurrency=4)
         run = engine.start()
         run.cost_scale = 2.5
-        cost = engine.kernel.decode_cost(8, 640)
-        breakdown, power_w, span_s, energy_j = engine._charge(run, cost, 3)
-        assert breakdown == cost.breakdown.scaled(2.5)
-        assert power_w == cost.power_w
-        assert span_s == breakdown.total_s * 3.0
-        assert energy_j == span_s * cost.power_w == run.energy_j
+        committed = []  # (phase, breakdown, energy_j) in commit order
+        profiler = run.profiler
+        record_prefill, record_decode = profiler.record_prefill, profiler.record_decode
+
+        def spy_prefill(ts_s, breakdown, *rest):
+            committed.append(("prefill", breakdown, rest[-2]))
+            record_prefill(ts_s, breakdown, *rest)
+
+        def spy_decode(ts_s, breakdown, *rest):
+            committed.append(("decode", breakdown, rest[-2]))
+            record_decode(ts_s, breakdown, *rest)
+
+        profiler.record_prefill, profiler.record_decode = spy_prefill, spy_decode
+        # The long prompt arrives mid-decode, so it prefills in chunks
+        # with the first request riding along.
+        run.submit(GenerationRequest(128, 64, arrival_time=0.0))
+        run.submit(GenerationRequest(4096, 8, arrival_time=0.05))
+        while run.has_work:
+            run.step()
+
+        events = engine.tracer.events
+        chunks = [e for e in events if e.category == "prefill"]
+        spans = [e for e in events if e.category == "decode_span"]
+        assert [c[0] for c in committed].count("prefill") == len(chunks) > 2
+        assert [c[0] for c in committed].count("decode") == len(spans)
+        assert max(e.args["steps"] for e in spans) > 1
+        prefills = [c for c in committed if c[0] == "prefill"]
+        for event, (_, breakdown, energy_j) in zip(chunks, prefills):
+            cost = engine.kernel.prefill_cost(event.args["batch"], event.args["tokens"])
+            assert breakdown == cost.breakdown.scaled(2.5)
+            assert event.dur_s == breakdown.total_s
+            assert energy_j == breakdown.total_s * cost.power_w
+        decodes = [c for c in committed if c[0] == "decode"]
+        for event, (_, breakdown, energy_j) in zip(spans, decodes):
+            cost = engine.kernel.decode_cost(event.args["batch"], event.args["span_ctx"])
+            assert breakdown == cost.breakdown.scaled(2.5)
+            span_s = breakdown.total_s * float(event.args["steps"])
+            assert event.dur_s == span_s
+            assert energy_j == span_s * cost.power_w
+        # No idle time: the run's energy is its steps' energy, summed in
+        # commit order.
+        assert profiler.idle_s == 0.0
+        total_j = 0.0
+        for _, _, energy_j in committed:
+            total_j += energy_j
+        assert run.energy_j == total_j
 
 
 class TestCoalescing:

@@ -1,11 +1,11 @@
 """Engine and cluster against their per-token and linear-scan references.
 
-The engine commits each decode span in one pass over the running
-requests (``ServingEngine._commit_span``).  The reference engine below
-commits the same spans one token at a time with
+The engine run commits each decode span in one pass over the running
+requests (``EngineRun._commit_span``).  The reference run below commits
+the same spans one token at a time with
 ``GenerationRequest.record_token``, and the reference cluster picks the
 next replica to step by a linear scan over the fleet instead of a pop
-from the simulator's runnable heap, running reference-engine replicas.
+from the simulator's runnable heap, running per-token reference replicas.
 Everything observable — ``EngineResult`` numbers, per-request
 timestamps, trace events, profile reports, and the cluster's
 seed-deterministic control-plane JSON — must be *bit-identical* between
@@ -14,9 +14,6 @@ disaggregation, faults, autoscaling, scenarios) and across a seeded
 randomized trace generator.  Decision-level oracles hold the runnable
 heap to a scan at every selection and the kept routable pools to a
 fleet scan at every dispatch.
-
-The file keeps the name it had when the engine shipped two cores, so the
-test IDs stay stable.
 """
 
 from __future__ import annotations
@@ -47,7 +44,7 @@ from repro.obs import TelemetryHub
 from repro.obs.tracer import EventTracer
 from repro.perf.parallelism import ParallelismPlan
 from repro.perf.phases import Deployment
-from repro.runtime.engine import ServingEngine
+from repro.runtime.engine import EngineRun, ServingEngine
 from repro.runtime.loadgen import ServiceLevelObjective, summarize_requests
 from repro.runtime.workload import fixed_batch_trace, open_loop_trace, poisson_trace
 from repro.scenarios import (
@@ -101,17 +98,30 @@ def _assert_results_identical(a, b) -> None:
         assert x.preemptions == y.preemptions
 
 
-class _PerTokenEngine(ServingEngine):
-    """Reference engine: commits every decode span token by token."""
+class _PerTokenRun(EngineRun):
+    """Reference run: commits every decode span token by token."""
 
-    def _commit_span(self, run, running, steps, step_s):
+    def _commit_span(self, running, steps, step_s):
         for i in range(steps):
-            token_time = run.now + step_s * (i + 1)
+            token_time = self.now + step_s * (i + 1)
             if self.tracer is not None:
                 self.tracer.advance(token_time)
             for request in running:
                 request.record_token(token_time)
-                run.outstanding_tokens -= 1
+                self.outstanding_tokens -= 1
+
+
+class _PerTokenEngine(ServingEngine):
+    """Reference engine: its runs are per-token reference runs."""
+
+    def start(self, pressure=None):
+        return _PerTokenRun(self, pressure=pressure)
+
+
+class _PerTokenReplica(simulator_module.Replica):
+    """Reference replica: the per-token commit on a cluster replica."""
+
+    _commit_span = _PerTokenRun._commit_span
 
 
 def _scan_select(replicas, bound):
@@ -135,7 +145,7 @@ class _ScanCluster(ClusterSimulator):
         return _scan_select(self._replicas, bound)
 
     def run(self, trace):
-        with mock.patch.object(simulator_module, "ServingEngine", _PerTokenEngine):
+        with mock.patch.object(simulator_module, "Replica", _PerTokenReplica):
             return super().run(trace)
 
 
@@ -781,7 +791,7 @@ class TestRetirementInvariant:
             assert not [r for r in run.scheduler.running if r.is_finished]
         assert finished == len(trace)
         assert all(r.is_finished for r in trace)
-        if run.engine.optimistic:
+        if run.optimistic:
             assert run.scheduler.stats.preemptions > 0
 
 

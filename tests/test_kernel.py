@@ -50,7 +50,7 @@ from repro.analysis.sweeps import find_peak_batch, throughput_curve
 from repro.cluster.simulator import ClusterSimulator
 from repro.runtime.engine import ServingEngine
 from repro.runtime.workload import fixed_batch_trace, open_loop_trace
-from tests.test_vector_core import random_trace
+from tests.test_engine_reference import random_trace
 
 # The scalar step model with numpy's pow: what a grid lane computes.
 NP_POWER_FLOATS = SimpleNamespace(**{**vars(FLOATS), "power": np.power})
