@@ -211,9 +211,8 @@ class ClusterResult:
     def to_json_dict(self) -> dict:
         """Deterministic JSON view of the run.
 
-        Everything timing- and outcome-relevant, but no process-global
-        request ids: requests appear in trace order, so two identical
-        seeded runs in one process diff byte-for-byte equal.  The
+        Everything timing- and outcome-relevant; requests appear in trace
+        order, so two identical seeded runs diff byte-for-byte equal.  The
         ``telemetry`` key appears only on telemetry-attached runs, so
         telemetry-off payloads are byte-identical to historical ones.
         """
@@ -535,9 +534,17 @@ class ClusterSimulator:
     # ------------------------------------------------------------------
 
     def run(self, trace: list[GenerationRequest]) -> ClusterResult:
-        """Route and execute ``trace`` to completion across the fleet."""
+        """Route and execute ``trace`` to completion across the fleet.
+
+        Each request is labeled with its position in ``trace``; the proxies
+        the run builds (unified-mode retries, prefill proxies, KV-handoff
+        attach proxies) take the next labels, from ``len(trace)`` on.
+        """
         if not trace:
             raise ValueError("trace is empty")
+        for index, request in enumerate(trace):
+            request.request_id = index
+        self._labels = itertools.count(len(trace))
         self._events = []
         self._seq = itertools.count()
         self._runnable = []  # heap of (now, index, replica)
@@ -639,7 +646,7 @@ class ClusterSimulator:
         """Stitch the requests ``replica`` just retired to their originals;
         record finished ones with the control plane and the hub."""
         for proxy in retired:
-            orig = self._orig_by_proxy.pop(proxy.request_id, None)
+            orig = self._orig_by_proxy.pop(proxy, None)
             if orig is not None:
                 if replica.role == "prefill":
                     self._complete_prefill(orig, proxy)
@@ -752,8 +759,9 @@ class ClusterSimulator:
                 prefix_id=request.prefix_id,
                 prefix_tokens=request.prefix_tokens,
                 cached_prefix_tokens=cached,
+                request_id=next(self._labels),
             )
-            self._orig_by_proxy[proxy.request_id] = request
+            self._orig_by_proxy[proxy] = request
             self._submit(chosen, proxy)
             return
         proxy = GenerationRequest(
@@ -763,8 +771,9 @@ class ClusterSimulator:
             prefix_id=request.prefix_id,
             prefix_tokens=request.prefix_tokens,
             cached_prefix_tokens=cached,
+            request_id=next(self._labels),
         )
-        self._orig_by_proxy[proxy.request_id] = request
+        self._orig_by_proxy[proxy] = request
         self._submit(chosen, proxy)
 
     def _dispatch_handoff(self, orig: GenerationRequest, ts: float) -> None:
@@ -785,8 +794,9 @@ class ClusterSimulator:
             arrival_time=ts,
             prefix_tokens=context - 1,
             cached_prefix_tokens=context - 1,
+            request_id=next(self._labels),
         )
-        self._orig_by_proxy[proxy.request_id] = orig
+        self._orig_by_proxy[proxy] = orig
         self._submit(chosen, proxy)
 
     # ------------------------------------------------------------------
@@ -820,7 +830,7 @@ class ClusterSimulator:
         self._reset(orig)
         assert self.control is not None
         policy = self.control.retry
-        attempt = self._attempts.get(orig.request_id, 0)
+        attempt = self._attempts.get(orig, 0)
         if attempt >= policy.max_retries:
             self._fail(orig, ts)
             if self._ctl_tracer is not None:
@@ -828,7 +838,7 @@ class ClusterSimulator:
                     "control", "retry_budget_exhausted", ts_s=ts, attempts=attempt
                 )
             return
-        self._attempts[orig.request_id] = attempt + 1
+        self._attempts[orig] = attempt + 1
         self._retries += 1
         delay = policy.backoff_s(attempt)
         self._push(ts + delay, _RETRY, orig)
@@ -894,7 +904,7 @@ class ClusterSimulator:
                 requeued=len(victims),
             )
         for victim in victims:
-            orig = self._orig_by_proxy.pop(victim.request_id, victim)
+            orig = self._orig_by_proxy.pop(victim, victim)
             self._requeue(orig, ts)
 
     def _end_fault(self, event, ts: float) -> None:

@@ -8,14 +8,11 @@
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.stats import total
 
 __all__ = ["GenerationConfig", "GenerationRequest", "RequestState", "mean_itl_s"]
-
-_request_ids = itertools.count()
 
 
 @dataclass(frozen=True)
@@ -69,19 +66,23 @@ class RequestState:
     FAILED = "failed"
 
 
-@dataclass
+@dataclass(eq=False)
 class GenerationRequest:
     """One inference request flowing through the serving runtime.
 
     Times are simulation-clock seconds.  ``first_token_time`` minus
     ``arrival_time`` is the request's TTFT; ``finish_time`` minus
     ``arrival_time`` its end-to-end latency.
+
+    A request's identity is the object itself: it compares and hashes as
+    itself.  ``request_id`` is only an output label, assigned by the run
+    that executes the request (``None`` outside any run).
     """
 
     input_tokens: int
     output_tokens: int
     arrival_time: float = 0.0
-    request_id: int = field(default_factory=lambda: next(_request_ids))
+    request_id: int | None = None
     state: str = RequestState.QUEUED
     generated_tokens: int = 0
     admit_time: float | None = None  # first admission (per-request timelines)

@@ -152,8 +152,7 @@ class RequestProfile:
     components and energy.  Prefill chunks are charged to the admitted
     prompts only — decoding streams that ride along a fused chunk (the
     SplitFuse effect) ride free, exactly as the engine prices them.
-    ``index`` is the request's position in the run's submission order, so
-    profiles are deterministic (request ids are process-global).
+    ``index`` is the request's position in the run's submission order.
     """
 
     index: int
@@ -509,7 +508,7 @@ class StepProfiler:
             spec.memory_bandwidth_bytes_s * deployment.num_devices
         )
         self._phases: dict[str, _PhaseAcc] = {}
-        self._requests: dict[int, _RequestAcc] = {}  # keyed by id(request)
+        self._requests: dict[object, _RequestAcc] = {}  # keyed by the request
         self.idle_s = 0.0
         self.idle_energy_j = 0.0
 
@@ -593,9 +592,9 @@ class StepProfiler:
             shared = [value * share for value in components]
             accs = self._requests
             for request in requests:
-                req = accs.get(id(request))
+                req = accs.get(request)
                 if req is None:
-                    req = accs[id(request)] = _RequestAcc()
+                    req = accs[request] = _RequestAcc()
                 req.time_s += time_share
                 req.energy_j += energy_share
                 totals = req.components
@@ -670,7 +669,7 @@ class StepProfiler:
         phases = _phase_profiles(self._phases)
         request_profiles = []
         for index, request in enumerate(requests):
-            acc = self._requests.get(id(request)) or _RequestAcc()
+            acc = self._requests.get(request) or _RequestAcc()
             request_profiles.append(
                 RequestProfile(
                     index=index,

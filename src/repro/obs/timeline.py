@@ -22,9 +22,13 @@ __all__ = ["RequestTimeline", "build_timelines", "timeline_table"]
 
 @dataclass(frozen=True)
 class RequestTimeline:
-    """Milestones of one request on the simulation clock (seconds)."""
+    """Milestones of one request on the simulation clock (seconds).
 
-    request_id: int
+    ``request_id`` is the label its run assigned (``None`` for a request
+    that never entered a run).
+    """
+
+    request_id: int | None
     input_tokens: int
     output_tokens: int
     arrival_s: float
@@ -123,7 +127,8 @@ def build_timelines(requests: list[GenerationRequest]) -> list[RequestTimeline]:
 
 
 def timeline_table(timelines: list[RequestTimeline], limit: int | None = None) -> str:
-    """Render timelines as a fixed-width table (slowest TTFT first)."""
+    """Render timelines as a fixed-width table (slowest TTFT first); a
+    request without a label shows ``-``."""
     if not timelines:
         return "(no requests)"
     ranked = sorted(
@@ -137,7 +142,8 @@ def timeline_table(timelines: list[RequestTimeline], limit: int | None = None) -
     ]
     for t in ranked:
         lines.append(
-            f"{t.request_id:>5d} {t.input_tokens:>6d} {t.output_tokens:>6d} "
+            f"{'-' if t.request_id is None else t.request_id:>5} "
+            f"{t.input_tokens:>6d} {t.output_tokens:>6d} "
             f"{t.arrival_s:>9.3f} {t.queue_wait_s:>9.3f} {t.prefill_s:>9.3f} "
             f"{t.decode_s:>9.3f} {t.ttft_s:>9.3f} {t.mean_decode_gap_s:>9.4f} "
             f"{t.preemptions:>4d}"

@@ -280,9 +280,12 @@ class ServingEngine:
 
     def run(self, trace: list[GenerationRequest]) -> EngineResult:
         """Execute a trace to completion; raises OutOfMemoryError only when
-        a request can never fit even on an idle engine."""
+        a request can never fit even on an idle engine.  Each request is
+        labeled with its position in ``trace``."""
         if not trace:
             raise ValueError("trace is empty")
+        for index, request in enumerate(trace):
+            request.request_id = index
         run = self.start()
         for request in sorted(trace, key=lambda r: r.arrival_time):
             run.submit(request)
@@ -671,7 +674,7 @@ class EngineRun:
         scheduler = self.scheduler
         while True:
             try:
-                scheduler.allocator.append_token(request.request_id)
+                scheduler.allocator.append_token(request)
                 return
             except AllocationError:
                 victim = self._choose_victim(request)

@@ -17,6 +17,7 @@ hottest.
 
 from __future__ import annotations
 
+from collections.abc import Hashable
 from dataclasses import dataclass
 
 from repro.obs.tracer import EventTracer
@@ -47,7 +48,8 @@ class PagedKVAllocator:
     context up front so growth never fails; *optimistic* (vLLM's actual
     policy) reserves only the prompt's blocks and grows on demand, packing
     more sequences at the cost of possible preemption when the pool runs
-    dry mid-decode.
+    dry mid-decode.  A sequence's ``seq_id`` is any hashable; the
+    scheduler passes the request object itself.
     """
 
     def __init__(
@@ -60,7 +62,7 @@ class PagedKVAllocator:
         self.total_blocks = total_blocks
         self.block_size = block_size
         self.tracer = tracer
-        self._sequences: dict[int, _PagedSequence] = {}
+        self._sequences: dict[Hashable, _PagedSequence] = {}
         self._reserved_blocks = 0
 
     def _trace_pool(self, name: str) -> None:
@@ -84,7 +86,7 @@ class PagedKVAllocator:
 
     def admit(
         self,
-        seq_id: int,
+        seq_id: Hashable,
         prompt_tokens: int,
         final_context_tokens: int,
         optimistic: bool = False,
@@ -117,7 +119,7 @@ class PagedKVAllocator:
         if self.tracer is not None:
             self._trace_pool("admit")
 
-    def append_token(self, seq_id: int) -> None:
+    def append_token(self, seq_id: Hashable) -> None:
         seq = self._require(seq_id)
         needed = self._blocks_for(seq.context_tokens + 1)
         if needed > seq.reserved_blocks:
@@ -139,7 +141,7 @@ class PagedKVAllocator:
         seq.context_tokens += 1
         seq.mapped_blocks = needed
 
-    def free(self, seq_id: int) -> None:
+    def free(self, seq_id: Hashable) -> None:
         seq = self._sequences.pop(seq_id, None)
         if seq is None:
             raise AllocationError(f"sequence {seq_id} not admitted")
@@ -147,7 +149,7 @@ class PagedKVAllocator:
         if self.tracer is not None:
             self._trace_pool("free")
 
-    def context_tokens(self, seq_id: int) -> int:
+    def context_tokens(self, seq_id: Hashable) -> int:
         return self._require(seq_id).context_tokens
 
     @property
@@ -170,7 +172,7 @@ class PagedKVAllocator:
         """Capacity wasted inside partially filled mapped blocks."""
         return self.mapped_tokens - self.used_tokens
 
-    def _require(self, seq_id: int) -> _PagedSequence:
+    def _require(self, seq_id: Hashable) -> _PagedSequence:
         seq = self._sequences.get(seq_id)
         if seq is None:
             raise AllocationError(f"sequence {seq_id} not admitted")

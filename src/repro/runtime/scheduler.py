@@ -133,7 +133,7 @@ class Scheduler:
         final_ctx = request.input_tokens + request.output_tokens
         prompt_ctx = request.prefill_tokens_needed
         self.allocator.admit(
-            request.request_id, prompt_ctx, final_ctx, optimistic=self.optimistic
+            request, prompt_ctx, final_ctx, optimistic=self.optimistic
         )
         request.state = RequestState.PREFILLING
         if request.admit_time is None:
@@ -156,7 +156,7 @@ class Scheduler:
         requeue it at the front of the waiting queue."""
         if request not in self.running:
             raise ValueError(f"request {request.request_id} is not running")
-        self.allocator.free(request.request_id)
+        self.allocator.free(request)
         self.running.remove(request)
         request.mark_preempted()
         self.waiting.appendleft(request)
@@ -203,7 +203,7 @@ class Scheduler:
         for request in self.running:
             (done if request.is_finished else kept).append(request)
         for request in done:
-            self.allocator.free(request.request_id)
+            self.allocator.free(request)
         self.stats.finished += len(done)
         self.running = kept
         return done

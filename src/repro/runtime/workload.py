@@ -37,14 +37,10 @@ def fixed_batch_trace(
     ]
 
 
-def poisson_trace(
-    num_requests: int,
-    rate_per_s: float,
-    input_tokens: int,
-    output_tokens: int,
-    seed: int = 0,
-) -> list[GenerationRequest]:
-    """Requests with exponential inter-arrival gaps at ``rate_per_s``."""
+def _poisson_arrivals(
+    num_requests: int, rate_per_s: float, seed: int
+) -> list[float]:
+    """Arrival times with exponential gaps at ``rate_per_s``, from t=0."""
     if num_requests < 1:
         raise ValueError(f"num_requests must be >= 1, got {num_requests}")
     if rate_per_s <= 0:
@@ -53,13 +49,24 @@ def poisson_trace(
     gaps = rng.exponential(1.0 / rate_per_s, size=num_requests)
     arrivals = np.cumsum(gaps)
     arrivals -= arrivals[0]  # first request arrives at t=0
+    return arrivals.tolist()
+
+
+def poisson_trace(
+    num_requests: int,
+    rate_per_s: float,
+    input_tokens: int,
+    output_tokens: int,
+    seed: int = 0,
+) -> list[GenerationRequest]:
+    """Requests with exponential inter-arrival gaps at ``rate_per_s``."""
     return [
         GenerationRequest(
             input_tokens=input_tokens,
             output_tokens=output_tokens,
-            arrival_time=float(t),
+            arrival_time=t,
         )
-        for t in arrivals
+        for t in _poisson_arrivals(num_requests, rate_per_s, seed)
     ]
 
 
@@ -107,12 +114,12 @@ def open_loop_trace(
     :func:`blended_trace`, from one seed.  Used by the load generator and
     the cluster simulator CLI.
     """
-    arrivals = poisson_trace(num_requests, rate_per_s, 1, 1, seed=seed)
+    arrivals = _poisson_arrivals(num_requests, rate_per_s, seed)
     shaped = blended_trace(
         num_requests, mean_input_tokens, mean_output_tokens, seed=seed
     )
     for arrival, request in zip(arrivals, shaped):
-        request.arrival_time = arrival.arrival_time
+        request.arrival_time = arrival
     return shaped
 
 
@@ -137,14 +144,14 @@ def shared_prefix_trace(
         raise ValueError(f"num_prefixes must be >= 1, got {num_prefixes}")
     if prefix_tokens < 1 or unique_tokens < 1:
         raise ValueError("prefix_tokens and unique_tokens must be >= 1")
-    arrivals = poisson_trace(num_requests, rate_per_s, 1, 1, seed=seed)
+    arrivals = _poisson_arrivals(num_requests, rate_per_s, seed)
     rng = np.random.default_rng(seed + 1)  # decouple from the arrival draw
     prefix_ids = rng.integers(0, num_prefixes, size=num_requests)
     return [
         GenerationRequest(
             input_tokens=prefix_tokens + unique_tokens,
             output_tokens=output_tokens,
-            arrival_time=arrival.arrival_time,
+            arrival_time=arrival,
             prefix_id=int(pid),
             prefix_tokens=prefix_tokens,
         )

@@ -168,7 +168,7 @@ class Scenario:
 
 
 def trace_json_dicts(requests: list[GenerationRequest]) -> list[dict[str, object]]:
-    """A trace as deterministic JSON dicts (no process-global request ids)."""
+    """A trace as deterministic JSON dicts, in list order."""
     return [
         {
             "arrival_s": round(r.arrival_time, 9),

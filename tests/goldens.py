@@ -21,9 +21,10 @@ pin what nothing else pins at full precision:
 * ``golden_chat_sharegpt_s4_seed42.json`` — a scenario trace.
 
 CI's ``cmp`` steps compare the CLI's files with the same goldens.
-Traces carry request ids from a process-wide counter, so each CLI run
-here restarts it at 0 as a fresh process does.  Renders that come from
-one CLI invocation share one cached run.
+Request ids in traces are labels each run assigns (trace position, then
+the cluster's proxies), so a CLI run here writes the bytes a fresh
+process writes.  Renders that come from one CLI invocation share one
+cached run.
 
 After an intended change, regenerate and review with
     PYTHONPATH=src python -m tests.goldens render [NAME...]
@@ -41,13 +42,11 @@ import contextlib
 import difflib
 import functools
 import io
-import itertools
 import json
 import sys
 import tempfile
 from collections.abc import Callable
 from pathlib import Path
-from unittest import mock
 
 from repro import dashboard as dash
 from repro.analysis.optimize import SearchSpace, optimize
@@ -58,7 +57,6 @@ from repro.bench.report import run_all
 from repro.cli import main as cli_main
 from repro.cluster import ClusterSimulator, get_router
 from repro.control import ControlPlane, FaultSchedule, get_autoscaler
-from repro.core import request
 from repro.core.jsonio import dumps
 from repro.experiments import (
     ExperimentSpec,
@@ -101,12 +99,12 @@ def _chaos_faults(num_crashes: int) -> FaultSchedule:
 def _cli(
     argv: list[str], *outputs: str, faults: FaultSchedule | None = None
 ) -> dict[str, str]:
-    """Run the CLI once from a fresh request-id counter, with each output
-    flag (and ``--faults``, when given) pointed at a scratch file; return
-    each output flag's file text."""
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
-        request, "_request_ids", itertools.count()
-    ), contextlib.redirect_stdout(io.StringIO()):
+    """Run the CLI once with each output flag (and ``--faults``, when
+    given) pointed at a scratch file; return each output flag's file
+    text."""
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(
+        io.StringIO()
+    ):
         paths = {flag: Path(tmp) / f"{i}.json" for i, flag in enumerate(outputs)}
         if faults is not None:
             spec = Path(tmp) / "faults.json"

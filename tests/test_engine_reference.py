@@ -256,23 +256,9 @@ class TestObservabilityEquivalence:
         events = {}
         for name, cls in ENGINES.items():
             tracer = EventTracer()
-            clone = _clone(trace)
-            cls(_dep(), max_concurrency=8, tracer=tracer).run(clone)
-            # request_id is a process-global counter: normalize to trace
-            # position so the two runs compare on structure and timing.
-            remap = {r.request_id: i for i, r in enumerate(clone)}
+            cls(_dep(), max_concurrency=8, tracer=tracer).run(_clone(trace))
             events[name] = [
-                (
-                    e.name,
-                    e.category,
-                    e.phase,
-                    e.ts_s,
-                    e.dur_s,
-                    {
-                        k: (remap[v] if k == "request_id" else v)
-                        for k, v in e.args.items()
-                    },
-                )
+                (e.name, e.category, e.phase, e.ts_s, e.dur_s, e.args)
                 for e in tracer.events
             ]
         assert events["reference"] == events["engine"]

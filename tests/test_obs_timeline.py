@@ -105,6 +105,8 @@ class TestTimelineTable:
         text = timeline_table(build_timelines(requests), limit=2)
         assert len(text.splitlines()) == 3  # header + 2 rows
         assert "ttft" in text
+        # Requests that never entered a run have no label.
+        assert all(row.split()[0] == "-" for row in text.splitlines()[1:])
 
     def test_empty(self):
         assert "no requests" in timeline_table([])

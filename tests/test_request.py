@@ -29,10 +29,14 @@ class TestGenerationConfig:
 
 
 class TestGenerationRequest:
-    def test_unique_ids(self):
+    def test_identity_is_the_object(self):
         a = GenerationRequest(10, 10)
         b = GenerationRequest(10, 10)
-        assert a.request_id != b.request_id
+        assert a != b
+        assert len({a, b}) == 2
+
+    def test_unlabeled_outside_a_run(self):
+        assert GenerationRequest(10, 10).request_id is None
 
     def test_context_grows_with_tokens(self):
         req = GenerationRequest(10, 3)
