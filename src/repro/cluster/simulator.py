@@ -61,6 +61,7 @@ from repro.obs.telemetry import (
     FAST_WINDOW_S,
     TelemetryHub,
     TelemetrySnapshot,
+    TimeSeries,
     trace_alerts,
 )
 from repro.obs.tracer import EventTracer, TraceEvent
@@ -155,6 +156,50 @@ class Replica(EngineRun):
         while len(lru) > self.prefix_cache_slots:
             lru.pop(next(iter(lru)))  # evict least-recently-used
         return hit
+
+
+#: ``(name, unit)`` of the cumulative profiler counters a profiled
+#: replica's lane samples, in :meth:`StepProfiler.running_totals` order.
+_PROFILE_COUNTERS = (
+    ("busy_s", "s"),
+    ("flops", "flops"),
+    ("bytes", "bytes"),
+    ("energy_j", "J"),
+    ("tokens", "tokens"),
+)
+
+
+class _TelemetryLane:
+    """One replica's ``replica.<name>.*`` telemetry series, looked up in
+    the hub once instead of by name on every control tick.
+
+    A lane creates each series when a by-name sample would first have:
+    the gauges on the replica's first sampled tick, the profiler counters
+    only for a profiled replica, ``mfu``/``mbu``/``watts`` on the first
+    tick with a positive window and ``joules_per_token`` on the first
+    window with tokens in it.  So the hub holds the same series either way.
+    """
+
+    __slots__ = (
+        "hub", "prefix", "queue_depth", "outstanding_tokens", "kv_occupancy",
+        "counters", "mfu", "mbu", "watts", "joules_per_token",
+    )
+
+    def __init__(self, hub: TelemetryHub, replica: Replica) -> None:
+        self.hub = hub
+        self.prefix = f"replica.{replica.name}"
+        self.queue_depth = self.series("queue_depth")
+        self.outstanding_tokens = self.series("outstanding_tokens", unit="tokens")
+        self.kv_occupancy = self.series("kv_occupancy")
+        self.counters = (
+            tuple(self.series(name, unit=unit) for name, unit in _PROFILE_COUNTERS)
+            if replica.profiler is not None
+            else None
+        )
+        self.mfu = self.mbu = self.watts = self.joules_per_token = None
+
+    def series(self, name: str, unit: str = "") -> TimeSeries:
+        return self.hub.series(f"{self.prefix}.{name}", unit=unit)
 
 
 @dataclass(frozen=True)
@@ -594,6 +639,7 @@ class ClusterSimulator:
         self._telemetry_view = (
             TelemetryFleetView(hub) if (hub is not None and self.profiled) else None
         )
+        self._lanes: dict[Replica, _TelemetryLane] = {}
         if self._control_ticks or hub is not None:
             self._push(self._tick_every, _TICK, None)
 
@@ -995,23 +1041,18 @@ class ClusterSimulator:
             float(sum(r.outstanding_tokens for r in serving)),
             unit="tokens",
         )
+        lanes = self._lanes
         for replica in self._replicas:
             if not replica.alive:
                 continue
-            prefix = f"replica.{replica.name}"
-            hub.sample(f"{prefix}.queue_depth", ts, float(replica.queue_depth))
-            hub.sample(
-                f"{prefix}.outstanding_tokens",
-                ts,
-                float(replica.outstanding_tokens),
-                unit="tokens",
-            )
-            hub.sample(f"{prefix}.kv_occupancy", ts, replica.kv_used_fraction)
-            profiler = replica.profiler
-            if profiler is not None:
-                self._sample_profiler_totals(
-                    prefix, ts, replica, profiler.running_totals()
-                )
+            lane = lanes.get(replica)
+            if lane is None:
+                lane = lanes[replica] = _TelemetryLane(hub, replica)
+            lane.queue_depth.append(ts, float(replica.queue_depth))
+            lane.outstanding_tokens.append(ts, float(replica.outstanding_tokens))
+            lane.kv_occupancy.append(ts, replica.kv_used_fraction)
+            if lane.counters is not None:
+                self._sample_profiler_totals(lane, ts, replica)
         trace_alerts(self._ctl_tracer, hub.tick(ts))
         if self._telemetry_view is not None and len(serving) > 1:
             scales = self._telemetry_view.routing_scales(
@@ -1021,43 +1062,35 @@ class ClusterSimulator:
                 replica.apply_telemetry_scale(scales[replica.name])
 
     def _sample_profiler_totals(
-        self, prefix: str, ts: float, replica: Replica, totals: dict
+        self, lane: _TelemetryLane, ts: float, replica: Replica
     ) -> None:
         """Cumulative profiler counters plus the derived windowed
         efficiency channels (MFU/MBU/watts/joules-per-token)."""
-        hub = self.telemetry
-        hub.sample(f"{prefix}.busy_s", ts, totals["busy_s"], unit="s")
-        hub.sample(f"{prefix}.flops", ts, totals["flops"], unit="flops")
-        hub.sample(f"{prefix}.bytes", ts, totals["bytes"], unit="bytes")
-        hub.sample(f"{prefix}.energy_j", ts, totals["energy_j"], unit="J")
-        hub.sample(f"{prefix}.tokens", ts, totals["tokens"], unit="tokens")
+        profiler = replica.profiler
+        for series, total in zip(lane.counters, profiler.running_totals()):
+            series.append(ts, total)
         window = FAST_WINDOW_S
         # A freshly scaled replica has existed for less than a full
         # window; normalize by its actual lifetime inside the window.
         elapsed = min(window, ts - replica.created_s)
         if elapsed <= 0:
             return
-        profiler = replica.profiler
-        d_flops = hub.series(f"{prefix}.flops").delta(window, ts)
-        d_bytes = hub.series(f"{prefix}.bytes").delta(window, ts)
-        d_energy = hub.series(f"{prefix}.energy_j").delta(window, ts)
-        d_tokens = hub.series(f"{prefix}.tokens").delta(window, ts)
-        hub.sample(
-            f"{prefix}.mfu", ts, d_flops / (elapsed * profiler.peak_flops_per_s)
-        )
-        hub.sample(
-            f"{prefix}.mbu",
-            ts,
-            d_bytes / (elapsed * profiler.peak_bandwidth_bytes_s),
-        )
-        hub.sample(f"{prefix}.watts", ts, d_energy / elapsed, unit="W")
+        _, flops, moved, energy, tokens = lane.counters
+        d_flops = flops.delta(window, ts)
+        d_bytes = moved.delta(window, ts)
+        d_energy = energy.delta(window, ts)
+        d_tokens = tokens.delta(window, ts)
+        if lane.mfu is None:
+            lane.mfu = lane.series("mfu")
+            lane.mbu = lane.series("mbu")
+            lane.watts = lane.series("watts", unit="W")
+        lane.mfu.append(ts, d_flops / (elapsed * profiler.peak_flops_per_s))
+        lane.mbu.append(ts, d_bytes / (elapsed * profiler.peak_bandwidth_bytes_s))
+        lane.watts.append(ts, d_energy / elapsed)
         if d_tokens > 0:
-            hub.sample(
-                f"{prefix}.joules_per_token",
-                ts,
-                d_energy / d_tokens,
-                unit="J/token",
-            )
+            if lane.joules_per_token is None:
+                lane.joules_per_token = lane.series("joules_per_token", unit="J/token")
+            lane.joules_per_token.append(ts, d_energy / d_tokens)
 
     def _scale_up(self, ts: float) -> None:
         plane = self.control

@@ -445,9 +445,14 @@ class _PhaseAcc:
         self.flops += flops
         self.bytes_moved += bytes_moved
         self.energy_j += energy_j
+        c0, c1, c2, c3, c4, c5 = components
         totals = self.components
-        for i, value in enumerate(components):
-            totals[i] += value
+        totals[0] += c0
+        totals[1] += c1
+        totals[2] += c2
+        totals[3] += c3
+        totals[4] += c4
+        totals[5] += c5
 
     def profile(self, phase: str) -> PhaseProfile:
         return PhaseProfile(
@@ -589,7 +594,11 @@ class StepProfiler:
             share = 1.0 / len(requests)
             time_share = total_s * share
             energy_share = energy_j * share
-            shared = [value * share for value in components]
+            c0, c1, c2, c3, c4, c5 = components
+            s0, s1, s2, s3, s4, s5 = (
+                c0 * share, c1 * share, c2 * share,
+                c3 * share, c4 * share, c5 * share,
+            )
             accs = self._requests
             for request in requests:
                 req = accs.get(request)
@@ -598,8 +607,12 @@ class StepProfiler:
                 req.time_s += time_share
                 req.energy_j += energy_share
                 totals = req.components
-                for i, value in enumerate(shared):
-                    totals[i] += value
+                totals[0] += s0
+                totals[1] += s1
+                totals[2] += s2
+                totals[3] += s3
+                totals[4] += s4
+                totals[5] += s5
 
         if self.tracer is not None and total_s > 0.0:
             self.tracer.counter(
@@ -624,8 +637,10 @@ class StepProfiler:
 
     # ------------------------------------------------------------------
 
-    def running_totals(self) -> dict[str, float]:
-        """Mid-run cumulative counters (the telemetry hub's tap).
+    def running_totals(self) -> tuple[float, float, float, float, float]:
+        """Mid-run cumulative counters (the telemetry hub's tap):
+        ``(busy_s, flops, bytes, energy_j, tokens)``, in that order, all
+        floats.
 
         Cheap (two phase accumulators) and monotone, so sampling them on
         control ticks yields well-behaved cumulative series: windowed
@@ -645,13 +660,7 @@ class StepProfiler:
             bytes_moved += acc.bytes_moved
             energy_j += acc.energy_j
             tokens += acc.tokens
-        return {
-            "busy_s": busy_s,
-            "flops": flops,
-            "bytes": bytes_moved,
-            "energy_j": energy_j,
-            "tokens": float(tokens),
-        }
+        return busy_s, flops, bytes_moved, energy_j, float(tokens)
 
     def report(
         self,

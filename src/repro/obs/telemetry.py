@@ -64,6 +64,10 @@ SKETCH_LO = 1e-4
 SKETCH_HI = 1e4
 SKETCH_BUCKETS = 128
 SKETCH_EDGES = np.geomspace(SKETCH_LO, SKETCH_HI, SKETCH_BUCKETS + 1)
+# The same edges as Python floats: ``bisect_right`` over them gives
+# ``np.searchsorted(SKETCH_EDGES, value, side="right")`` without a numpy
+# call per sample.
+_EDGES = SKETCH_EDGES.tolist()
 #: :class:`SloBudget` burn windows (simulated seconds) and alert thresholds.
 FAST_WINDOW_S = 5.0
 SLOW_WINDOW_S = 30.0
@@ -95,15 +99,16 @@ class TimeSeries:
 
     def append(self, ts_s: float, value: float) -> None:
         ts_s = float(ts_s)
-        if self._ts and ts_s < self._ts[-1]:
+        ts = self._ts
+        if ts and ts_s < ts[-1]:
             raise ValueError(
                 f"out-of-order sample on series {self.name!r}: "
-                f"ts {ts_s} < last ts {self._ts[-1]}"
+                f"ts {ts_s} < last ts {ts[-1]}"
             )
-        self._ts.append(ts_s)
+        ts.append(ts_s)
         self._values.append(float(value))  # exported JSON prints floats
-        if len(self._ts) > SERIES_CAPACITY:
-            del self._ts[0]
+        if len(ts) > SERIES_CAPACITY:
+            del ts[0]
             del self._values[0]
 
     def value_at(self, ts_s: float, default: float = float("nan")) -> float:
@@ -124,18 +129,30 @@ class TimeSeries:
         window opening before the series started measures growth since
         the start — the standard convention for monotone counters.
         """
-        if not self._ts:
+        ts = self._ts
+        if not ts:
             return float("nan")
-        end = self.value_at(now_s, default=0.0)
+        # At or after the last sample (every control-tick read), the end
+        # value is that sample: what ``value_at`` would bisect to.
+        end = self._values[-1] if now_s >= ts[-1] else self.value_at(now_s, 0.0)
         start = self.value_at(now_s - window_s, default=0.0)
         return end - start
 
     def to_json_dict(self) -> dict:
         return {
             "unit": self.unit,
-            "ts_s": [json_num(t) for t in self._ts],
-            "values": [json_num(v) for v in self._values],
+            "ts_s": _json_list(self._ts),
+            "values": _json_list(self._values),
         }
+
+
+def _json_list(values: list[float]) -> list[float | None]:
+    """:func:`json_num` of each value: one list copy when all are finite
+    (``map`` over ``isfinite``, never a ``sum``, which overflows to inf on
+    large finite values and is compensated from Python 3.12 on)."""
+    if all(map(math.isfinite, values)):
+        return list(values)
+    return [json_num(v) for v in values]
 
 
 class QuantileSketch:
@@ -153,7 +170,7 @@ class QuantileSketch:
 
     def __init__(self):
         # underflow + buckets + overflow
-        self._counts = np.zeros(SKETCH_BUCKETS + 2, dtype=np.int64)
+        self._counts = [0] * (SKETCH_BUCKETS + 2)
         self._count = 0
         self._min = float("inf")
         self._max = float("-inf")
@@ -166,12 +183,12 @@ class QuantileSketch:
         value = float(value)
         if math.isnan(value):
             raise ValueError("cannot add NaN to a quantile sketch")
-        if value < SKETCH_EDGES[0]:
+        if value < _EDGES[0]:
             idx = 0
-        elif value >= SKETCH_EDGES[-1]:
-            idx = len(self._counts) - 1
+        elif value >= _EDGES[-1]:
+            idx = SKETCH_BUCKETS + 1
         else:
-            idx = int(np.searchsorted(SKETCH_EDGES, value, side="right"))
+            idx = bisect_right(_EDGES, value)
         self._counts[idx] += 1
         self._count += 1
         self._min = min(self._min, value)
@@ -192,8 +209,8 @@ class QuantileSketch:
                     return self._min
                 if idx == len(self._counts) - 1:
                     return self._max
-                lo = float(SKETCH_EDGES[idx - 1])
-                hi = float(SKETCH_EDGES[idx])
+                lo = _EDGES[idx - 1]
+                hi = _EDGES[idx]
                 frac = (rank - cum + 1.0) / (bucket_count + 1.0)
                 value = lo + frac * (hi - lo)
                 return min(max(value, self._min), self._max)

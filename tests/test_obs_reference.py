@@ -1,4 +1,4 @@
-"""Exact-equality references for the two sampled instruments.
+"""Exact-equality references for the sampled instruments.
 
 :class:`~repro.obs.metrics.Gauge` keeps running statistics instead of
 its samples, and :class:`~repro.obs.telemetry.TimeSeries` keeps two
@@ -11,10 +11,18 @@ the start and mid-stream, and (for the series) more appends than
 :data:`~repro.obs.telemetry.SERIES_CAPACITY`.  Every read is compared
 with ``==`` (NaN equal to NaN) and the types of int-valued statistics
 must match.
+
+:class:`~repro.obs.telemetry.QuantileSketch` keeps its bucket counts as
+Python ints and bins with ``bisect``; it is held to the numpy sketch it
+replaced (``int64`` counts, ``np.searchsorted``), including values on
+bucket edges and outside the bucket range.  ``TimeSeries.delta`` reads
+the last sample directly at or after it, and ``to_json_dict`` copies an
+all-finite list whole; both are held to the per-value paths.
 """
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
@@ -22,7 +30,15 @@ import pytest
 
 from repro.core.jsonio import json_num
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.telemetry import SERIES_CAPACITY, TimeSeries
+from repro.obs.telemetry import (
+    SERIES_CAPACITY,
+    SKETCH_BUCKETS,
+    SKETCH_EDGES,
+    SKETCH_HI,
+    SKETCH_LO,
+    QuantileSketch,
+    TimeSeries,
+)
 
 NAN = float("nan")
 
@@ -289,3 +305,203 @@ class TestTimeSeriesReference:
         with pytest.raises(ValueError, match="out-of-order"):
             series.append(samples[-1][0] - 1.0, 1.0)
         assert series.to_json_dict() == ref.to_json_dict()
+
+
+def _bisect_delta(series: TimeSeries, window_s: float, now_s: float) -> float:
+    """``delta`` through two ``value_at`` bisects, as it read before the
+    last-sample fast path."""
+    return series.value_at(now_s, default=0.0) - series.value_at(
+        now_s - window_s, default=0.0
+    )
+
+
+class TestDeltaFastPath:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_at_and_after_last_sample_equals_bisect(self, seed):
+        rng = random.Random(seed)
+        samples = stream(seed, 200, opening_ties=seed % 3)
+        # A tie on the last timestamp: the fast path must read the last
+        # of the tied samples, as ``bisect_right`` does.
+        samples.append((samples[-1][0], rng.uniform(0.0, 10.0)))
+        series = TimeSeries("s")
+        for ts, value in samples:
+            series.append(ts, value)
+        last = samples[-1][0]
+        for now in (last, last + 1e-9, last + 0.25, last + 5.0, last + 1e9):
+            for window_s in (0.0, 0.25, 1.0, 5.0, rng.uniform(0.0, 30.0), 1e12):
+                assert same(
+                    series.delta(window_s, now), _bisect_delta(series, window_s, now)
+                ), (now, window_s)
+
+    def test_before_last_sample_and_nan_clock_take_the_bisect_path(self):
+        series = TimeSeries("s")
+        for ts, value in ((0.0, 1.0), (1.0, 3.0), (2.0, 6.0)):
+            series.append(ts, value)
+        for now in (-1.0, 0.0, 0.5, 1.0, 1.99, float("nan")):
+            for window_s in (0.5, 1.0, 5.0):
+                assert same(
+                    series.delta(window_s, now), _bisect_delta(series, window_s, now)
+                ), (now, window_s)
+        assert same(TimeSeries("empty").delta(1.0, 1.0), NAN)
+
+
+class TestToJsonDict:
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [],
+            [0.0, -0.0, 1.5, 3],
+            [1e308, 1e308],  # finite, but their sum overflows to inf
+            [1e308, 1e308, -1e308],
+            [-1e308, -1e308],
+            [1.0, NAN, 2.0],
+            [NAN],
+            [float("inf"), 1.0],
+            [1.0, float("-inf")],
+            [1e308, float("inf"), float("-inf")],  # sum is NaN
+        ],
+        ids=lambda v: repr(v),
+    )
+    def test_equals_per_value_json_num(self, values):
+        series = TimeSeries("s", unit="u")
+        for i, value in enumerate(values):
+            series.append(float(i), value)
+        body = series.to_json_dict()
+        assert same(body["values"], [json_num(float(v)) for v in values])
+        assert same(body["ts_s"], [float(i) for i in range(len(values))])
+        assert body["unit"] == "u"
+
+    def test_non_finite_timestamps(self):
+        series = TimeSeries("s")
+        series.append(1e308, 1.0)
+        series.append(float("inf"), 2.0)
+        assert same(series.to_json_dict()["ts_s"], [1e308, None])
+
+    def test_returns_copies(self):
+        series = TimeSeries("s")
+        series.append(0.0, 1.0)
+        body = series.to_json_dict()
+        body["ts_s"].append(9.0)
+        body["values"].append(9.0)
+        assert series.to_json_dict() == {"unit": "", "ts_s": [0.0], "values": [1.0]}
+
+
+class NumpySketch:
+    """Reference sketch: ``int64`` bucket counts binned with
+    ``np.searchsorted`` (the numpy implementation the list one replaced)."""
+
+    def __init__(self) -> None:
+        self._counts = np.zeros(SKETCH_BUCKETS + 2, dtype=np.int64)
+        self._count = 0
+        self._min = float("inf")
+        self._max = float("-inf")
+
+    def add(self, value) -> None:
+        value = float(value)
+        if value < SKETCH_EDGES[0]:
+            idx = 0
+        elif value >= SKETCH_EDGES[-1]:
+            idx = len(self._counts) - 1
+        else:
+            idx = int(np.searchsorted(SKETCH_EDGES, value, side="right"))
+        self._counts[idx] += 1
+        self._count += 1
+        self._min = min(self._min, value)
+        self._max = max(self._max, value)
+
+    def quantile(self, q: float) -> float:
+        if not self._count:
+            return NAN
+        rank = q * (self._count - 1)
+        cum = 0
+        for idx, bucket_count in enumerate(self._counts):
+            if not bucket_count:
+                continue
+            if rank < cum + bucket_count:
+                if idx == 0:
+                    return self._min
+                if idx == len(self._counts) - 1:
+                    return self._max
+                lo = float(SKETCH_EDGES[idx - 1])
+                hi = float(SKETCH_EDGES[idx])
+                frac = (rank - cum + 1.0) / (bucket_count + 1.0)
+                value = lo + frac * (hi - lo)
+                return min(max(value, self._min), self._max)
+            cum += bucket_count
+        return self._max
+
+
+_EDGE_VALUES = [float(e) for e in SKETCH_EDGES]
+_OUT_OF_RANGE = [
+    0.0, -0.0, -1.0, 1e-9, SKETCH_LO * (1 - 1e-12), float("-inf"),
+    SKETCH_HI, SKETCH_HI * (1 + 1e-12), 1e6, float("inf"),
+]
+
+
+def sketch_stream(seed: int, n: int) -> list[float]:
+    """Seeded latencies over the whole bucket range, with bucket edges,
+    out-of-range values and repeats mixed in."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(n):
+        kind = rng.random()
+        if kind < 0.6:
+            out.append(10.0 ** rng.uniform(-5.0, 5.0))
+        elif kind < 0.75:
+            out.append(rng.choice(_EDGE_VALUES))
+        elif kind < 0.85:
+            out.append(rng.choice(_OUT_OF_RANGE))
+        elif kind < 0.95:
+            out.append(rng.lognormvariate(-2.0, 1.0))  # TTFT-like seconds
+        elif out:
+            out.append(rng.choice(out))
+        else:
+            out.append(1.0)
+    return out
+
+
+SKETCH_STREAMS = (
+    [pytest.param([v], id=f"single-{v!r}")
+     for v in [0.5, SKETCH_LO, SKETCH_HI, 1e-9, -2.0, 1e6,
+               _EDGE_VALUES[1], _EDGE_VALUES[64], float("inf")]]
+    + [pytest.param([0.25] * 7, id="one-value-repeated")]
+    + [pytest.param(_EDGE_VALUES, id="every-edge")]
+    + [pytest.param(_OUT_OF_RANGE, id="out-of-range")]
+    + [pytest.param(sketch_stream(seed, n), id=f"random-{seed}-{n}")
+       for seed, n in ((0, 2), (1, 10), (2, 100), (3, 1000), (4, 5000))]
+)
+
+_QS = (0.0, 1e-9, 0.01, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1.0 - 1e-12, 1.0)
+
+
+class TestQuantileSketchReference:
+    @pytest.mark.parametrize("values", SKETCH_STREAMS)
+    def test_quantiles_equal_numpy_sketch(self, values):
+        sketch, ref = QuantileSketch(), NumpySketch()
+        rng = random.Random(len(values))
+        qs = _QS + tuple(rng.random() for _ in range(20))
+        for i, value in enumerate(values, 1):
+            sketch.add(value)
+            ref.add(value)
+            if i in (1, 2, len(values) // 2, len(values)):
+                assert sketch.count == ref._count
+                assert sketch._counts == ref._counts.tolist()
+                for q in qs:
+                    got, want = sketch.quantile(q), ref.quantile(q)
+                    assert got == want or (math.isnan(got) and math.isnan(want)), (
+                        i, q, got, want,
+                    )
+
+    def test_bins_like_searchsorted_right(self):
+        sketch = QuantileSketch()
+        for value in _EDGE_VALUES[:-1]:
+            sketch.add(value)
+        # Each edge opens its bucket: edge k lands in bucket k + 1.
+        assert sketch._counts == [0] + [1] * SKETCH_BUCKETS + [0]
+        sketch.add(_EDGE_VALUES[-1])
+        assert sketch._counts[-1] == 1
+
+    def test_empty_and_nan(self):
+        assert math.isnan(QuantileSketch().quantile(0.5))
+        with pytest.raises(ValueError):
+            QuantileSketch().add(NAN)

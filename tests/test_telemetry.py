@@ -22,6 +22,7 @@ from repro.models.zoo import get_model
 import repro.obs
 from repro.obs import telemetry as telemetry_module
 from repro.obs.telemetry import (
+    FAST_WINDOW_S,
     SERIES_CAPACITY,
     Alert,
     QuantileSketch,
@@ -411,6 +412,113 @@ class TestClusterIdentity:
         names = set(result.telemetry.series)
         assert any(name.endswith(".mfu") for name in names)
         assert any(name.endswith(".joules_per_token") for name in names)
+
+
+_REPLICA_GAUGES = ("queue_depth", "outstanding_tokens", "kv_occupancy")
+_PROFILER_COUNTERS = ("busy_s", "flops", "bytes", "energy_j", "tokens")
+
+
+def _rebuilt(body: dict) -> TimeSeries:
+    """A snapshot series body back as a :class:`TimeSeries`."""
+    series = TimeSeries("rebuilt")
+    for ts, value in zip(body["ts_s"], body["values"]):
+        series.append(ts, value)
+    return series
+
+
+class TestReplicaSeriesSet:
+    """The cluster looks each replica's series up once, yet the hub holds
+    exactly the series a by-name sample on every tick creates: profiler
+    counters only on profiled runs, ``mfu``/``mbu``/``watts`` from the
+    first tick after the replica was created, ``joules_per_token`` only
+    from the first window with tokens in it."""
+
+    def test_unprofiled_run_has_only_replica_gauges(self):
+        result = TestClusterIdentity._run(TelemetryHub())
+        replicas = {r.name for r in result.replicas}
+        per_replica = {
+            name for name in result.telemetry.series if name.startswith("replica.")
+        }
+        assert per_replica == {
+            f"replica.{r}.{gauge}" for r in replicas for gauge in _REPLICA_GAUGES
+        }
+        assert not any(
+            name.endswith(f".{counter}")
+            for name in per_replica
+            for counter in _PROFILER_COUNTERS
+        )
+
+    @pytest.fixture(scope="class")
+    def scaled(self):
+        """A profiled burn-rate run whose flash crowd scales the fleet up;
+        the last replica it adds never serves a token."""
+        from repro.cluster.simulator import ClusterSimulator
+        from repro.control import BurnRateAutoscaler, ControlPlane
+        from repro.scenarios import (
+            FlashCrowdArrivals,
+            LognormalLengths,
+            Scenario,
+            SingleShot,
+        )
+
+        scenario = Scenario(
+            name="flash",
+            description="flash crowd over a 2-replica fleet",
+            arrival=FlashCrowdArrivals(
+                base_rps=0.8, flash_at_s=20.0, flash_factor=6.0,
+                ramp_s=2.0, hold_s=6.0, decay_s=8.0,
+            ),
+            lengths=LognormalLengths(
+                mean_input_tokens=400.0, mean_output_tokens=160.0
+            ),
+            sessions=SingleShot(),
+            num_sessions=96,
+        )
+        sim = ClusterSimulator(
+            deployment(),
+            2,
+            max_concurrency=4,
+            profiled=True,
+            control=ControlPlane(
+                autoscaler=BurnRateAutoscaler(
+                    slo=ServiceLevelObjective(ttft_s=1.5, itl_s=1 / 12),
+                    max_replicas=6,
+                ),
+            ),
+        )
+        return sim.run(scenario.build(0))
+
+    def test_efficiency_channels_start_after_creation(self, scaled):
+        series = scaled.telemetry.series
+        created = {e["replica"]: e["ts_s"] for e in scaled.scale_log if e["action"] == "up"}
+        assert created, "the flash crowd never scaled the fleet up"
+        for replica in scaled.replicas:
+            prefix = f"replica.{replica.name}"
+            ticks = series[f"{prefix}.tokens"]["ts_s"]
+            born = created.get(replica.name, 0.0)
+            for name in ("mfu", "mbu", "watts"):
+                assert series[f"{prefix}.{name}"]["ts_s"] == [
+                    t for t in ticks if t > born
+                ], f"{prefix}.{name}"
+
+    def test_joules_per_token_starts_with_tokens(self, scaled):
+        series = scaled.telemetry.series
+        waited = never = 0
+        for replica in scaled.replicas:
+            prefix = f"replica.{replica.name}"
+            tokens = _rebuilt(series[f"{prefix}.tokens"])
+            ticks = series[f"{prefix}.mfu"]["ts_s"]
+            expected = [t for t in ticks if tokens.delta(FAST_WINDOW_S, t) > 0]
+            key = f"{prefix}.joules_per_token"
+            if expected:
+                assert series[key]["ts_s"] == expected, key
+                waited += expected[0] > ticks[0]
+            else:
+                assert key not in series, key
+                never += 1
+        # Both cases occur: replicas that idled before their first token
+        # and a scaled-up replica that never served one.
+        assert waited and never
 
 
 class TestTickInterval:
