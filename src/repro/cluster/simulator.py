@@ -56,7 +56,7 @@ from repro.control.plane import ControlPlane
 from repro.core.request import GenerationRequest, RequestState
 from repro.core.stats import percentile
 from repro.obs.metrics import MetricsRegistry, MetricsSnapshot, record_latencies
-from repro.obs.profiler import ProfileReport, merge_profiles
+from repro.obs.profiler import RUNNING_TOTALS, ProfileReport, merge_profiles
 from repro.obs.telemetry import (
     FAST_WINDOW_S,
     TelemetryHub,
@@ -158,17 +158,6 @@ class Replica(EngineRun):
         return hit
 
 
-#: ``(name, unit)`` of the cumulative profiler counters a profiled
-#: replica's lane samples, in :meth:`StepProfiler.running_totals` order.
-_PROFILE_COUNTERS = (
-    ("busy_s", "s"),
-    ("flops", "flops"),
-    ("bytes", "bytes"),
-    ("energy_j", "J"),
-    ("tokens", "tokens"),
-)
-
-
 class _TelemetryLane:
     """One replica's ``replica.<name>.*`` telemetry series, looked up in
     the hub once instead of by name on every control tick.
@@ -192,7 +181,7 @@ class _TelemetryLane:
         self.outstanding_tokens = self.series("outstanding_tokens", unit="tokens")
         self.kv_occupancy = self.series("kv_occupancy")
         self.counters = (
-            tuple(self.series(name, unit=unit) for name, unit in _PROFILE_COUNTERS)
+            tuple(self.series(name, unit=unit) for name, unit in RUNNING_TOTALS)
             if replica.profiler is not None
             else None
         )
@@ -1067,7 +1056,9 @@ class ClusterSimulator:
         """Cumulative profiler counters plus the derived windowed
         efficiency channels (MFU/MBU/watts/joules-per-token)."""
         profiler = replica.profiler
-        for series, total in zip(lane.counters, profiler.running_totals()):
+        for series, total in zip(
+            lane.counters, profiler.running_totals(), strict=True
+        ):
             series.append(ts, total)
         window = FAST_WINDOW_S
         # A freshly scaled replica has existed for less than a full

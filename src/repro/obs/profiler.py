@@ -58,12 +58,22 @@ __all__ = [
     "PhaseProfile",
     "RequestProfile",
     "ProfileReport",
+    "RUNNING_TOTALS",
     "StepProfiler",
     "merge_profiles",
 ]
 
 #: Fixed phase emission order (report determinism).
 _PHASE_ORDER = ("prefill", "decode")
+#: ``(name, unit)`` of each :meth:`StepProfiler.running_totals` counter,
+#: in the order the tuple returns them.
+RUNNING_TOTALS = (
+    ("busy_s", "s"),
+    ("flops", "flops"),
+    ("bytes", "bytes"),
+    ("energy_j", "J"),
+    ("tokens", "tokens"),
+)
 
 
 def _ratio(numerator: float, denominator: float) -> float:
@@ -445,14 +455,9 @@ class _PhaseAcc:
         self.flops += flops
         self.bytes_moved += bytes_moved
         self.energy_j += energy_j
-        c0, c1, c2, c3, c4, c5 = components
         totals = self.components
-        totals[0] += c0
-        totals[1] += c1
-        totals[2] += c2
-        totals[3] += c3
-        totals[4] += c4
-        totals[5] += c5
+        for i, value in enumerate(components):
+            totals[i] += value
 
     def profile(self, phase: str) -> PhaseProfile:
         return PhaseProfile(
@@ -594,11 +599,7 @@ class StepProfiler:
             share = 1.0 / len(requests)
             time_share = total_s * share
             energy_share = energy_j * share
-            c0, c1, c2, c3, c4, c5 = components
-            s0, s1, s2, s3, s4, s5 = (
-                c0 * share, c1 * share, c2 * share,
-                c3 * share, c4 * share, c5 * share,
-            )
+            shared = [value * share for value in components]
             accs = self._requests
             for request in requests:
                 req = accs.get(request)
@@ -607,12 +608,8 @@ class StepProfiler:
                 req.time_s += time_share
                 req.energy_j += energy_share
                 totals = req.components
-                totals[0] += s0
-                totals[1] += s1
-                totals[2] += s2
-                totals[3] += s3
-                totals[4] += s4
-                totals[5] += s5
+                for i, value in enumerate(shared):
+                    totals[i] += value
 
         if self.tracer is not None and total_s > 0.0:
             self.tracer.counter(
@@ -638,9 +635,8 @@ class StepProfiler:
     # ------------------------------------------------------------------
 
     def running_totals(self) -> tuple[float, float, float, float, float]:
-        """Mid-run cumulative counters (the telemetry hub's tap):
-        ``(busy_s, flops, bytes, energy_j, tokens)``, in that order, all
-        floats.
+        """Mid-run cumulative counters (the telemetry hub's tap), one float
+        per :data:`RUNNING_TOTALS` entry, in that order.
 
         Cheap (two phase accumulators) and monotone, so sampling them on
         control ticks yields well-behaved cumulative series: windowed

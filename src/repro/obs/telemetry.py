@@ -99,16 +99,15 @@ class TimeSeries:
 
     def append(self, ts_s: float, value: float) -> None:
         ts_s = float(ts_s)
-        ts = self._ts
-        if ts and ts_s < ts[-1]:
+        if self._ts and ts_s < self._ts[-1]:
             raise ValueError(
                 f"out-of-order sample on series {self.name!r}: "
-                f"ts {ts_s} < last ts {ts[-1]}"
+                f"ts {ts_s} < last ts {self._ts[-1]}"
             )
-        ts.append(ts_s)
+        self._ts.append(ts_s)
         self._values.append(float(value))  # exported JSON prints floats
-        if len(ts) > SERIES_CAPACITY:
-            del ts[0]
+        if len(self._ts) > SERIES_CAPACITY:
+            del self._ts[0]
             del self._values[0]
 
     def value_at(self, ts_s: float, default: float = float("nan")) -> float:
@@ -129,12 +128,14 @@ class TimeSeries:
         window opening before the series started measures growth since
         the start — the standard convention for monotone counters.
         """
-        ts = self._ts
-        if not ts:
+        if not self._ts:
             return float("nan")
         # At or after the last sample (every control-tick read), the end
         # value is that sample: what ``value_at`` would bisect to.
-        end = self._values[-1] if now_s >= ts[-1] else self.value_at(now_s, 0.0)
+        if now_s >= self._ts[-1]:
+            end = self._values[-1]
+        else:
+            end = self.value_at(now_s, default=0.0)
         start = self.value_at(now_s - window_s, default=0.0)
         return end - start
 

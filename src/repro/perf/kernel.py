@@ -8,16 +8,15 @@ evaluate it millions of times.  :class:`StepCostKernel` calls the same
 expression two ways:
 
 * **scalar steps** — :meth:`StepCostKernel.decode_cost` and
-  :meth:`StepCostKernel.prefill_cost` memoize each priced step in a
-  bounded LRU.  A step is one :class:`~repro.perf.phases.StepCost` record
-  (breakdown, watts, FLOPs and bytes); callers read the field they need
-  from it, so every view of a step comes from one lookup.  With the KV
-  cache on, a decode step's :class:`~repro.perf.phases.StepCoeffs` do not
-  depend on its context, so they are built once per batch size and a new
-  context only evaluates the roofline at that point.  The results are the
-  direct functions' bytes, because the arithmetic is the same.
-  :meth:`StepCostKernel.decode_total_s` is the one view that skips the
-  record: an engine's span-length probe needs only a step's time.
+  :meth:`StepCostKernel.prefill_cost`, the only scalar accessors, memoize
+  each priced step in a bounded LRU.  A step is one
+  :class:`~repro.perf.phases.StepCost` record (breakdown, watts, FLOPs and
+  bytes); callers read the field they need from it, so every view of a
+  step comes from one lookup.  With the KV cache on, a decode step's
+  :class:`~repro.perf.phases.StepCoeffs` do not depend on its context, so
+  they are built once per batch size and a new context only evaluates the
+  roofline at that point.  The results are the direct functions' bytes,
+  because the arithmetic is the same.
 * **vectorized sweeps** — :meth:`StepCostKernel.evaluate_grid` runs the
   whole :meth:`~repro.perf.estimator.InferenceEstimator.estimate` pipeline
   (capacity, waves, prefill, decode, power) over a batch x input x output
@@ -34,7 +33,7 @@ different deployment is a different cache key.
 
 :class:`DirectStepCost` adapts the un-memoized ``phases.py`` functions
 (:func:`~repro.perf.phases.prefill_cost`,
-:func:`~repro.perf.phases.decode_step_cost`) to the same scalar accessors;
+:func:`~repro.perf.phases.decode_step_cost`) to the same two accessors;
 the equivalence tests use it as the reference.
 """
 
@@ -150,9 +149,6 @@ class DirectStepCost:
     def decode_cost(self, batch_size: int, context_length: int) -> StepCost:
         return decode_step_cost(self.deployment, batch_size, context_length)
 
-    def decode_total_s(self, batch_size: int, context_length: int) -> float:
-        return self.decode_cost(batch_size, context_length).breakdown.total_s
-
 
 class _LruDict(OrderedDict):
     """Tiny bounded LRU used for every kernel-internal memo table.
@@ -216,29 +212,6 @@ class StepCostKernel:
                 raise ValueError("batch_size and context_length must be >= 1")
             cost = model.price(self.decode_coeffs(batch_size), context_length)
         return self._decode_memo.store(key, cost)
-
-    def decode_total_s(self, batch_size: int, context_length: int) -> float:
-        """``decode_cost(batch_size, context_length).breakdown.total_s``,
-        without pricing the rest of the step on a memo miss.
-
-        A hit reads the memoized step; a miss evaluates only the roofline
-        total and stores nothing (an engine's span-length probe reads this
-        and never the rest of the step).  With the KV cache off the
-        coefficients depend on the context, so the step is priced whole.
-        """
-        key = (batch_size, context_length)
-        memo = self._decode_memo
-        cost = memo.get(key)
-        if cost is not None:
-            memo.move_to_end(key)
-            return cost.breakdown.total_s
-        if not self.deployment.kv_spec.enabled:
-            return self.decode_cost(batch_size, context_length).breakdown.total_s
-        if batch_size < 1 or context_length < 1:
-            raise ValueError("batch_size and context_length must be >= 1")
-        return self._model.total_s(
-            FLOATS, self.decode_coeffs(batch_size), context_length
-        )
 
     def prefill_cost(self, batch_size: int, input_tokens: int) -> StepCost:
         """One prefill pass, priced (memoized)."""

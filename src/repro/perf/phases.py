@@ -407,10 +407,9 @@ class StepModel:
     # Roofline and power
     # ------------------------------------------------------------------
 
-    def _roofline(self, xp, c: StepCoeffs, point):
-        """The roofline at ``point``: ``(flops, kv_read, total_bytes,
-        t_compute, t_memory, total)``, where ``total`` is the step time
-        before the per-request setup."""
+    def cost(self, xp, c: StepCoeffs, point):
+        """Evaluate the roofline at ``point``: ``(parts, flops, bytes)``
+        with ``parts`` in :class:`LatencyBreakdown` field order."""
         flops = c.flops_base + c.flops_per_ctx * point
         kv_read = c.kv_read_per_ctx * point
         total_bytes = (
@@ -428,14 +427,6 @@ class StepModel:
         t_kernels = overlap_time(t_compute, t_memory, self._overlap, xp)
         t_kernels = t_kernels / self._moe_divisor * c.pipeline_factor * self._ep_factor
         total = (t_kernels + c.comm_s + c.overhead_s) * c.penalty
-        return flops, kv_read, total_bytes, t_compute, t_memory, total
-
-    def cost(self, xp, c: StepCoeffs, point):
-        """Evaluate the roofline at ``point``: ``(parts, flops, bytes)``
-        with ``parts`` in :class:`LatencyBreakdown` field order."""
-        flops, kv_read, total_bytes, t_compute, t_memory, total = self._roofline(
-            xp, c, point
-        )
         parts = (
             t_compute,
             c.weight_bytes / total_bytes * t_memory,
@@ -447,10 +438,6 @@ class StepModel:
             total + c.setup_s,
         )
         return parts, flops, total_bytes
-
-    def total_s(self, xp, c: StepCoeffs, point):
-        """The ``total_s`` part of :meth:`cost` alone (same arithmetic)."""
-        return self._roofline(xp, c, point)[5] + c.setup_s
 
     def power_w(self, xp, breakdown):
         """Draw of the device group while a phase with ``breakdown`` runs."""

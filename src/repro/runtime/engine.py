@@ -574,7 +574,9 @@ class EngineRun:
                 steps = min_remaining
             else:
                 probe_ctx = round(ctx_sum / batch)
-                est = kernel.decode_total_s(batch, probe_ctx if probe_ctx > 1 else 1)
+                est = kernel.decode_cost(
+                    batch, probe_ctx if probe_ctx > 1 else 1
+                ).breakdown.total_s
                 if cost_scale != 1.0:
                     est *= cost_scale
                 k = ceil((limit - now) / est)

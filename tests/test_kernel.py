@@ -26,7 +26,7 @@ import pytest
 from repro.analysis.optimize import SearchSpace
 from repro.core.request import GenerationConfig
 from repro.core.xp import FLOATS
-from repro.frameworks.base import get_framework, list_frameworks
+from repro.frameworks.base import get_framework
 from repro.hardware.zoo import get_hardware, list_hardware
 from repro.models.kvcache import KVCacheSpec
 from repro.models.zoo import get_model, list_models
@@ -255,82 +255,6 @@ class TestEdgeCaseEquivalence:
             assert_steps_match(
                 direct, kernel.decode_cost(batch, 2048), f"b={batch}"
             )
-
-
-def _zoo_deployments() -> list[Deployment]:
-    """Every supported (hardware, framework) pairing of the whole zoo on
-    LLaMA-3-8B, plus the corners the total-only path must carry."""
-    deployments = []
-    for hardware in list_hardware():
-        for framework in list_frameworks():
-            try:
-                deployments.append(_deployment("LLaMA-3-8B", hardware, framework))
-            except ValueError:
-                continue
-    deployments += [
-        _deployment("LLaMA-2-7B", "A100", "vLLM").with_kv_spec(
-            KVCacheSpec(enabled=False)
-        ),
-        _deployment("Mixtral-8x7B", "H100", "vLLM", plan=ParallelismPlan(tp=2, ep=2)),
-        _deployment("LLaMA-3-8B", "A100", "vLLM", plan=ParallelismPlan(tp=2, pp=2)),
-        _deployment("LLaMA-2-7B", "A100", "llama.cpp", plan=ParallelismPlan(pp=2)),
-    ]
-    return deployments
-
-
-_ZOO = _zoo_deployments()
-_ZOO_IDS = [
-    f"{d.model.name}-{d.hardware.name}-{d.framework.name}"
-    f"-kv{int(d.kv_spec.enabled)}-{d.plan}"
-    for d in _ZOO
-]
-
-
-class TestDecodeTotal:
-    """``decode_total_s`` (the engine's span-length probe) is exactly the
-    ``total_s`` of the priced step, on a memo miss (roofline total only,
-    nothing stored) and on a hit (read from the stored step)."""
-
-    @pytest.mark.parametrize("dep", _ZOO, ids=_ZOO_IDS)
-    def test_equals_priced_total_on_miss_and_hit(self, dep):
-        kernel = StepCostKernel(dep)
-        # Batches straddle MI250's and MI300X's saturation cliffs; contexts
-        # walk SN40L's SRAM/DDR tiers.
-        batches = {1, 8, 16, 33, 64, 256}
-        sat = dep.hardware.saturation_batch
-        if sat is not None:
-            batches |= {sat - 1, sat, sat + 1}
-        for batch in sorted(batches):
-            for ctx in (1, 2, 127, 1024, 8192, 32768):
-                expected = decode_step_cost(dep, batch, ctx).breakdown.total_s
-                label = f"b={batch} ctx={ctx}"
-                assert kernel.decode_total_s(batch, ctx) == expected, label
-                if dep.kv_spec.enabled:  # a miss stores nothing
-                    assert (batch, ctx) not in kernel._decode_memo, label
-                stored = kernel.decode_cost(batch, ctx)
-                assert stored.breakdown.total_s == expected, label
-                hit = kernel.decode_total_s(batch, ctx)
-                assert hit == expected, label
-                assert kernel._decode_memo[(batch, ctx)] is stored, label
-
-    @pytest.mark.parametrize("kv", [True, False], ids=["kv-on", "kv-off"])
-    def test_direct_step_cost_accessor(self, kv):
-        dep = _deployment("LLaMA-2-7B", "A100", "vLLM").with_kv_spec(
-            KVCacheSpec(enabled=kv)
-        )
-        direct = DirectStepCost(dep)
-        kernel = StepCostKernel(dep)
-        for batch, ctx in ((1, 1), (8, 512), (32, 4096)):
-            total = direct.decode_total_s(batch, ctx)
-            assert total == direct.decode_cost(batch, ctx).breakdown.total_s
-            assert total == kernel.decode_total_s(batch, ctx)
-
-    def test_rejects_invalid_arguments(self):
-        kernel = StepCostKernel(_deployment("LLaMA-3-8B", "A100", "vLLM"))
-        with pytest.raises(ValueError):
-            kernel.decode_total_s(0, 128)
-        with pytest.raises(ValueError):
-            kernel.decode_total_s(4, 0)
 
 
 class TestGridEquivalence:
