@@ -151,17 +151,6 @@ class ResultTable:
             default=_json_default,
         )
 
-    @classmethod
-    def from_json(cls, payload: str) -> "ResultTable":
-        data = json.loads(payload)
-        table = cls(name=data["name"])
-        # Round-trip loses the key/value split; treat floats as values.
-        for row in data["records"]:
-            keys = {k: v for k, v in row.items() if not isinstance(v, float)}
-            values = {k: v for k, v in row.items() if isinstance(v, float)}
-            table.add(keys, values)
-        return table
-
     def render(
         self,
         columns: Sequence[str] | None = None,

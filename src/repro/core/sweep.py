@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterator, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 __all__ = ["Sweep", "paper_batch_sweep", "paper_length_sweep"]
@@ -17,7 +17,7 @@ __all__ = ["Sweep", "paper_batch_sweep", "paper_length_sweep"]
 
 @dataclass
 class Sweep:
-    """Cartesian product over named axes, with optional constraints.
+    """Cartesian product over named axes.
 
     Example
     -------
@@ -27,23 +27,16 @@ class Sweep:
     """
 
     axes: Mapping[str, Sequence[Any]]
-    constraints: list[Any] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         for name, values in self.axes.items():
             if len(values) == 0:
                 raise ValueError(f"axis {name!r} has no values")
 
-    def constrain(self, predicate: Any) -> "Sweep":
-        """Return a sweep that skips points failing ``predicate(point)``."""
-        return Sweep(dict(self.axes), self.constraints + [predicate])
-
     def __iter__(self) -> Iterator[dict[str, Any]]:
         names = list(self.axes)
         for combo in itertools.product(*(self.axes[n] for n in names)):
-            point = dict(zip(names, combo))
-            if all(pred(point) for pred in self.constraints):
-                yield point
+            yield dict(zip(names, combo))
 
     def __len__(self) -> int:
         return sum(1 for _ in self)
@@ -55,7 +48,7 @@ class Sweep:
             if name in merged:
                 raise ValueError(f"axis {name!r} already present")
             merged[name] = values
-        return Sweep(merged, list(self.constraints))
+        return Sweep(merged)
 
 
 def paper_batch_sweep(

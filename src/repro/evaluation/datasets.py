@@ -73,10 +73,6 @@ class SyntheticDataset:
     def text(self) -> str:
         return "\n".join(self.documents)
 
-    @property
-    def num_words(self) -> int:
-        return sum(len(doc.split()) for doc in self.documents)
-
 
 def _zipf_probabilities(n: int, exponent: float = 1.1) -> np.ndarray:
     ranks = np.arange(1, n + 1, dtype=float)

@@ -29,10 +29,6 @@ class GenerationResult:
     generated_tokens: tuple[int, ...]
     text: str
 
-    @property
-    def num_generated(self) -> int:
-        return len(self.generated_tokens)
-
 
 class TextGenerator:
     """Tokenizer + n-gram LM + sampling loop."""

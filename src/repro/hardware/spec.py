@@ -190,10 +190,6 @@ class HardwareSpec:
             return base * spec.matmul_speedup
         return base
 
-    @property
-    def total_node_memory_bytes(self) -> float:
-        return self.devices_per_node * self.memory_per_device_bytes
-
     def usable_memory_bytes(self, num_devices: int) -> float:
         """Memory available for weights + KV across a TP/PP group."""
         if not 1 <= num_devices <= self.devices_per_node:

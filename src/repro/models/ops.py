@@ -66,16 +66,6 @@ class OpCounts:
             activation_bytes=self.activation_bytes * factor,
         )
 
-    @property
-    def memory_bytes(self) -> float:
-        """All DRAM traffic of the op."""
-        return (
-            self.weight_bytes
-            + self.kv_read_bytes
-            + self.kv_write_bytes
-            + self.activation_bytes
-        )
-
 
 def linear_flops(tokens: int, in_features: int, out_features: int) -> float:
     """FLOPs of a dense layer applied to ``tokens`` row vectors."""

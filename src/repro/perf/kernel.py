@@ -7,16 +7,28 @@ microseconds, and engine runs, cluster simulations and figure sweeps
 evaluate it millions of times.  :class:`StepCostKernel` calls the same
 expression two ways:
 
-* **scalar steps** — :meth:`StepCostKernel.decode_cost` and
-  :meth:`StepCostKernel.prefill_cost`, the only scalar accessors, memoize
-  each priced step in a bounded LRU.  A step is one
-  :class:`~repro.perf.phases.StepCost` record (breakdown, watts, FLOPs and
-  bytes); callers read the field they need from it, so every view of a
-  step comes from one lookup.  With the KV cache on, a decode step's
-  :class:`~repro.perf.phases.StepCoeffs` do not depend on its context, so
-  they are built once per batch size and a new context only evaluates the
-  roofline at that point.  The results are the direct functions' bytes,
-  because the arithmetic is the same.
+* **scalar steps** — three accessors.
+  :meth:`StepCostKernel.decode_cost` and
+  :meth:`StepCostKernel.prefill_cost` memoize each priced step in a
+  bounded LRU.  A step is one :class:`~repro.perf.phases.StepCost` record
+  (breakdown, watts, FLOPs and bytes); callers read the field they need
+  from it, so every view of a step comes from one lookup.  With the KV
+  cache on, a decode step's :class:`~repro.perf.phases.StepCoeffs` do not
+  depend on its context, so they are built once per batch size and a new
+  context only evaluates the roofline at that point.
+  :meth:`StepCostKernel.decode_step` answers what a decode span needs,
+  a step's ``(total_s, power_w)``, from a **decode row**: per batch size,
+  blocks of 256 consecutive contexts, each filled by one pass of the
+  roofline over a numpy array of contexts.  A row stores two floats per
+  context (16 bytes in an ``array('d')``) rather than records: a
+  ``StepCost`` costs about 600 bytes to keep, and a day of chat traffic
+  visits tens of thousands of ``(batch, context)`` keys, so records could
+  be kept only in an LRU that evicts most of them before their reuse.
+  The results are the direct functions' bytes, because the arithmetic is
+  the same: the roofline uses only ``+ - * / min max``, which round alike
+  on floats and arrays, and a row's watts come from the scalar power
+  model (``**``, never ``np.power``) applied to each context's
+  utilization.
 * **vectorized sweeps** — :meth:`StepCostKernel.evaluate_grid` runs the
   whole :meth:`~repro.perf.estimator.InferenceEstimator.estimate` pipeline
   (capacity, waves, prefill, decode, power) over a batch x input x output
@@ -33,12 +45,13 @@ different deployment is a different cache key.
 
 :class:`DirectStepCost` adapts the un-memoized ``phases.py`` functions
 (:func:`~repro.perf.phases.prefill_cost`,
-:func:`~repro.perf.phases.decode_step_cost`) to the same two accessors;
+:func:`~repro.perf.phases.decode_step_cost`) to the same three accessors;
 the equivalence tests use it as the reference.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -51,6 +64,7 @@ from repro.perf.phases import (
     StepCoeffs,
     StepCost,
     decode_step_cost,
+    phase_utilization,
     prefill_cost,
     step_model,
 )
@@ -71,6 +85,13 @@ _COEFFS_CACHE_SIZE = 256
 _STEP_CACHE_SIZE = 8192
 _PREFILL_CACHE_SIZE = 4096
 _KERNEL_CACHE_SIZE = 64
+# Decode rows: a block holds 2**_ROW_SHIFT contexts of one batch size as
+# (total_s, power_w) pairs, 4 KiB of floats (about 4.6 KiB with its key
+# and header), so the bound keeps rows under 5 MiB; the busiest e2e
+# workload touches 434 blocks.
+_ROW_SHIFT = 8
+_ROW_MASK = (1 << _ROW_SHIFT) - 1
+_ROW_CACHE_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -149,6 +170,10 @@ class DirectStepCost:
     def decode_cost(self, batch_size: int, context_length: int) -> StepCost:
         return decode_step_cost(self.deployment, batch_size, context_length)
 
+    def decode_step(self, batch_size: int, context_length: int) -> tuple[float, float]:
+        cost = decode_step_cost(self.deployment, batch_size, context_length)
+        return cost.breakdown.total_s, cost.power_w
+
 
 class _LruDict(OrderedDict):
     """Tiny bounded LRU used for every kernel-internal memo table.
@@ -178,6 +203,11 @@ class StepCostKernel:
         self._coeffs: _LruDict = _LruDict(_COEFFS_CACHE_SIZE)
         self._decode_memo: _LruDict = _LruDict(_STEP_CACHE_SIZE)
         self._prefill_memo: _LruDict = _LruDict(_PREFILL_CACHE_SIZE)
+        # KV-off coefficients depend on the context and would reach
+        # ``xp.power`` over arrays, so those deployments keep no rows.
+        self._decode_rows: _LruDict | None = (
+            _LruDict(_ROW_CACHE_SIZE) if deployment.kv_spec.enabled else None
+        )
 
     # ------------------------------------------------------------------
     # Scalar steps
@@ -212,6 +242,42 @@ class StepCostKernel:
                 raise ValueError("batch_size and context_length must be >= 1")
             cost = model.price(self.decode_coeffs(batch_size), context_length)
         return self._decode_memo.store(key, cost)
+
+    def decode_step(self, batch_size: int, context_length: int) -> tuple[float, float]:
+        """One decode iteration's ``(total_s, power_w)``, read from its
+        decode row (equal to :meth:`decode_cost`'s two fields)."""
+        rows = self._decode_rows
+        if rows is None:
+            cost = self.decode_cost(batch_size, context_length)
+            return cost.breakdown.total_s, cost.power_w
+        if batch_size < 1 or context_length < 1:
+            raise ValueError("batch_size and context_length must be >= 1")
+        key = (batch_size, context_length >> _ROW_SHIFT)
+        block = rows.get(key)
+        if block is None:
+            block = rows.store(key, self._decode_block(*key))
+        else:
+            rows.move_to_end(key)
+        i = (context_length & _ROW_MASK) << 1
+        return block[i], block[i + 1]
+
+    def _decode_block(self, batch_size: int, index: int) -> array:
+        """Block ``index`` of a batch size's decode row: the roofline over
+        its 256 contexts in one array pass, watts per context from the
+        scalar power model.  (Slot 0 of block 0, context 0, is priced but
+        never read.)"""
+        model = self._model
+        first = index << _ROW_SHIFT
+        ctx = np.arange(first, first + _ROW_MASK + 1, dtype=float)
+        parts, _, _ = model.cost(ARRAYS, self.decode_coeffs(batch_size), ctx)
+        breakdown = _GridParts(*parts)
+        util = phase_utilization(
+            breakdown, self.deployment.framework.power_intensity, ARRAYS
+        )
+        block = np.empty(2 * ctx.size)
+        block[0::2] = breakdown.total_s
+        block[1::2] = list(map(model.power_model.group_power_w, util.tolist()))
+        return array("d", block.tobytes())
 
     def prefill_cost(self, batch_size: int, input_tokens: int) -> StepCost:
         """One prefill pass, priced (memoized)."""

@@ -25,9 +25,9 @@ commits a span in one O(batch) pass over the running requests.
 Optimistic admission grows KV token by token and may preempt mid-span,
 so it commits token by token instead.
 
-Each prefill chunk and decode span prices one
-:class:`~repro.perf.phases.StepCost` and charges it inline under the
-straggler ``cost_scale`` by one rule (breakdown scaled, watts unchanged,
+Each prefill chunk prices one :class:`~repro.perf.phases.StepCost` and
+each decode span one step's time and watts; both are charged inline under
+the straggler ``cost_scale`` by one rule (time scaled, watts unchanged,
 energy = time x watts), in :meth:`EngineRun._run_prefill` and
 :meth:`EngineRun._decode_span`; a profiler reads the committed step.
 
@@ -524,7 +524,8 @@ class EngineRun:
         arrived-but-blocked head is no bound: FIFO admission stays blocked
         until a retirement, and a retirement ends the span anyway.  The
         step count to reach the bound is estimated from the current batch
-        state (one kernel probe at the mean context); a span may overshoot
+        state (one :meth:`~repro.perf.kernel.StepCostKernel.decode_step`
+        probe at the mean context); a span may overshoot
         the bound by part of a step, matching the atomic in-flight
         iteration a real engine finishes before admitting new work.
         ``pressure`` (work that may be injected *before* the horizon, e.g.
@@ -533,11 +534,14 @@ class EngineRun:
         request finishes mid-span.
 
         **Price.** One step at the span's midpoint context (contexts grow
-        one token per step), charged ``steps`` times under the straggler
-        ``cost_scale``: the breakdown scales, the watts do not (a uniform
-        scale keeps the utilization ratios they come from), and the
-        energy is span time times watts.  ``x * 1.0`` is exact, so a
-        one-step span is its step time.
+        one token per step), read as ``(total_s, power_w)`` from the
+        kernel's decode row; only a profiled run fetches the whole
+        :class:`~repro.perf.phases.StepCost` (equal in those two fields)
+        for its profiler.  The step is charged ``steps`` times under the
+        straggler ``cost_scale``: the time (and a profiled breakdown)
+        scales, the watts do not (a uniform scale keeps the utilization
+        ratios they come from), and the energy is span time times watts.
+        ``x * 1.0`` is exact, so a one-step span is its step time.
 
         **Commit.** Through :meth:`_commit_span` (one pass) or, under
         optimistic admission, :meth:`_commit_tokens` (token by token).
@@ -574,9 +578,7 @@ class EngineRun:
                 steps = min_remaining
             else:
                 probe_ctx = round(ctx_sum / batch)
-                est = kernel.decode_cost(
-                    batch, probe_ctx if probe_ctx > 1 else 1
-                ).breakdown.total_s
+                est = kernel.decode_step(batch, probe_ctx if probe_ctx > 1 else 1)[0]
                 if cost_scale != 1.0:
                     est *= cost_scale
                 k = ceil((limit - now) / est)
@@ -587,15 +589,22 @@ class EngineRun:
         span_ctx = round(ctx_sum / batch + (steps - 1) / 2.0)
         if span_ctx < 1:
             span_ctx = 1
-        cost = kernel.decode_cost(batch, span_ctx)
-        step_bd = cost.breakdown
+        profiler = self.profiler
+        if profiler is None:
+            step_s, power_w = kernel.decode_step(batch, span_ctx)
+        else:
+            cost = kernel.decode_cost(batch, span_ctx)
+            step_s, power_w = cost.breakdown.total_s, cost.power_w
         if cost_scale != 1.0:
-            step_bd = step_bd.scaled(cost_scale)
-        span_s = step_bd.total_s * float(steps)
-        energy_j = span_s * cost.power_w
+            step_s *= cost_scale  # the scaled breakdown's total
+        span_s = step_s * float(steps)
+        energy_j = span_s * power_w
         self.energy_j += energy_j
-        if self.profiler is not None:
-            self.profiler.record_decode(
+        if profiler is not None:
+            step_bd = cost.breakdown
+            if cost_scale != 1.0:
+                step_bd = step_bd.scaled(cost_scale)
+            profiler.record_decode(
                 now, step_bd, cost.flops, cost.bytes_moved,
                 batch, steps, energy_j, running,
             )
@@ -611,12 +620,12 @@ class EngineRun:
                 span_ctx=span_ctx,
             )
             tracer.counter(
-                "power_sample", "power_w", ts_s=now, watts=round(cost.power_w, 3)
+                "power_sample", "power_w", ts_s=now, watts=round(power_w, 3)
             )
         if self.optimistic:
-            self._commit_tokens(running, steps, step_bd.total_s)
+            self._commit_tokens(running, steps, step_s)
         else:
-            self._commit_span(running, steps, step_bd.total_s)
+            self._commit_span(running, steps, step_s)
         self.now = now + span_s
         self.decode_steps += steps
         if steps < min_remaining:

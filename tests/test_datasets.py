@@ -45,7 +45,8 @@ class TestGeneration:
     def test_requested_shape(self):
         ds = generate_subset("lcc", num_documents=3, words_per_document=50)
         assert len(ds.documents) == 3
-        assert ds.num_words == pytest.approx(150, abs=1)
+        words = sum(len(doc.split()) for doc in ds.documents)
+        assert words == pytest.approx(150, abs=1)
 
     def test_family_vocabulary_appears(self):
         ds = generate_subset("lcc", num_documents=10, words_per_document=300)

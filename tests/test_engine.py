@@ -115,6 +115,21 @@ class TestBasicRuns:
             total_j += energy_j
         assert run.energy_j == total_j
 
+    def test_straggler_span_stops_at_the_horizon(self):
+        """The span-length probe scales with ``cost_scale``: a span cut by
+        a horizon twenty slow steps away ends within a step or so of it,
+        not at the unscaled step count's 2.5x overshoot."""
+        engine = _engine()
+        run = engine.start()
+        run.cost_scale = 2.5
+        run.submit(GenerationRequest(128, 512, arrival_time=0.0))
+        run.step()  # prefill
+        step_s = engine.kernel.decode_step(1, 129)[0] * 2.5
+        horizon = run.now + 20 * step_s
+        run.step(horizon)
+        assert 19 <= run.decode_steps <= 21
+        assert horizon <= run.now < horizon + 2 * step_s
+
 
 class TestCoalescing:
     def test_coalesced_matches_stepwise(self):

@@ -28,7 +28,7 @@ class TestFit:
 class TestGenerate:
     def test_produces_requested_tokens(self, generator):
         result = generator.generate("the report", max_new_tokens=16, seed=0)
-        assert result.num_generated == 16
+        assert len(result.generated_tokens) == 16
         assert isinstance(result.text, str)
 
     def test_deterministic_per_seed(self, generator):

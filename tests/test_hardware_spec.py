@@ -83,9 +83,6 @@ class TestPeakFlops:
 
 
 class TestMemoryQueries:
-    def test_node_memory(self):
-        assert _spec().total_node_memory_bytes == 160 * GB
-
     def test_usable_memory_scales_with_devices(self):
         spec = _spec(memory_utilization=0.9)
         assert spec.usable_memory_bytes(2) == pytest.approx(2 * 40 * GB * 0.9)

@@ -3,7 +3,8 @@
 The step model (:class:`~repro.perf.phases.StepModel`) is one expression
 over floats or arrays.  The contract under test: every path through
 :class:`~repro.perf.kernel.StepCostKernel` — memoized scalar steps with
-per-batch decode coefficients, engine runs, cluster runs — equals the
+per-batch decode coefficients, decode rows, engine runs, cluster runs —
+equals the
 direct ``phases.py`` functions with ``==``, and every latency field of a
 vectorized ``evaluate_grid`` lane equals the scalar estimator's with
 ``==``.  The one documented divergence is average power: the grid raises
@@ -148,6 +149,7 @@ class TestScalarEquivalence:
         dep = _deployment("LLaMA-3-8B", "A100", "vLLM")
         direct = DirectStepCost(dep)
         assert direct.decode_cost(4, 512) == decode_step_cost(dep, 4, 512)
+        assert direct.decode_step(4, 512) == _step_fields(decode_step_cost(dep, 4, 512))
         assert direct.prefill_cost(4, 512) == prefill_cost(dep, 4, 512)
 
     def test_decode_rejects_invalid_arguments(self):
@@ -156,6 +158,101 @@ class TestScalarEquivalence:
             kernel.decode_cost(0, 128)
         with pytest.raises(ValueError):
             kernel.decode_cost(4, 0)
+
+
+def _step_fields(cost) -> tuple[float, float]:
+    """What a decode row answers for a priced step."""
+    return cost.breakdown.total_s, cost.power_w
+
+
+def _kv_cached_zoo() -> list[Deployment]:
+    """Every KV-cached zoo deployment: the kernel grid above (SN40L,
+    MI250, llama.cpp, Mixtral) and every candidate of the paper-zoo
+    optimizer space (every zoo platform, TP and quantization)."""
+    space = SearchSpace(
+        models=(
+            "LLaMA-2-7B", "LLaMA-3-8B", "Mistral-7B", "Qwen2-7B",
+            "LLaMA-2-70B", "LLaMA-3-70B", "Qwen2-72B",
+        ),
+        hardware=tuple(list_hardware()),
+        frameworks=("vLLM", "TRT-LLM", "DeepSpeed-MII"),
+        quant_schemes=("fp16", "fp8", "int8"),
+        tensor_parallel=(1, 2, 4, 8),
+        batch_sizes=(1,),
+    )
+    candidates, _ = space.enumerate_deployments()
+    deployments = _GRID + [cand.deployment for cand in candidates]
+    assert all(dep.kv_spec.enabled for dep in deployments)
+    return deployments
+
+
+class TestDecodeRows:
+    """``decode_step`` reads a step's ``(total_s, power_w)`` from a
+    decode row filled 256 contexts at a time over arrays; it must equal
+    the direct scalar step with ``==`` everywhere, block edges and the
+    SN40L's memory-tier spill included."""
+
+    # Both edges of the first three blocks (context 0 is invalid).
+    EDGES = (1, 255, 256, 257, 511, 512)
+
+    def test_rows_match_direct_on_every_kv_cached_zoo_deployment(self):
+        rng = random.Random(0)
+        points = spilled = 0
+        for dep in _kv_cached_zoo():
+            kernel = StepCostKernel(dep)
+            hw = dep.hardware
+            # Per-device bytes past SRAM + HBM stream from the DDR tier.
+            spill = (
+                hw.sram_tier.capacity_bytes + hw.memory_per_device_bytes
+                if hw.sram_tier is not None
+                else None
+            )
+            batch = rng.randint(1, 255)
+            longs = (rng.randint(513, 140_000), rng.randint(513, 140_000))
+            for ctx in self.EDGES + longs:
+                direct = decode_step_cost(dep, batch, ctx)
+                assert kernel.decode_step(batch, ctx) == _step_fields(direct), (
+                    f"{dep.model.name}/{dep.hardware.name} b={batch} ctx={ctx}"
+                )
+                points += 1
+                if spill is not None and direct.bytes_moved / dep.num_devices > spill:
+                    spilled += 1
+        assert points > 4000
+        assert spilled > 0
+
+    def test_sn40l_rows_across_the_tier_spill(self):
+        dep = _deployment("LLaMA-3-8B", "SN40L", "SambaFlow")
+        kernel = StepCostKernel(dep)
+        rng = random.Random(1)
+        for batch in (1, 64, 255):
+            for ctx in self.EDGES + tuple(rng.randint(513, 140_000) for _ in range(8)):
+                direct = decode_step_cost(dep, batch, ctx)
+                assert kernel.decode_step(batch, ctx) == _step_fields(direct), (
+                    f"b={batch} ctx={ctx}"
+                )
+
+    def test_kv_off_answers_from_decode_cost(self):
+        dep = _deployment("LLaMA-2-7B", "A100", "vLLM").with_kv_spec(
+            KVCacheSpec(enabled=False)
+        )
+        kernel = StepCostKernel(dep)
+        for ctx in (1, 256, 4096):
+            assert kernel.decode_step(8, ctx) == _step_fields(kernel.decode_cost(8, ctx))
+        assert kernel._decode_rows is None
+        with pytest.raises(ValueError):
+            kernel.decode_step(8, 0)
+
+    def test_rejects_invalid_arguments(self):
+        """As ``decode_cost`` does, also once block 0 is filled: slot 0
+        (context 0) is never read."""
+        dep = _deployment("LLaMA-3-8B", "A100", "vLLM")
+        kernel = StepCostKernel(dep)
+        kernel.decode_step(4, 1)
+        for batch, ctx in ((0, 128), (4, 0), (4, -1), (-1, 128)):
+            with pytest.raises(ValueError):
+                kernel.decode_step(batch, ctx)
+            with pytest.raises(ValueError):
+                DirectStepCost(dep).decode_step(batch, ctx)
 
 
 class TestEdgeCaseEquivalence:
@@ -402,16 +499,20 @@ class TestEngineEquivalence:
                 dep, make_trace(), kernel=StepCostKernel(dep), profile=profile,
                 **engine_kwargs,
             )
-            assert direct.iterations == fast.iterations
-            assert direct.total_time_s == fast.total_time_s
-            assert direct.average_power_w == fast.average_power_w
-            for a, b in zip(direct.requests, fast.requests):
-                assert a.ttft_s == b.ttft_s
-                assert a.finish_time == b.finish_time
-            if profile:
-                assert direct.profile.to_json_dict() == fast.profile.to_json_dict()
-            else:
-                assert direct.profile is None and fast.profile is None
+            self._assert_results_match(direct, fast, profile)
+
+    @staticmethod
+    def _assert_results_match(direct, fast, profile):
+        assert direct.iterations == fast.iterations
+        assert direct.total_time_s == fast.total_time_s
+        assert direct.average_power_w == fast.average_power_w
+        for a, b in zip(direct.requests, fast.requests):
+            assert a.ttft_s == b.ttft_s
+            assert a.finish_time == b.finish_time
+        if profile:
+            assert direct.profile.to_json_dict() == fast.profile.to_json_dict()
+        else:
+            assert direct.profile is None and fast.profile is None
 
     def test_fixed_batch_run(self):
         dep = _deployment("LLaMA-3-8B", "A100", "vLLM")
@@ -477,6 +578,31 @@ class TestEngineEquivalence:
             )
         assert run.outstanding_tokens == 0
 
+    @pytest.mark.parametrize(
+        "optimistic", [False, True], ids=["reserved", "optimistic"]
+    )
+    def test_straggler_run(self, optimistic):
+        """Under a straggler's ``cost_scale`` the span probe and the span
+        scale: the two kernels still commit the same run, unprofiled and
+        profiled.  Arrivals keep coming, so spans are sized by the probe."""
+        dep = _deployment("LLaMA-3-8B", "A100", "vLLM")
+        for profile in (False, True):
+            results = []
+            for kernel in (DirectStepCost(dep), StepCostKernel(dep)):
+                run = ServingEngine(
+                    dep, kernel=kernel, profile=profile, max_concurrency=8,
+                    optimistic=optimistic,
+                ).start()
+                run.cost_scale = 2.5
+                for request in open_loop_trace(24, 6.0, 512, 128, seed=5):
+                    run.submit(request)
+                while run.has_work:
+                    run.step()
+                results.append(run.result())
+            direct, fast = results
+            assert direct.iterations < direct.decode_steps  # coalesced spans
+            self._assert_results_match(direct, fast, profile)
+
     def test_cluster_run_matches_direct(self):
         dep = _deployment("LLaMA-3-8B", "A100", "vLLM")
 
@@ -528,19 +654,40 @@ class TestKernelCache:
         direct = decode_step_cost(dep, 1, 5)
         assert_steps_match(direct, kernel.decode_cost(1, 5))
 
+    def test_decode_rows_are_bounded(self):
+        from repro.perf import kernel as kernel_mod
+
+        dep = _deployment("LLaMA-3-8B", "A100", "vLLM")
+        kernel = StepCostKernel(dep)
+        kernel.decode_step(1, 1)
+        block = kernel._decode_rows[(1, 0)]
+        # Two floats per context, 256 contexts: 4 KiB a block, 4 MiB at
+        # the bound.
+        assert len(block) * block.itemsize == 4096
+        assert kernel_mod._ROW_CACHE_SIZE * 4096 <= 4 * 2**20
+        kernel._decode_rows.max_size = 4  # shrink for the test
+        for ctx in range(1, 10 * 256, 97):
+            kernel.decode_step(1, ctx)
+        assert len(kernel._decode_rows) <= 4
+        # Still correct after eviction churn.
+        assert kernel.decode_step(1, 5) == _step_fields(decode_step_cost(dep, 1, 5))
+
     @pytest.mark.parametrize(
         "accessor, memo",
         [
             ("decode_cost", "_decode_memo"),
             ("prefill_cost", "_prefill_memo"),
             ("decode_coeffs", "_coeffs"),
+            ("decode_step", "_decode_rows"),
         ],
     )
     def test_hit_refreshes_recency(self, accessor, memo):
         """A memo hit returns the stored object and makes its key the most
         recently used: an overflow right after evicts the oldest key that
         was not touched, not the hit one.  (A FIFO memo prices the same
-        bytes but misses more once a workload overflows it.)"""
+        bytes but misses more once a workload overflows it.)  A decode
+        row's table is keyed by (batch, block of 256 contexts) and its hit
+        reads floats out of the stored block."""
         kernel = StepCostKernel(_deployment("LLaMA-3-8B", "A100", "vLLM"))
         table = getattr(kernel, memo)
         table.max_size = 3  # shrink for the test
@@ -548,17 +695,24 @@ class TestKernelCache:
         if accessor == "decode_coeffs":
             keys = [1, 2, 3, 4]
             args = [(k,) for k in keys]
+        elif accessor == "decode_step":
+            keys = [(1, 0), (1, 1), (1, 2), (1, 3)]
+            args = [(1, 100), (1, 300), (1, 600), (1, 900)]
         else:
             keys = [(1, 100), (1, 200), (1, 300), (1, 400)]
             args = keys
         first = price(*args[0])
+        stored = table[keys[0]]
         price(*args[1])
         price(*args[2])
-        assert price(*args[0]) is first  # hit: the identical object
+        hit = price(*args[0])
+        assert hit == first and table[keys[0]] is stored
+        if accessor != "decode_step":
+            assert hit is first  # hit: the identical object
         price(*args[3])  # overflow
         assert list(table) == [keys[2], keys[0], keys[3]]
         assert keys[1] not in table
-        assert price(*args[0]) is first
+        assert price(*args[0]) == first and table[keys[0]] is stored
 
     def test_global_kernel_cache_is_bounded(self):
         from repro.perf import kernel as kernel_mod

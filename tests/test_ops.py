@@ -104,13 +104,6 @@ class TestOpCounts:
         assert c.weight_bytes == 2.0
         assert c.kv_read_bytes == 4.0
 
-    def test_memory_bytes_sums_all_traffic(self):
-        counts = OpCounts(
-            weight_bytes=1.0, kv_read_bytes=2.0, kv_write_bytes=3.0,
-            activation_bytes=4.0,
-        )
-        assert counts.memory_bytes == 10.0
-
     def test_scaled(self):
         assert OpCounts(flops=2.0).scaled(3.0).flops == 6.0
 

@@ -16,18 +16,6 @@ class TestSweep:
         sweep = Sweep({"a": [1, 2, 3], "b": [1, 2]})
         assert len(sweep) == 6
 
-    def test_constraint_filters(self):
-        sweep = Sweep({"a": [1, 2, 3]}).constrain(lambda p: p["a"] != 2)
-        assert [p["a"] for p in sweep] == [1, 3]
-
-    def test_constraints_stack(self):
-        sweep = (
-            Sweep({"a": [1, 2, 3, 4]})
-            .constrain(lambda p: p["a"] > 1)
-            .constrain(lambda p: p["a"] < 4)
-        )
-        assert [p["a"] for p in sweep] == [2, 3]
-
     def test_empty_axis_rejected(self):
         with pytest.raises(ValueError, match="no values"):
             Sweep({"a": []})
